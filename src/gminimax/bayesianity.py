@@ -3,12 +3,14 @@
 Three witness constructions, in increasing strength:
 
 * mixture: between two proper priors whose Bayes actions straddle the
-  target, some two-point mixture reproduces it, because the mixture
-  posterior mean of the mean function is continuous in the weight.
+  target, some two-point mixture reproduces it.  The mixture posterior
+  mean of the mean function is a ratio of affine functions of the
+  weight, so the weight solves a linear equation.
 * path: along the straight hyper-parameter segment joining the two
-  extreme corners of a box, some intermediate prior reproduces it (the
-  conjugate family is a connected class and the Bayes action moves
-  continuously along any hyper-parameter path).
+  extreme corners of a box, some intermediate prior reproduces it.  The
+  posterior predictive mean obs_units*(lambda + stat(x))/(alpha +
+  obs_units) is a ratio of affine functions of the position on the
+  segment, so the position solves a linear equation too.
 * data_independent: for boxes where only alpha varies, the path witness
   lands at the same alpha for every observation, i.e. one single prior
   is simultaneously Bayes for the whole estimator, not just pointwise.
@@ -16,7 +18,9 @@ Three witness constructions, in increasing strength:
   for some families it genuinely is not constant.
 
 Each certificate records the witness, the reproduction residual on the
-estimate scale, and (when applicable) the constancy spread.
+estimate scale (from the witness's own Bayes action, re-derived through
+``bayes_estimate`` or ``mean_inverse``), and (when applicable) the
+constancy spread.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .priors import (
     PriorBox,
     _log_prior_normalizer,
     _log_posterior_integrand,
-    _peak,
+    _peak_integrals,
     _quad_split,
     _weighted_integrand,
     mixture_components,
@@ -78,8 +82,8 @@ def mixture_witness(fam: FamilySpec, path: MixturePath, x: float,
 
     Requires the two component Bayes actions to straddle the target.
     The mixture posterior mean of the mean function is a ratio of
-    affine functions of the weight, so after the four component
-    integrals are known the bisection costs nothing.
+    affine functions of the weight, so once the four component integrals
+    are known the weight is the root of a linear equation.
     """
     require_in_support(fam, target_estimate, what="target_estimate")
     target_mean = float(fam.mean(target_estimate))
@@ -100,20 +104,10 @@ def mixture_witness(fam: FamilySpec, path: MixturePath, x: float,
             f"{target_mean:.6g}"
         )
     else:
-        lo, hi = 0.0, 1.0
-        g_lo = g0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            gm = psi(mid) - target_mean
-            if gm == 0.0:
-                lo = hi = mid
-                break
-            if (gm > 0) == (g_lo > 0):
-                lo = mid
-                g_lo = gm
-            else:
-                hi = mid
-        t_star = 0.5 * (lo + hi)
+        # psi(t) = target_mean cleared of its denominator; its two end
+        # values have opposite signs, so their difference does not cancel.
+        f0, f1 = a1 - target_mean * b1, a0 - target_mean * b0
+        t_star = f0 / (f0 - f1)
         kind = "mixture"
 
     reproduced = mean_inverse(fam, psi(t_star))
@@ -138,6 +132,8 @@ def connected_path_witness(fam: FamilySpec, box: PriorBox, x: float,
     The segment joins the corners attaining the smallest and largest
     Bayes actions, so any target in between is crossed by continuity.
     Targets that coincide with an extreme get a boundary certificate.
+    The witness is where an affine function of the position vanishes:
+    the predictive mean minus mean(target), cleared of its denominator.
     """
     require_in_support(fam, target_estimate, what="target_estimate")
     corners = box.corners()
@@ -163,27 +159,20 @@ def connected_path_witness(fam: FamilySpec, box: PriorBox, x: float,
             f"[{e_min}, {e_max}] of the box"
         )
 
+    u, r = fam.obs_units, float(fam.stat(x))
+    target_mean = float(fam.mean(target_estimate))
+    std = box.to_standard().corners()
+    f0, f1 = (u * (l + r) - target_mean * (a + u)
+              for a, l in (std[i_min], std[i_max]))
+    s_star = f0 / (f0 - f1)
     (a0, l0), (a1, l1) = corners[i_min], corners[i_max]
-
-    def est_at(s: float) -> float:
-        a = (1.0 - s) * a0 + s * a1
-        l = (1.0 - s) * l0 + s * l1
-        return _corner_estimate(fam, a, l, box.flavor, x)
-
-    lo, hi = 0.0, 1.0  # est_at(0) < target < est_at(1)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if est_at(mid) < target_estimate:
-            lo = mid
-        else:
-            hi = mid
-    s_star = 0.5 * (lo + hi)
     a_star = (1.0 - s_star) * a0 + s_star * a1
     l_star = (1.0 - s_star) * l0 + s_star * l1
     return BayesianityCertificate(
         kind="path",
         witness={"alpha": a_star, "lam": l_star},
-        residual=abs(est_at(s_star) - target_estimate),
+        residual=abs(_corner_estimate(fam, a_star, l_star, box.flavor, x)
+                     - target_estimate),
     )
 
 
@@ -287,13 +276,10 @@ def perturbation_bound_check(fam: FamilySpec, prior: ConjugatePrior, x: float,
         raise SpecificationError("eps and width must be positive")
     log_z = _log_prior_normalizer(fam, prior)
     logf = _log_posterior_integrand(fam, prior, x)
-    mode, m_shift = _peak(fam, logf)
+    mode, m_shift, (m_base, r_base) = _peak_integrals(fam, logf, None, fam.mean)
+    m_base *= math.exp(m_shift - log_z)
+    r_base *= math.exp(m_shift - log_z)
     lo, hi = fam.support
-
-    m_base = _quad_split(_weighted_integrand(logf, m_shift), lo, hi,
-                         mode) * math.exp(m_shift - log_z)
-    r_base = _quad_split(_weighted_integrand(logf, m_shift, fam.mean), lo, hi,
-                         mode) * math.exp(m_shift - log_z)
     psi = r_base / m_base
 
     # Likelihood-only integrals for the bound constants.

@@ -141,11 +141,8 @@ def parse_box(text: str) -> tuple[float, float, float, float]:
 
 def _load_family(args) -> FamilySpec:
     if getattr(args, "family_file", None):
-        try:
-            with open(args.family_file, "r", encoding="utf-8") as fh:
-                raw = fh.read()
-        except OSError:
-            raise
+        with open(args.family_file, "r", encoding="utf-8") as fh:
+            raw = fh.read()
         try:
             cfg = json.loads(raw)
         except json.JSONDecodeError as exc:

@@ -12,9 +12,12 @@ against those extremes.  With bounds ``d_lo <= d_hi`` the equalizer is
 an interior point of ``[d_lo, d_hi]``.  When the mean values are too
 close for that quotient to be trustworthy, a sign-change bisection on
 the regret difference replaces it; when the bounds themselves collapse,
-the midpoint is the answer by continuity.
+the midpoint is the answer by continuity.  Every bisection here, and the
+one in ``mean_inverse``, runs through the one bracketing helper in
+``families``.
 
-The ``jcp`` prior flavor earns its keep here: the class of
+A ``jcp`` box is solved as its standard-flavor equivalent,
+``PriorBox.to_standard``.  That flavor earns its keep here: the class of
 sqrt-Fisher-corrected conjugate priors is the same set of measures in
 every smooth one-to-one reparameterization, so the box-minimax estimate
 of ``h(theta)`` is ``h`` of the box-minimax estimate of ``theta``.
@@ -26,20 +29,25 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SpecificationError
-from .families import FamilySpec, mean_inverse, require_in_support, support_grid
+from .families import (
+    FamilySpec,
+    _bisect,
+    mean_inverse,
+    require_in_support,
+    support_grid,
+)
 from .losses import posterior_regret
 from .priors import (
     ConjugatePrior,
     PriorBox,
     posterior_predictive_mean,
     predictive_mean_quadrature,
-    to_standard,
 )
 
 __all__ = [
@@ -119,23 +127,13 @@ def _equalizer_root(fam: FamilySpec, d_lo: float, d_hi: float) -> tuple[float, i
     def gap(d: float) -> float:
         return posterior_regret(fam, d_hi, d) - posterior_regret(fam, d_lo, d)
 
-    a, b = d_lo, d_hi
-    ga, gb = gap(a), gap(b)
-    if ga < 0 or gb > 0:
+    if gap(d_lo) < 0 or gap(d_hi) > 0:
         raise ConvergenceError(
             f"regret gap lost its sign change on [{d_lo}, {d_hi}] for "
             f"{fam.name}; the mean function may not be strictly decreasing"
         )
     tol = 1e-15 * max(1.0, abs(d_lo), abs(d_hi))
-    it = 0
-    while b - a > tol and it < 200:
-        mid = 0.5 * (a + b)
-        if gap(mid) > 0:
-            a = mid
-        else:
-            b = mid
-        it += 1
-    return 0.5 * (a + b), it
+    return _bisect(lambda d: gap(d) > 0, d_lo, d_hi, width=tol)
 
 
 def prgm_from_bounds(fam: FamilySpec, d_lo: float, d_hi: float) -> EstimateReport:
@@ -235,16 +233,8 @@ def prgm_conjugate_box(fam: FamilySpec, box: PriorBox, x: float) -> EstimateRepo
         )
     ests = _corner_bayes(fam, box, x)
     report = prgm_from_bounds(fam, min(ests), max(ests))
-    diag = dict(report.diagnostics)
-    diag["corner_estimates"] = sorted(ests)
-    return EstimateReport(
-        estimate=report.estimate,
-        delta_lo=report.delta_lo,
-        delta_hi=report.delta_hi,
-        equalized_regret=report.equalized_regret,
-        method=report.method,
-        diagnostics=diag,
-    )
+    return replace(report, diagnostics={**report.diagnostics,
+                                        "corner_estimates": sorted(ests)})
 
 
 def iprgm_jcp_box(fam: FamilySpec, box: PriorBox, x: float) -> EstimateReport:
@@ -256,32 +246,10 @@ def iprgm_jcp_box(fam: FamilySpec, box: PriorBox, x: float) -> EstimateReport:
     """
     if box.flavor != "jcp":
         raise SpecificationError("iprgm_jcp_box needs a jcp-flavor box")
-    shift = fam.jeffreys_shift
-    if shift is None:
-        raise SpecificationError(
-            f"family {fam.name} declares no Jeffreys shift; the jcp class "
-            "has no conjugate representation to optimize over"
-        )
-    a, b = shift
-    shifted = PriorBox(
-        fam,
-        box.alpha_lo + a,
-        box.alpha_hi + a,
-        box.lam_lo + b,
-        box.lam_hi + b,
-        "standard",
-    )
-    report = prgm_conjugate_box(fam, shifted, x)
-    diag = dict(report.diagnostics)
-    diag["jeffreys_shift"] = [a, b]
-    return EstimateReport(
-        estimate=report.estimate,
-        delta_lo=report.delta_lo,
-        delta_hi=report.delta_hi,
-        equalized_regret=report.equalized_regret,
-        method=METHOD_IPRGM,
-        diagnostics=diag,
-    )
+    report = prgm_conjugate_box(fam, box.to_standard(), x)
+    return replace(report, method=METHOD_IPRGM,
+                   diagnostics={**report.diagnostics,
+                                "jeffreys_shift": list(fam.jeffreys_shift)})
 
 
 # ---------------------------------------------------------------------------
@@ -449,20 +417,7 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
     factor, and the corner posterior means are integrated numerically.
     """
     if box.flavor == "jcp":
-        shift = fam.jeffreys_shift
-        if shift is None:
-            raise SpecificationError(
-                f"family {fam.name} declares no Jeffreys shift"
-            )
-        shifted = PriorBox(
-            fam,
-            box.alpha_lo + shift[0],
-            box.alpha_hi + shift[0],
-            box.lam_lo + shift[1],
-            box.lam_hi + shift[1],
-            "standard",
-        )
-        theta_corners = _corner_bayes(fam, shifted, x)
+        theta_corners = _corner_bayes(fam, box.to_standard(), x)
     else:
         if tr.log_abs_deriv is None:
             raise SpecificationError(
@@ -494,25 +449,15 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
     def gap(d: float) -> float:
         return regret_eta(e_hi, d) - regret_eta(e_lo, d)
 
-    a, b = e_lo, e_hi
-    ga, gb = gap(a), gap(b)
-    if ga * gb > 0:
+    g_lo = gap(e_lo)
+    if g_lo * gap(e_hi) > 0:
         raise ConvergenceError(
             f"no sign change for the transformed-scale regret gap on "
             f"[{e_lo}, {e_hi}] under {tr.label}"
         )
-    # Orient so the positive end is at `a`; the gap is strictly monotone.
-    if ga < 0:
-        a, b = b, a
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if gap(mid) > 0:
-            a = mid
-        else:
-            b = mid
-        if abs(b - a) <= 1e-15 * scale:
-            break
-    est = 0.5 * (a + b)
+    # The gap is strictly monotone; its sign at e_lo orients the steps.
+    est, _ = _bisect(lambda d: (gap(d) > 0) != (g_lo < 0), e_lo, e_hi,
+                     width=1e-15 * scale)
     r_lo = regret_eta(e_lo, est)
     r_hi = regret_eta(e_hi, est)
     return EstimateReport(

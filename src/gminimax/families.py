@@ -228,6 +228,31 @@ def _expand_bracket(fam: FamilySpec, target: float) -> tuple[float, float]:
     return a, b
 
 
+def _bisect(above: Callable[[float], bool | None], a: float, b: float,
+            width: float = 0.0, rel: float = 0.0) -> tuple[float, int]:
+    """Halve the bracket between ``a`` and ``b`` onto a sign change.
+
+    ``above(mid)`` is True when the root lies beyond ``mid`` as seen from
+    ``a`` (``a`` moves to ``mid``), False when it does not (``b`` moves),
+    and None to accept ``mid`` as the root.  ``a`` may exceed ``b``.  The
+    loop stops once ``|b - a| <= width + rel * max(1, |a|, |b|)`` or after
+    BISECT_MAX_STEPS halvings, and returns the final midpoint (or the
+    accepted point) with the number of halvings made.
+    """
+    for steps in range(1, BISECT_MAX_STEPS + 1):
+        mid = 0.5 * (a + b)
+        side = above(mid)
+        if side is None:
+            return mid, steps
+        if side:
+            a = mid
+        else:
+            b = mid
+        if abs(b - a) <= width + rel * max(1.0, abs(a), abs(b)):
+            break
+    return 0.5 * (a + b), steps
+
+
 def mean_inverse(fam: FamilySpec, t: float, rtol: float = INVERT_RTOL,
                  atol: float = INVERT_ATOL) -> float:
     """Solve mean(theta) = t for theta.
@@ -253,22 +278,19 @@ def mean_inverse(fam: FamilySpec, t: float, rtol: float = INVERT_RTOL,
     a, b = _expand_bracket(fam, t)
     tol = rtol * abs(t) + atol
     best, best_res = a, abs(float(fam.mean(a)) - t)
-    for _ in range(BISECT_MAX_STEPS):
-        mid = 0.5 * (a + b)
+
+    def above(mid: float) -> bool | None:
+        nonlocal best, best_res
         val = float(fam.mean(mid))
         res = abs(val - t)
-        if res < best_res:
+        if res < best_res or res <= tol:
             best, best_res = mid, res
-        if res <= tol:
-            return mid
-        if val > t:
-            a = mid
-        else:
-            b = mid
-        if b - a <= 1e-16 * max(1.0, abs(a), abs(b)):
-            break
+        return None if res <= tol else val > t
+
+    # A point within tol ends the search.  If the bracket runs out of
+    # float resolution first, the best point seen is accepted when close.
+    _bisect(above, a, b, rel=1e-16)
     if best_res <= 100.0 * tol:
-        # Width exhausted float resolution; accept the best point seen.
         return best
     raise ConvergenceError(
         f"bisection stalled inverting the mean function of {fam.name} at "
@@ -311,7 +333,9 @@ def validate_family(fam: FamilySpec, n: int = 201) -> list[str]:
     if not np.all(np.diff(mean_vals) < 0):
         problems.append("mean function is not strictly decreasing on the working grid")
 
-    deriv = np.asarray(fam.mean_deriv(grid), dtype=float)
+    # A constant derivative expression evaluates to a 0-d array.
+    deriv = np.broadcast_to(np.asarray(fam.mean_deriv(grid), dtype=float),
+                            grid.shape)
     if not np.all(deriv < 0):
         problems.append("mean_deriv is not strictly negative on the working grid")
 
@@ -535,7 +559,10 @@ def check_prior_ok(fam: FamilySpec, alpha: float, lam: float) -> None:
 
 
 def check_posterior_ok(fam: FamilySpec, alpha: float, lam: float, x: float) -> None:
-    """Raise ProprietyError if the posterior at x would be improper."""
+    """Raise DomainError for a non-finite observation, ProprietyError if
+    the posterior at x would be improper."""
+    if not math.isfinite(x):
+        raise DomainError(f"observation x={x} is not finite")
     if fam.posterior_ok is None:
         return
     if not fam.posterior_ok(alpha, lam, x):

@@ -204,10 +204,17 @@ class PriorBox:
             (self.alpha_hi, self.lam_hi),
         ]
 
-    def corner_priors(self) -> list[ConjugatePrior]:
-        return [
-            ConjugatePrior(self.fam, a, l, self.flavor) for a, l in self.corners()
-        ]
+    def to_standard(self) -> PriorBox:
+        """The same class of priors as a standard-flavor box.
+
+        A jcp box moves by the family's Jeffreys shift, which must be
+        declared; a standard box keeps its corners.
+        """
+        a_lo, l_lo = _standard_params(
+            ConjugatePrior(self.fam, self.alpha_lo, self.lam_lo, self.flavor))
+        a_hi, l_hi = _standard_params(
+            ConjugatePrior(self.fam, self.alpha_hi, self.lam_hi, self.flavor))
+        return PriorBox(self.fam, a_lo, a_hi, l_lo, l_hi, "standard")
 
     def is_point(self) -> bool:
         return self.alpha_lo == self.alpha_hi and self.lam_lo == self.lam_hi
@@ -371,19 +378,18 @@ def _peak(fam: FamilySpec, logf) -> tuple[float, float]:
     return float(grid[k]), float(vals[k])
 
 
-def _normalized_integrals(fam: FamilySpec, logf, extra=None) -> tuple[float, float]:
-    """Integrals of exp(logf)*1 and exp(logf)*extra, scaled by exp(-max).
+def _peak_integrals(fam: FamilySpec, logf, *factors):
+    """Integrals of exp(logf - m) * factor over the support, one per factor.
 
-    Returns (den, num) where den = ∫exp(logf - M) and num is the same
-    with the extra factor; the shift M cancels in any ratio num/den.
+    A factor of None integrates the plain density.  ``m`` is the scanned
+    peak of logf, and each integral is split at the peak's location.
+    Returns ``(mode, m, values)``; m cancels in any ratio of the values.
     """
-    lo, hi = fam.support
     mode, m = _peak(fam, logf)
-    den = _quad_split(_weighted_integrand(logf, m), lo, hi, mode)
-    if extra is None:
-        return den, m
-    num = _quad_split(_weighted_integrand(logf, m, extra), lo, hi, mode)
-    return den, num
+    lo, hi = fam.support
+    values = [_quad_split(_weighted_integrand(logf, m, f), lo, hi, mode)
+              for f in factors]
+    return mode, m, values
 
 
 def predictive_mean_quadrature(fam: FamilySpec, prior: ConjugatePrior, x: float,
@@ -402,10 +408,7 @@ def predictive_mean_quadrature(fam: FamilySpec, prior: ConjugatePrior, x: float,
     else:
         def logf(th):
             return np.asarray(base_logf(th)) + np.asarray(extra_log_weight(th))
-    lo, hi = fam.support
-    mode, m = _peak(fam, logf)
-    den = _quad_split(_weighted_integrand(logf, m), lo, hi, mode)
-    num = _quad_split(_weighted_integrand(logf, m, fam.mean), lo, hi, mode)
+    _, _, (den, num) = _peak_integrals(fam, logf, None, fam.mean)
     if den <= 0 or not math.isfinite(den):
         raise ConvergenceError(
             f"posterior normalizer failed for {fam.name} at x={x}"
@@ -414,10 +417,7 @@ def predictive_mean_quadrature(fam: FamilySpec, prior: ConjugatePrior, x: float,
 
 
 def _log_prior_normalizer(fam: FamilySpec, prior: ConjugatePrior) -> float:
-    logw = _log_weight(fam, prior)
-    lo, hi = fam.support
-    mode, m = _peak(fam, logw)
-    z = _quad_split(_weighted_integrand(logw, m), lo, hi, mode)
+    _, m, (z,) = _peak_integrals(fam, _log_weight(fam, prior), None)
     if z <= 0 or not math.isfinite(z):
         raise ProprietyError(
             f"prior (alpha={prior.alpha}, lam={prior.lam}, {prior.flavor}) has "
@@ -438,10 +438,7 @@ def mixture_components(fam: FamilySpec, path: MixturePath, x: float):
     for p in (path.p0, path.p1):
         log_z = _log_prior_normalizer(fam, p)
         logf = _log_posterior_integrand(fam, p, x)
-        mode, m = _peak(fam, logf)
-        lo, hi = fam.support
-        den = _quad_split(_weighted_integrand(logf, m), lo, hi, mode)
-        num = _quad_split(_weighted_integrand(logf, m, fam.mean), lo, hi, mode)
+        _, m, (den, num) = _peak_integrals(fam, logf, None, fam.mean)
         scale = math.exp(m - log_z)
         out.append((num * scale, den * scale))
     (a0, b0), (a1, b1) = out

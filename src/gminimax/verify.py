@@ -256,38 +256,25 @@ def bayesianity_suite(seed: int, n_instances: int = 30) -> list[CheckRecord]:
         ))
 
     # Fixed data-independence spot checks with their closed forms.
-    fam = builtin_family("normal_mean_unitvar")
-    box = PriorBox(fam, 1.0, 3.0, 0.5, 0.5, "standard")
-    cert = data_independent_alpha(fam, box, np.linspace(-3.0, 4.0, 15))
-    expected = data_independent_alpha_normal(1.0, 3.0)
-    records.append(CheckRecord(
-        suite="bayesianity", check="data_independent_normal", index=0,
-        passed=(cert.constancy_spread <= 1e-10
-                and abs(cert.witness["alpha"] - expected) <= WITNESS_TOL),
-        value=cert.constancy_spread, bound=1e-10,
-        note=f"alpha={cert.witness['alpha']:.12f} expected={expected:.12f}",
-    ))
-    fam = builtin_family("exponential_rate")
-    box = PriorBox(fam, 1.0, 3.0, 1.0, 1.0, "standard")
-    cert = data_independent_alpha(fam, box, np.linspace(0.5, 6.0, 15))
-    expected = data_independent_alpha_exponential(1.0, 3.0)
-    records.append(CheckRecord(
-        suite="bayesianity", check="data_independent_exponential", index=0,
-        passed=(cert.constancy_spread <= 1e-10
-                and abs(cert.witness["alpha"] - expected) <= WITNESS_TOL),
-        value=cert.constancy_spread, bound=1e-10,
-        note=f"alpha={cert.witness['alpha']:.12f} expected={expected:.12f}",
-    ))
-    box = PriorBox(fam, 1.0, 3.0, 1.0, 1.0, "jcp")
-    cert = data_independent_alpha(fam, box, np.linspace(0.5, 6.0, 15))
-    expected = data_independent_alpha_exponential_jcp(1.0, 3.0)
-    records.append(CheckRecord(
-        suite="bayesianity", check="data_independent_exponential_jcp", index=0,
-        passed=(cert.constancy_spread <= 1e-10
-                and abs(cert.witness["alpha"] - expected) <= WITNESS_TOL),
-        value=cert.constancy_spread, bound=1e-10,
-        note=f"alpha={cert.witness['alpha']:.12f} expected={expected:.12f}",
-    ))
+    for check, fam_name, flavor, lam, x_grid, closed_form in (
+        ("data_independent_normal", "normal_mean_unitvar", "standard", 0.5,
+         np.linspace(-3.0, 4.0, 15), data_independent_alpha_normal),
+        ("data_independent_exponential", "exponential_rate", "standard", 1.0,
+         np.linspace(0.5, 6.0, 15), data_independent_alpha_exponential),
+        ("data_independent_exponential_jcp", "exponential_rate", "jcp", 1.0,
+         np.linspace(0.5, 6.0, 15), data_independent_alpha_exponential_jcp),
+    ):
+        fam = builtin_family(fam_name)
+        box = PriorBox(fam, 1.0, 3.0, lam, lam, flavor)
+        cert = data_independent_alpha(fam, box, x_grid)
+        expected = closed_form(1.0, 3.0)
+        records.append(CheckRecord(
+            suite="bayesianity", check=check, index=0,
+            passed=(cert.constancy_spread <= 1e-10
+                    and abs(cert.witness["alpha"] - expected) <= WITNESS_TOL),
+            value=cert.constancy_spread, bound=1e-10,
+            note=f"alpha={cert.witness['alpha']:.12f} expected={expected:.12f}",
+        ))
     return records
 
 

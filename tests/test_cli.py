@@ -302,6 +302,13 @@ class TestExitCodes:
         ])
         assert rc == 2
 
+    def test_non_finite_observation_is_config_error(self, capsys):
+        rc, _, err = run_cli(capsys, [
+            "bayes", "--family", "exponential", "--prior", "a=2,l=1", "--x", "nan",
+        ])
+        assert rc == 2
+        assert "observation x=nan is not finite" in err
+
     def test_missing_family_file(self, capsys):
         rc, _, err = run_cli(capsys, [
             "prgm", "--family-file", "/no/such/file.json", "--bounds", "1:2",

@@ -1,0 +1,14 @@
+"""Smoke test: every script under demos/ runs to completion."""
+
+import pathlib
+import runpy
+
+import pytest
+
+DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # export_regret_curve writes its CSV here
+    runpy.run_path(str(path), run_name="__main__")

@@ -1,5 +1,6 @@
 """Bayes actions, worst-case-regret minimizers, and transports."""
 
+import dataclasses
 import math
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 from gminimax import (
     DomainError,
     FamilySpec,
+    PriorBox,
     SpecificationError,
     bayes_estimate,
     builtin_family,
@@ -143,6 +145,17 @@ class TestBoxMinimax:
         assert rep.estimate == pytest.approx(bay.estimate, rel=1e-14)
 
 
+class TestNonFiniteObservation:
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["normal", "exponential", "binomial(5)", "poisson"])
+    def test_bayes_and_box_blame_the_observation(self, name, x):
+        fam = builtin_family(name)
+        with pytest.raises(DomainError, match=f"observation x={x} is not finite"):
+            bayes_estimate(fam, conjugate_prior(fam, 2.0, 1.0), x)
+        with pytest.raises(DomainError, match=f"observation x={x} is not finite"):
+            prgm_conjugate_box(fam, prior_box(fam, 2.0, 3.0, 0.5, 1.0), x)
+
+
 class TestInvariantBoxMinimax:
     def test_exponential_alpha_box(self, exponential):
         box = prior_box(exponential, 1.0, 3.0, 1.0, 1.0, "jcp")
@@ -156,6 +169,14 @@ class TestInvariantBoxMinimax:
         box = prior_box(exponential, 1.0, 3.0, 1.0, 1.0, "standard")
         with pytest.raises(SpecificationError):
             iprgm_jcp_box(exponential, box, 2.0)
+
+    def test_requires_a_jeffreys_shift(self, exponential):
+        fam = dataclasses.replace(exponential, jeffreys_shift=None)
+        box = PriorBox(fam, 1.0, 3.0, 1.0, 1.0, "jcp")
+        with pytest.raises(SpecificationError, match="declares no Jeffreys shift"):
+            iprgm_jcp_box(fam, box, 2.0)
+        with pytest.raises(SpecificationError, match="declares no Jeffreys shift"):
+            eta_scale_prgm(fam, box, 2.0, make_transform("reciprocal"))
 
 
 class TestTransformCatalog:

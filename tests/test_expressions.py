@@ -1,17 +1,22 @@
 """Expression language and expression-defined families."""
 
+import json
+
 import numpy as np
 import pytest
 
 from gminimax import (
     ConjugatePrior,
+    PriorBox,
     SpecificationError,
     bayes_estimate,
     family_from_config,
     kl_quadrature,
     parse_expression,
+    prgm_conjugate_box,
     prgm_from_bounds,
 )
+from gminimax.cli import main
 
 
 def ev(source, **env):
@@ -117,6 +122,19 @@ class TestFamilyFromConfig:
         assert got.estimate == pytest.approx(want.estimate, rel=1e-14)
         b = bayes_estimate(fam, ConjugatePrior(fam, 2.0, 1.0), 3.0)
         assert b.estimate == pytest.approx(0.75, rel=1e-12)
+
+    def test_constant_mean_deriv(self, normal, capsys, tmp_path):
+        cfg = dict(name="my_normal", support=[None, None], log_norm="-theta^2/2",
+                   mean="-theta", mean_deriv="-1", stat="-x", jeffreys_shift=[0, 0])
+        fam = family_from_config(dict(cfg))
+        got = prgm_conjugate_box(fam, PriorBox(fam, 1.0, 3.0, -0.5, 0.5), 0.7)
+        want = prgm_conjugate_box(normal, PriorBox(normal, 1.0, 3.0, -0.5, 0.5), 0.7)
+        assert got.estimate == pytest.approx(want.estimate, rel=1e-12)
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        rc = main(["prgm", "--family-file", str(path), "--box", "a=1:3,l=-0.5:0.5",
+                   "--x", "0.7"])
+        assert rc == 0, capsys.readouterr().err
 
     def test_missing_mean_deriv_warns_and_differences(self):
         cfg = dict(name="fd_exp", support=[0, None], log_norm="log(theta)",
