@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, SpecificationError
 from .estimators import bayes_estimate, iprgm_jcp_box, prgm_conjugate_box
@@ -194,18 +193,16 @@ def data_independent_alpha(fam: FamilySpec, box: PriorBox,
     alphas, residuals = [], []
     for x in x_grid:
         x = float(x)
-        ests = [_corner_estimate(fam, a, l, box.flavor, x)
-                for a, l in box.corners()]
-        spread = max(ests) - min(ests)
-        if spread <= 1e-11 * max(1.0, abs(max(ests, key=abs))):
-            # Every prior in the box gives the same action at this x, so
-            # any alpha is a witness; such observations carry no
-            # constancy information and would poison the statistic.
-            continue
         if box.flavor == "jcp":
             report = iprgm_jcp_box(fam, box, x)
         else:
             report = prgm_conjugate_box(fam, box, x)
+        lo, hi = report.delta_lo, report.delta_hi
+        if hi - lo <= 1e-11 * max(1.0, abs(lo), abs(hi)):
+            # Every prior in the box gives the same action at this x, so
+            # any alpha is a witness; such observations carry no
+            # constancy information and would poison the statistic.
+            continue
         cert = connected_path_witness(fam, box, x, report.estimate)
         alphas.append(cert.witness["alpha"])
         residuals.append(cert.residual)
@@ -274,6 +271,8 @@ def perturbation_bound_check(fam: FamilySpec, prior: ConjugatePrior, x: float,
     """
     if eps <= 0 or width <= 0:
         raise SpecificationError("eps and width must be positive")
+    from scipy import integrate  # lazy import: cold start stays scipy-free
+
     log_z = _log_prior_normalizer(fam, prior)
     logf = _log_posterior_integrand(fam, prior, x)
     mode, m_shift, (m_base, r_base) = _peak_integrals(fam, logf, None, fam.mean)

@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConvergenceError, DomainError, ProprietyError, SpecificationError
 
@@ -165,7 +164,8 @@ def fisher_info(fam: FamilySpec, theta):
         )
     if np.ndim(theta) == 0:
         return float(info)
-    return info
+    # A constant derivative expression evaluates to a 0-d array.
+    return np.broadcast_to(info, np.shape(theta)).copy()
 
 
 def _mean_range(fam: FamilySpec) -> tuple[float, float]:
@@ -417,6 +417,24 @@ def _exponential_family() -> FamilySpec:
         prior_rule="alpha > -1 and lambda >= 0 (proper posterior for x > 0)",
         posterior_ok=lambda a, lam, x: a > -1.0 and lam + x > 0.0,
     )
+
+
+def expit(t):
+    """Logistic sigmoid ``1/(1+exp(-t))``.
+
+    The formula of ``scipy.special.expit``, written out here so that the
+    closed-form path never imports scipy (cold start).  Scalars go
+    through ``math.exp``, which rounds like scipy's C ``exp``: the result
+    is bitwise equal to scipy's.  Arrays go through ``np.exp`` and may
+    differ from scipy in the last place.
+    """
+    if np.ndim(t) == 0:
+        try:
+            return np.float64(1.0 / (1.0 + math.exp(-float(t))))
+        except OverflowError:
+            return np.float64(0.0)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(t, dtype=float)))
 
 
 def _binomial_family(n: int) -> FamilySpec:

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
-from scipy.special import expit
 
 from .errors import DomainError, SpecificationError
 from .families import FamilySpec, interior_clamp, mean_inverse, require_in_support
@@ -192,6 +190,8 @@ def sup_regret_corner_check(fam: FamilySpec, box: PriorBox, x: float,
 
 
 def _kl_normal(theta: float, delta: float) -> float:
+    from scipy import integrate, stats  # lazy import: cold start stays scipy-free
+
     def integrand(x):
         log_ratio = 0.5 * (x - delta) ** 2 - 0.5 * (x - theta) ** 2
         return stats.norm.pdf(x, loc=theta) * log_ratio
@@ -207,6 +207,7 @@ def _kl_normal(theta: float, delta: float) -> float:
 def _kl_exponential(theta: float, delta: float) -> float:
     if theta <= 0 or delta <= 0:
         raise DomainError("exponential rates must be positive")
+    from scipy import integrate  # lazy import: cold start stays scipy-free
 
     def integrand(x):
         log_ratio = math.log(theta / delta) + (delta - theta) * x
@@ -221,6 +222,11 @@ def _kl_exponential(theta: float, delta: float) -> float:
 
 
 def _kl_binomial(n: int, theta: float, delta: float) -> float:
+    # Lazy imports: cold start stays scipy-free.  scipy's own expit, not
+    # the families helper: the oracle shares no estimator code.
+    from scipy import stats
+    from scipy.special import expit
+
     xs = np.arange(n + 1)
     p_t = expit(-theta)
     p_d = expit(-delta)
@@ -230,6 +236,8 @@ def _kl_binomial(n: int, theta: float, delta: float) -> float:
 
 
 def _kl_poisson(theta: float, delta: float) -> float:
+    from scipy import stats  # lazy import: cold start stays scipy-free
+
     mu_t = math.exp(-theta)
     mu_d = math.exp(-delta)
     # Truncate where the remaining mass is far below the 1e-14 target.

@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConvergenceError, DomainError, ProprietyError, SpecificationError
 from .families import (
@@ -290,6 +289,8 @@ class MixturePath:
 
 
 def _quad_piece(f, lo: float, hi: float) -> tuple[float, float]:
+    from scipy import integrate  # lazy import: cold start stays scipy-free
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
         val, err = integrate.quad(

@@ -374,3 +374,68 @@ def test_module_entry_point():
     assert proc.returncode == 0, proc.stderr
     summary = json.loads(proc.stdout.splitlines()[-1])
     assert summary["passed"] is True
+
+
+_COLD_START_SCRIPT = r"""
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import gminimax
+from gminimax.cli import main
+after_import = scipy_modules()
+commands = [
+    ["bayes", "--family", "exponential", "--x", "2", "--prior", "a=2,l=1"],
+    ["prgm", "--family", "exponential", "--x", "2", "--box", "a=1:3,l=1:2"],
+    ["prgm", "--family", "binomial_logit(5)", "--bounds=-0.5:0.25"],
+    ["iprgm", "--family", "exponential", "--x", "3", "--box", "a=1:3,l=1:2",
+     "--transform", "reciprocal"],
+    ["loss", "--family", "binomial_logit(5)", "--theta", "0.3", "--delta", "-0.4"],
+    ["certify", "--family", "normal", "--x", "0.7", "--box", "a=1:3,l=-0.5:0.5"],
+    ["regret-curve", "--family", "exponential", "--x", "2", "--box", "a=1:3,l=1:2",
+     "--grid-n", "50"],
+]
+codes = []
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+after_cli = scipy_modules()
+
+from gminimax import (builtin_family, conjugate_prior, kl_quadrature,
+                      predictive_mean_quadrature)
+kl = {name: kl_quadrature(builtin_family(name), th, de) for name, th, de in (
+    ("normal", 0.3, 1.1), ("exponential", 2.0, 3.0),
+    ("binomial_logit(5)", 0.4, -0.7), ("poisson", 0.2, -0.5))}
+fam = builtin_family("exponential")
+pm = predictive_mean_quadrature(fam, conjugate_prior(fam, 2.0, 1.0), 1.5)
+print(json.dumps(dict(after_import=after_import, after_cli=after_cli, codes=codes,
+                      kl=kl, pm=pm, scipy_loaded="scipy.integrate" in sys.modules)))
+"""
+
+
+def test_closed_form_path_imports_no_scipy(tmp_path):
+    """numpy is the only scientific import until quadrature or an oracle runs."""
+    import os
+    from pathlib import Path
+
+    import gminimax
+
+    src = str(Path(gminimax.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _COLD_START_SCRIPT], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["after_import"] == []
+    assert got["codes"] == [0] * 7
+    assert got["after_cli"] == []
+    # The lazy imports still load scipy and give the same numbers.
+    assert got["scipy_loaded"] is True
+    want = {"normal": 0.3200000000000001, "exponential": 0.09453489189183553,
+            "binomial_logit(5)": 0.7436361130460128, "poisson": 0.256878990467559}
+    for name, value in want.items():
+        assert got["kl"][name] == pytest.approx(value, rel=1e-12), name
+    assert got["pm"] == pytest.approx(2.5 / 3.0, rel=1e-12)

@@ -11,6 +11,7 @@ from gminimax import (
     SpecificationError,
     bayes_estimate,
     family_from_config,
+    fisher_info,
     kl_quadrature,
     parse_expression,
     prgm_conjugate_box,
@@ -135,6 +136,15 @@ class TestFamilyFromConfig:
         rc = main(["prgm", "--family-file", str(path), "--box", "a=1:3,l=-0.5:0.5",
                    "--x", "0.7"])
         assert rc == 0, capsys.readouterr().err
+
+    def test_constant_mean_deriv_fisher_info_keeps_shape(self):
+        fam = family_from_config(dict(
+            name="my_normal", support=[None, None], log_norm="-theta^2/2",
+            mean="-theta", mean_deriv="-1", stat="-x", jeffreys_shift=[0, 0]))
+        theta = np.array([1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(fisher_info(fam, theta), np.ones(3))
+        assert fisher_info(fam, np.ones((2, 2))).shape == (2, 2)
+        assert fisher_info(fam, 1.5) == 1.0
 
     def test_missing_mean_deriv_warns_and_differences(self):
         cfg = dict(name="fd_exp", support=[0, None], log_norm="log(theta)",

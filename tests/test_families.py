@@ -18,7 +18,7 @@ from gminimax import (
     support_grid,
     validate_family,
 )
-from gminimax.families import require_in_support
+from gminimax.families import expit, require_in_support
 
 
 class TestBuiltinLookup:
@@ -111,6 +111,46 @@ class TestFisherInformation:
     def test_positive_everywhere(self, poisson):
         for th in support_grid(poisson, n=41):
             assert fisher_info(poisson, float(th)) > 0.0
+
+
+class TestExpit:
+    """The local logistic sigmoid against the scipy function it replaces."""
+
+    def test_bitwise_equal_to_scipy_on_scalars(self):
+        from scipy.special import expit as scipy_expit
+
+        rng = np.random.default_rng(20261018)
+        draws = np.concatenate([rng.normal(0.0, 8.0, 5000),
+                                rng.uniform(-800.0, 800.0, 5000)])
+        edges = [709.78, -709.78, 745.0, -745.0, math.inf, -math.inf, 0.0]
+        for t in [*map(float, draws), *edges]:
+            got, want = expit(t), scipy_expit(t)
+            assert got.tobytes() == want.tobytes(), t
+        assert math.isnan(expit(math.nan)) and math.isnan(scipy_expit(math.nan))
+
+    def test_keeps_shape(self):
+        assert np.shape(expit(np.asarray(0.3))) == ()
+        assert expit(np.asarray(0.3)) == expit(0.3)
+        grid = np.linspace(-5.0, 5.0, 12).reshape(3, 4)
+        assert expit(grid).shape == (3, 4)
+        np.testing.assert_allclose(expit(grid), 1.0 / (1.0 + np.exp(-grid)),
+                                   rtol=1e-15)
+
+    def test_binomial_mean_matches_scipy_form(self):
+        from scipy.special import expit as scipy_expit
+
+        fam = builtin_family("binomial_logit(5)")
+        grid = support_grid(fam)
+        np.testing.assert_array_max_ulp(fam.mean(grid), 5.0 * scipy_expit(-grid),
+                                        maxulp=1)
+        # A product of two sigmoids, each within 1 ulp of scipy's.
+        np.testing.assert_array_max_ulp(
+            fam.mean_deriv(grid), -5.0 * scipy_expit(grid) * scipy_expit(-grid),
+            maxulp=2)
+        for t in grid[::10]:
+            t = float(t)
+            assert fam.mean(t) == 5.0 * scipy_expit(-t)
+            assert fam.mean_deriv(t) == -5.0 * scipy_expit(t) * scipy_expit(-t)
 
 
 class TestValidation:
