@@ -21,6 +21,11 @@ Each certificate records the witness, the reproduction residual on the
 estimate scale (from the witness's own Bayes action, re-derived through
 ``bayes_estimate`` or ``mean_inverse``), and (when applicable) the
 constancy spread.
+
+The path witness takes its corner Bayes actions from the estimators'
+own corner sweep (``estimators._corner_bayes``), a jcp box is shifted
+only by ``priors.to_standard``, and every integral, the perturbation
+check's included, goes through the one quadrature routine in ``priors``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SpecificationError
-from .estimators import bayes_estimate, iprgm_jcp_box, prgm_conjugate_box
+from .estimators import (
+    _corner_bayes,
+    bayes_estimate,
+    iprgm_jcp_box,
+    prgm_conjugate_box,
+)
 from .families import FamilySpec, mean_inverse, require_in_support
 from .priors import (
     ConjugatePrior,
@@ -117,12 +127,6 @@ def mixture_witness(fam: FamilySpec, path: MixturePath, x: float,
     )
 
 
-def _corner_estimate(fam: FamilySpec, alpha: float, lam: float, flavor: str,
-                     x: float) -> float:
-    prior = ConjugatePrior(fam, alpha, lam, flavor)
-    return bayes_estimate(fam, prior, x).estimate
-
-
 def connected_path_witness(fam: FamilySpec, box: PriorBox, x: float,
                            target_estimate: float) -> BayesianityCertificate:
     """Hyper-parameter point on a straight corner-to-corner segment whose
@@ -136,16 +140,14 @@ def connected_path_witness(fam: FamilySpec, box: PriorBox, x: float,
     """
     require_in_support(fam, target_estimate, what="target_estimate")
     corners = box.corners()
-    ests = [_corner_estimate(fam, a, l, box.flavor, x) for a, l in corners]
+    ests = _corner_bayes(fam, box, x)
     i_min = int(np.argmin(ests))
     i_max = int(np.argmax(ests))
     e_min, e_max = ests[i_min], ests[i_max]
     scale = max(1.0, abs(target_estimate))
 
-    if abs(target_estimate - e_min) <= BOUNDARY_TOL * scale or \
-            abs(target_estimate - e_max) <= BOUNDARY_TOL * scale:
-        pick = i_min if abs(target_estimate - e_min) <= \
-            abs(target_estimate - e_max) else i_max
+    pick = min((i_min, i_max), key=lambda i: abs(target_estimate - ests[i]))
+    if abs(target_estimate - ests[pick]) <= BOUNDARY_TOL * scale:
         a, l = corners[pick]
         return BayesianityCertificate(
             kind="boundary",
@@ -167,11 +169,11 @@ def connected_path_witness(fam: FamilySpec, box: PriorBox, x: float,
     (a0, l0), (a1, l1) = corners[i_min], corners[i_max]
     a_star = (1.0 - s_star) * a0 + s_star * a1
     l_star = (1.0 - s_star) * l0 + s_star * l1
+    witness_prior = ConjugatePrior(fam, a_star, l_star, box.flavor)
     return BayesianityCertificate(
         kind="path",
         witness={"alpha": a_star, "lam": l_star},
-        residual=abs(_corner_estimate(fam, a_star, l_star, box.flavor, x)
-                     - target_estimate),
+        residual=abs(bayes_estimate(fam, witness_prior, x).estimate - target_estimate),
     )
 
 
@@ -190,13 +192,11 @@ def data_independent_alpha(fam: FamilySpec, box: PriorBox,
             "data_independent_alpha needs a box whose lambda edge is "
             "degenerate (only alpha varies)"
         )
+    solve = iprgm_jcp_box if box.flavor == "jcp" else prgm_conjugate_box
     alphas, residuals = [], []
     for x in x_grid:
         x = float(x)
-        if box.flavor == "jcp":
-            report = iprgm_jcp_box(fam, box, x)
-        else:
-            report = prgm_conjugate_box(fam, box, x)
+        report = solve(fam, box, x)
         lo, hi = report.delta_lo, report.delta_hi
         if hi - lo <= 1e-11 * max(1.0, abs(lo), abs(hi)):
             # Every prior in the box gives the same action at this x, so
@@ -271,8 +271,6 @@ def perturbation_bound_check(fam: FamilySpec, prior: ConjugatePrior, x: float,
     """
     if eps <= 0 or width <= 0:
         raise SpecificationError("eps and width must be positive")
-    from scipy import integrate  # lazy import: cold start stays scipy-free
-
     log_z = _log_prior_normalizer(fam, prior)
     logf = _log_posterior_integrand(fam, prior, x)
     mode, m_shift, (m_base, r_base) = _peak_integrals(fam, logf, None, fam.mean)
@@ -305,14 +303,9 @@ def perturbation_bound_check(fam: FamilySpec, prior: ConjugatePrior, x: float,
     a = max(a, lo) if math.isfinite(lo) else a
     b = min(b, hi) if math.isfinite(hi) else b
     with np.errstate(over="ignore"):
-        d_r, _ = integrate.quad(
-            lambda th: float(fam.mean(th)) * lik(th) * bump(th), a, b,
-            epsabs=1e-13, epsrel=1e-11, limit=200,
-        )
-        d_m, _ = integrate.quad(
-            lambda th: lik(th) * bump(th), a, b,
-            epsabs=1e-13, epsrel=1e-11, limit=200,
-        )
+        d_r = _quad_split(lambda th: float(fam.mean(th)) * lik(th) * bump(th),
+                          a, b, center)
+        d_m = _quad_split(lambda th: lik(th) * bump(th), a, b, center)
     psi_pert = (r_base + eps * d_r) / (m_base + eps * d_m)
     observed = abs(psi_pert - psi)
     denom = m_base - eps * k2

@@ -10,19 +10,22 @@ against those extremes.  With bounds ``d_lo <= d_hi`` the equalizer is
       - (log_norm(d_hi) - log_norm(d_lo)) ) / (mean(d_hi) - mean(d_lo)),
 
 an interior point of ``[d_lo, d_hi]``.  When the mean values are too
-close for that quotient to be trustworthy, a sign-change bisection on
-the regret difference replaces it; when the bounds themselves collapse,
-the midpoint is the answer by continuity.  Every bisection here, and the
-one in ``mean_inverse``, runs through the one bracketing helper in
-``families``.
+close for that quotient to be trustworthy, or it fails to equalize, a
+sign-change bisection on the regret difference replaces it; when the
+bounds themselves collapse, the midpoint is the answer by continuity.
+That one regret-gap bisection, ``_equalizer_root``, serves both the
+theta scale and the transformed scale of ``eta_scale_prgm``, and it runs
+through the one bracketing helper in ``families``, as ``mean_inverse``
+does.  The corner Bayes estimates all come from ``_corner_bayes``.
 
-A ``jcp`` box is solved as its standard-flavor equivalent,
-``PriorBox.to_standard``.  That flavor earns its keep here: the class of
-sqrt-Fisher-corrected conjugate priors is the same set of measures in
-every smooth one-to-one reparameterization, so the box-minimax estimate
-of ``h(theta)`` is ``h`` of the box-minimax estimate of ``theta``.
-Plain conjugate boxes re-elicited on a transformed scale are a different
-class of measures, and their minimax estimate genuinely moves.
+A ``jcp`` box is solved as its standard-flavor equivalent; the Jeffreys
+shift is applied in one place, ``priors.to_standard``.  That flavor
+earns its keep here: the class of sqrt-Fisher-corrected conjugate priors
+is the same set of measures in every smooth one-to-one
+reparameterization, so the box-minimax estimate of ``h(theta)`` is ``h``
+of the box-minimax estimate of ``theta``.  Plain conjugate boxes
+re-elicited on a transformed scale are a different class of measures,
+and their minimax estimate genuinely moves.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -120,20 +124,31 @@ def bayes_estimate(fam: FamilySpec, prior: ConjugatePrior, x: float) -> Estimate
     )
 
 
-def _equalizer_root(fam: FamilySpec, d_lo: float, d_hi: float) -> tuple[float, int]:
-    """Bisection on regret(hi corner) - regret(lo corner), strictly
-    decreasing in delta with a sign change across (d_lo, d_hi)."""
+def _equalizer_root(regret: Callable, lo: float, hi: float) -> tuple[float, int]:
+    """Bisection on regret(hi, d) - regret(lo, d), strictly decreasing in
+    d with a sign change across (lo, hi).
+
+    ``regret(m, d)`` is the posterior regret of action ``d`` against the
+    Bayes action ``m``, on whichever scale ``lo`` and ``hi`` live.
+    """
 
     def gap(d: float) -> float:
-        return posterior_regret(fam, d_hi, d) - posterior_regret(fam, d_lo, d)
+        return regret(hi, d) - regret(lo, d)
 
-    if gap(d_lo) < 0 or gap(d_hi) > 0:
+    if not gap(lo) >= 0 >= gap(hi):
         raise ConvergenceError(
-            f"regret gap lost its sign change on [{d_lo}, {d_hi}] for "
-            f"{fam.name}; the mean function may not be strictly decreasing"
+            f"regret gap lost its sign change on [{lo}, {hi}]; the mean "
+            "function may not be strictly decreasing"
         )
-    tol = 1e-15 * max(1.0, abs(d_lo), abs(d_hi))
-    return _bisect(lambda d: gap(d) > 0, d_lo, d_hi, width=tol)
+    tol = 1e-15 * max(1.0, abs(lo), abs(hi))
+    return _bisect(lambda d: gap(d) > 0, lo, hi, width=tol)
+
+
+def _overflow_error(fam: FamilySpec, d_lo: float, d_hi: float) -> DomainError:
+    return DomainError(
+        f"the equalizer on [{d_lo}, {d_hi}] for {fam.name} overflows the "
+        "float range; bounds this large cannot be resolved"
+    )
 
 
 def prgm_from_bounds(fam: FamilySpec, d_lo: float, d_hi: float) -> EstimateReport:
@@ -141,7 +156,8 @@ def prgm_from_bounds(fam: FamilySpec, d_lo: float, d_hi: float) -> EstimateRepor
 
     ``d_lo`` and ``d_hi`` must lie inside the support with
     ``d_lo <= d_hi``.  Collapsed bounds return the midpoint; an
-    ill-conditioned mean-value difference falls back to bisection.
+    ill-conditioned mean-value difference, or a closed form that fails
+    to equalize, falls back to bisection.
     """
     d_lo, d_hi = float(d_lo), float(d_hi)
     require_in_support(fam, d_lo, what="delta_lo")
@@ -151,51 +167,38 @@ def prgm_from_bounds(fam: FamilySpec, d_lo: float, d_hi: float) -> EstimateRepor
 
     scale = max(1.0, abs(d_lo), abs(d_hi))
     if d_hi - d_lo < DEGENERATE_REL_WIDTH * scale:
-        est = 0.5 * (d_lo + d_hi)
-        return EstimateReport(
-            estimate=est,
-            delta_lo=d_lo,
-            delta_hi=d_hi,
-            equalized_regret=0.0,
-            method=METHOD_CLOSED,
-            diagnostics={"degenerate": True, "residual": 0.0, "iterations": 0},
-        )
+        return EstimateReport(0.5 * (d_lo + d_hi), d_lo, d_hi, 0.0, METHOD_CLOSED,
+                              {"degenerate": True, "residual": 0.0, "iterations": 0})
 
     mu_lo = float(fam.mean(d_lo))
     mu_hi = float(fam.mean(d_hi))
     den = mu_hi - mu_lo
-    method = METHOD_CLOSED
-    iterations = 0
-    if abs(den) < ILL_CONDITIONED_REL * max(abs(mu_lo), abs(mu_hi), 1e-300):
-        est, iterations = _equalizer_root(fam, d_lo, d_hi)
-        method = METHOD_ROOT
-    else:
-        num = (
-            d_hi * mu_hi
-            - d_lo * mu_lo
-            - (float(fam.log_norm(d_hi)) - float(fam.log_norm(d_lo)))
-        )
-        est = num / den
-        if not d_lo <= est <= d_hi:
-            # The exact equalizer is interior; any excursion is round-off.
-            est = min(max(est, d_lo), d_hi)
-
-    r_lo = posterior_regret(fam, d_lo, est)
-    r_hi = posterior_regret(fam, d_hi, est)
-    residual = abs(r_lo - r_hi)
-    tol = EQUALIZE_TOL * max(1.0, r_lo, r_hi)
-    if residual > tol and method == METHOD_CLOSED:
-        est, iterations = _equalizer_root(fam, d_lo, d_hi)
-        method = METHOD_ROOT
+    est, method, iterations = None, METHOD_CLOSED, 0
+    if abs(den) >= ILL_CONDITIONED_REL * max(abs(mu_lo), abs(mu_hi), 1e-300):
+        num = (d_hi * mu_hi - d_lo * mu_lo
+               - (float(fam.log_norm(d_hi)) - float(fam.log_norm(d_lo))))
+        if not math.isfinite(num):
+            raise _overflow_error(fam, d_lo, d_hi)
+        # The exact equalizer is interior; any excursion is round-off.
+        est = min(max(num / den, d_lo), d_hi)
+    while True:
+        if est is None:
+            est, iterations = _equalizer_root(partial(posterior_regret, fam),
+                                              d_lo, d_hi)
+            method = METHOD_ROOT
         r_lo = posterior_regret(fam, d_lo, est)
         r_hi = posterior_regret(fam, d_hi, est)
+        if not math.isfinite(r_lo + r_hi):
+            raise _overflow_error(fam, d_lo, d_hi)
         residual = abs(r_lo - r_hi)
-        tol = EQUALIZE_TOL * max(1.0, r_lo, r_hi)
-    if residual > tol:
-        raise ConvergenceError(
-            f"could not equalize the corner regrets on [{d_lo}, {d_hi}] for "
-            f"{fam.name}: residual {residual:.3e}"
-        )
+        if residual <= EQUALIZE_TOL * max(1.0, r_lo, r_hi):
+            break
+        if method == METHOD_ROOT:
+            raise ConvergenceError(
+                f"could not equalize the corner regrets on [{d_lo}, {d_hi}] "
+                f"for {fam.name}: residual {residual:.3e}"
+            )
+        est = None
     return EstimateReport(
         estimate=est,
         delta_lo=d_lo,
@@ -207,21 +210,22 @@ def prgm_from_bounds(fam: FamilySpec, d_lo: float, d_hi: float) -> EstimateRepor
     )
 
 
-def _corner_bayes(fam: FamilySpec, box: PriorBox, x: float) -> list[float]:
+def _corner_bayes(fam: FamilySpec, box: PriorBox, x: float,
+                  predictive: Callable | None = None) -> list[float]:
     """Bayes estimates at the four hyper-parameter corners.
 
     The posterior predictive mean is monotone in lambda for fixed alpha
     and monotone in alpha for fixed lambda, so its extremes over the box
     (hence the extreme Bayes estimates) land on corners.  Which corner
     wins depends on the sign of lambda + stat(x); taking the min and max
-    over all four sidesteps that case split.
+    over all four sidesteps that case split.  ``predictive(fam, prior,
+    x)`` gives each corner's posterior mean of the mean function; None
+    means ``posterior_predictive_mean``, looked up at call time so that a
+    wrapper installed on that module name (a profiler's) sees the calls.
     """
-    ests = []
-    for a, l in box.corners():
-        prior = ConjugatePrior(fam, a, l, box.flavor)
-        pm = posterior_predictive_mean(fam, prior, x)
-        ests.append(mean_inverse(fam, pm))
-    return ests
+    predictive = predictive or posterior_predictive_mean
+    corners = (ConjugatePrior(fam, a, l, box.flavor) for a, l in box.corners())
+    return [mean_inverse(fam, predictive(fam, prior, x)) for prior in corners]
 
 
 def prgm_conjugate_box(fam: FamilySpec, box: PriorBox, x: float) -> EstimateReport:
@@ -407,8 +411,9 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
 
     The intrinsic loss between transformed values is the theta-scale
     loss of the pulled-back points, so once the extreme Bayes estimates
-    on the new scale are known the equalizer is found by bisection there,
-    never reusing the theta-scale closed form.
+    on the new scale are known the equalizer is found there by the same
+    regret-gap bisection that ``prgm_from_bounds`` falls back on, never
+    reusing the theta-scale closed form.
 
     For a ``jcp`` box the prior class is the same set of measures on
     either scale, so the extreme Bayes estimates are the transported
@@ -416,48 +421,29 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
     the new scale carries the Jacobian of the map as an extra density
     factor, and the corner posterior means are integrated numerically.
     """
-    if box.flavor == "jcp":
-        theta_corners = _corner_bayes(fam, box.to_standard(), x)
-    else:
+    predictive = None
+    if box.flavor == "standard":
         if tr.log_abs_deriv is None:
             raise SpecificationError(
                 f"transform {tr.label} carries no Jacobian; cannot re-elicit "
                 "a standard class on the transformed scale"
             )
-        theta_corners = []
-        for a, l in box.corners():
-            prior = ConjugatePrior(fam, a, l, "standard")
-            pm = predictive_mean_quadrature(
-                fam, prior, x, extra_log_weight=tr.log_abs_deriv
-            )
-            theta_corners.append(mean_inverse(fam, pm))
-
-    etas = sorted(float(tr.forward(d)) for d in (min(theta_corners),
-                                                 max(theta_corners)))
-    e_lo, e_hi = etas
+        predictive = partial(predictive_mean_quadrature,
+                             extra_log_weight=tr.log_abs_deriv)
+    theta_corners = _corner_bayes(fam, box, x, predictive)
+    e_lo, e_hi = sorted(float(tr.forward(d)) for d in (min(theta_corners),
+                                                       max(theta_corners)))
 
     def regret_eta(m: float, d: float) -> float:
         return posterior_regret(fam, float(tr.inverse(m)), float(tr.inverse(d)))
 
     scale = max(1.0, abs(e_lo), abs(e_hi))
     if e_hi - e_lo < DEGENERATE_REL_WIDTH * scale:
-        est = 0.5 * (e_lo + e_hi)
-        return EstimateReport(est, e_lo, e_hi, 0.0, METHOD_ROOT,
+        return EstimateReport(0.5 * (e_lo + e_hi), e_lo, e_hi, 0.0, METHOD_ROOT,
                               {"scale": "eta", "transform": tr.label,
                                "degenerate": True})
 
-    def gap(d: float) -> float:
-        return regret_eta(e_hi, d) - regret_eta(e_lo, d)
-
-    g_lo = gap(e_lo)
-    if g_lo * gap(e_hi) > 0:
-        raise ConvergenceError(
-            f"no sign change for the transformed-scale regret gap on "
-            f"[{e_lo}, {e_hi}] under {tr.label}"
-        )
-    # The gap is strictly monotone; its sign at e_lo orients the steps.
-    est, _ = _bisect(lambda d: (gap(d) > 0) != (g_lo < 0), e_lo, e_hi,
-                     width=1e-15 * scale)
+    est, _ = _equalizer_root(regret_eta, e_lo, e_hi)
     r_lo = regret_eta(e_lo, est)
     r_hi = regret_eta(e_hi, est)
     return EstimateReport(

@@ -168,16 +168,6 @@ def fisher_info(fam: FamilySpec, theta):
     return np.broadcast_to(info, np.shape(theta)).copy()
 
 
-def _mean_range(fam: FamilySpec) -> tuple[float, float]:
-    if fam.mean_range is not None:
-        return fam.mean_range
-    # Estimate from wide interior evaluations; only used in error text
-    # and for bracketing sanity, never as a hard truth.
-    grid = support_grid(fam, n=9, cap=40.0)
-    vals = np.asarray(fam.mean(grid), dtype=float)
-    return float(np.min(vals)), float(np.max(vals))
-
-
 def _initial_point(fam: FamilySpec) -> float:
     lo, hi = fam.support
     if math.isfinite(lo) and math.isfinite(hi):
@@ -192,40 +182,29 @@ def _initial_point(fam: FamilySpec) -> float:
 def _expand_bracket(fam: FamilySpec, target: float) -> tuple[float, float]:
     """Find a <= b with mean(a) >= target >= mean(b).
 
-    The mean function decreases, so we walk left to raise it and right to
-    lower it, doubling the step (or halving the gap to a finite endpoint)
-    each time.
+    The mean function decreases, so one walk runs left to raise it and
+    the same walk runs right to lower it, each doubling its step (or
+    halving the gap to a finite endpoint) every time.
     """
-    lo, hi = fam.support
-    a = b = _initial_point(fam)
-    step = max(1.0, 0.5 * abs(a))
-
-    s = step
-    for _ in range(BRACKET_MAX_STEPS):
-        if float(fam.mean(a)) >= target:
-            break
-        a = 0.5 * (a + lo) if math.isfinite(lo) else a - s
-        s *= 2.0
-        a = interior_clamp(fam, a)
-    else:
-        raise ConvergenceError(
-            f"could not bracket mean value {target} from the left in "
-            f"{BRACKET_MAX_STEPS} expansions for family {fam.name}"
-        )
-
-    s = step
-    for _ in range(BRACKET_MAX_STEPS):
-        if float(fam.mean(b)) <= target:
-            break
-        b = 0.5 * (b + hi) if math.isfinite(hi) else b + s
-        s *= 2.0
-        b = interior_clamp(fam, b)
-    else:
-        raise ConvergenceError(
-            f"could not bracket mean value {target} from the right in "
-            f"{BRACKET_MAX_STEPS} expansions for family {fam.name}"
-        )
-    return a, b
+    start = _initial_point(fam)
+    ends = []
+    for edge, sign, side in ((fam.support[0], -1.0, "left"),
+                             (fam.support[1], 1.0, "right")):
+        p, step = start, max(1.0, 0.5 * abs(start))
+        for _ in range(BRACKET_MAX_STEPS):
+            # left stops at mean(p) >= target, right at mean(p) <= target
+            if sign * (float(fam.mean(p)) - target) <= 0.0:
+                break
+            p = 0.5 * (p + edge) if math.isfinite(edge) else p + sign * step
+            step *= 2.0
+            p = interior_clamp(fam, p)
+        else:
+            raise ConvergenceError(
+                f"could not bracket mean value {target} from the {side} in "
+                f"{BRACKET_MAX_STEPS} expansions for family {fam.name}"
+            )
+        ends.append(p)
+    return ends[0], ends[1]
 
 
 def _bisect(above: Callable[[float], bool | None], a: float, b: float,
@@ -264,12 +243,13 @@ def mean_inverse(fam: FamilySpec, t: float, rtol: float = INVERT_RTOL,
     t = float(t)
     if not math.isfinite(t):
         raise DomainError(f"mean value {t!r} is not finite")
-    m_lo, m_hi = _mean_range(fam)
-    if fam.mean_range is not None and not (m_lo < t < m_hi):
-        raise DomainError(
-            f"mean value {t} is outside the open range ({m_lo}, {m_hi}) "
-            f"attained by family {fam.name}"
-        )
+    if fam.mean_range is not None:
+        m_lo, m_hi = fam.mean_range
+        if not m_lo < t < m_hi:
+            raise DomainError(
+                f"mean value {t} is outside the open range ({m_lo}, {m_hi}) "
+                f"attained by family {fam.name}"
+            )
     if fam.mean_inv is not None:
         theta = float(fam.mean_inv(t))
         require_in_support(fam, theta, what="inverted theta")

@@ -89,43 +89,35 @@ def conjugate_prior(fam: FamilySpec, alpha: float, lam: float,
     accepted with a warning because only quadrature can handle it.
     """
     prior = ConjugatePrior(fam, float(alpha), float(lam), flavor)
-    a_eff, l_eff = _standard_params(prior, strict=False)
-    if a_eff is not None:
-        check_prior_ok(fam, a_eff, l_eff)
-    else:
+    if flavor == "jcp" and fam.jeffreys_shift is None:
         warnings.warn(
             f"family {fam.name} declares no Jeffreys shift; jcp prior "
             "propriety cannot be pre-checked",
             stacklevel=2,
         )
+    else:
+        std = to_standard(prior)
+        check_prior_ok(fam, std.alpha, std.lam)
     return prior
-
-
-def _standard_params(prior: ConjugatePrior, strict: bool = True):
-    """Standard-flavor (alpha, lambda) equivalent of a prior, or (None, None)."""
-    if prior.flavor == "standard":
-        return prior.alpha, prior.lam
-    shift = prior.fam.jeffreys_shift
-    if shift is None:
-        if strict:
-            raise SpecificationError(
-                f"family {prior.fam.name} declares no Jeffreys shift; the jcp "
-                "prior has no standard-flavor equivalent"
-            )
-        return None, None
-    return prior.alpha + shift[0], prior.lam + shift[1]
 
 
 def to_standard(prior: ConjugatePrior) -> ConjugatePrior:
     """Rewrite a jcp prior as the equivalent standard-flavor prior.
 
     Standard priors pass through unchanged.  Requires the family to
-    declare its Jeffreys shift.
+    declare its Jeffreys shift.  This is the one place the shift is
+    applied; boxes and mixtures shift through it too.
     """
     if prior.flavor == "standard":
         return prior
-    a_eff, l_eff = _standard_params(prior, strict=True)
-    return ConjugatePrior(prior.fam, a_eff, l_eff, "standard")
+    shift = prior.fam.jeffreys_shift
+    if shift is None:
+        raise SpecificationError(
+            f"family {prior.fam.name} declares no Jeffreys shift; the jcp "
+            "prior has no standard-flavor equivalent"
+        )
+    return ConjugatePrior(prior.fam, prior.alpha + shift[0],
+                          prior.lam + shift[1], "standard")
 
 
 def posterior(fam: FamilySpec, prior: ConjugatePrior, x: float) -> ConjugatePrior:
@@ -209,11 +201,11 @@ class PriorBox:
         A jcp box moves by the family's Jeffreys shift, which must be
         declared; a standard box keeps its corners.
         """
-        a_lo, l_lo = _standard_params(
+        lo = to_standard(
             ConjugatePrior(self.fam, self.alpha_lo, self.lam_lo, self.flavor))
-        a_hi, l_hi = _standard_params(
+        hi = to_standard(
             ConjugatePrior(self.fam, self.alpha_hi, self.lam_hi, self.flavor))
-        return PriorBox(self.fam, a_lo, a_hi, l_lo, l_hi, "standard")
+        return PriorBox(self.fam, lo.alpha, hi.alpha, lo.lam, hi.lam, "standard")
 
     def is_point(self) -> bool:
         return self.alpha_lo == self.alpha_hi and self.lam_lo == self.lam_hi
@@ -274,8 +266,8 @@ class MixturePath:
                 f"{self.p0.fam.name} and {self.p1.fam.name}"
             )
         for tag, p in (("p0", self.p0), ("p1", self.p1)):
-            a_eff, l_eff = _standard_params(p, strict=True)
-            if not prior_is_proper(p.fam, a_eff, l_eff):
+            std = to_standard(p)
+            if not prior_is_proper(p.fam, std.alpha, std.lam):
                 raise ProprietyError(
                     f"mixture component {tag} (alpha={p.alpha}, lam={p.lam}, "
                     f"flavor={p.flavor}) is not a proper distribution for "
@@ -288,26 +280,24 @@ class MixturePath:
 # ---------------------------------------------------------------------------
 
 
-def _quad_piece(f, lo: float, hi: float) -> tuple[float, float]:
+def _quad_split(f, lo: float, hi: float, mid: float) -> float:
+    """Adaptive quadrature split at an interior peak location.
+
+    The one quadrature routine of the package: every integral goes
+    through it, and its summed error estimate is checked here.
+    """
     from scipy import integrate  # lazy import: cold start stays scipy-free
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
-        val, err = integrate.quad(
-            f, lo, hi, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=QUAD_LIMIT
-        )
-    return val, err
-
-
-def _quad_split(f, lo: float, hi: float, mid: float) -> float:
-    """Adaptive quadrature split at an interior peak location."""
     mid = min(max(mid, lo), hi)
     total, err_total = 0.0, 0.0
     pieces = [(lo, mid), (mid, hi)] if lo < mid < hi else [(lo, hi)]
-    for a, b in pieces:
-        val, err = _quad_piece(f, a, b)
-        total += val
-        err_total += err
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
+        for a, b in pieces:
+            val, err = integrate.quad(f, a, b, epsabs=QUAD_EPSABS,
+                                      epsrel=QUAD_EPSREL, limit=QUAD_LIMIT)
+            total += val
+            err_total += err
     tol = max(1e-8 * abs(total), 1e-9)
     if err_total > tol:
         raise ConvergenceError(

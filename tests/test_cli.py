@@ -309,6 +309,14 @@ class TestExitCodes:
         assert rc == 2
         assert "observation x=nan is not finite" in err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_float_overflow_is_config_error(self, capsys):
+        rc, _, err = run_cli(capsys, [
+            "prgm", "--family", "normal", "--x=1e300", "--box", "a=1:2,l=0:1",
+        ])
+        assert rc == 2
+        assert "overflows the float range" in err and "nan" not in err
+
     def test_missing_family_file(self, capsys):
         rc, _, err = run_cli(capsys, [
             "prgm", "--family-file", "/no/such/file.json", "--bounds", "1:2",

@@ -109,6 +109,25 @@ class TestWorstCaseBetweenBounds:
         assert rep.method == "prgm_root_find"
         assert 0.0 <= rep.estimate <= 1.0
 
+    def test_closed_form_failing_to_equalize_falls_back_to_root_finding(self):
+        # A shallow mean keeps the closed form well-conditioned enough to
+        # try, but its cancellation leaves the corner regrets unequal;
+        # the residual check must hand over to the bisection.
+        shallow = FamilySpec(
+            name="shallow",
+            support=(-math.inf, math.inf),
+            log_norm=lambda th: 1e3 * np.asarray(th, dtype=float)
+            - 0.5e-9 * np.square(th),
+            mean=lambda th: 1e3 - 1e-9 * np.asarray(th, dtype=float),
+            mean_deriv=lambda th: np.full_like(np.asarray(th, dtype=float), -1e-9),
+            stat=lambda x: np.asarray(x, dtype=float),
+        )
+        rep = prgm_from_bounds(shallow, 1000.0, 2000.0)
+        assert rep.method == "prgm_root_find"
+        assert rep.estimate == 1499.9998149178205
+        assert rep.diagnostics["iterations"] == 49
+        assert rep.diagnostics["residual"] == pytest.approx(5.82e-11, rel=1e-3)
+
 
 class TestBoxMinimax:
     def test_exponential_box_value(self, exponential):
@@ -154,6 +173,15 @@ class TestNonFiniteObservation:
             bayes_estimate(fam, conjugate_prior(fam, 2.0, 1.0), x)
         with pytest.raises(DomainError, match=f"observation x={x} is not finite"):
             prgm_conjugate_box(fam, prior_box(fam, 2.0, 3.0, 0.5, 1.0), x)
+
+
+class TestFloatOverflow:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_blames_the_bounds_not_an_estimate(self, normal):
+        box = prior_box(normal, 1.0, 2.0, 0.0, 1.0)
+        with pytest.raises(DomainError, match="overflows the float range") as info:
+            prgm_conjugate_box(normal, box, 1e300)
+        assert "nan" not in str(info.value)
 
 
 class TestInvariantBoxMinimax:
