@@ -31,7 +31,7 @@ check's included, goes through the one quadrature routine in ``priors``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -77,12 +77,7 @@ class BayesianityCertificate:
     constancy_spread: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "witness": self.witness,
-            "residual": self.residual,
-            "constancy_spread": self.constancy_spread,
-        }
+        return asdict(self)
 
 
 def mixture_witness(fam: FamilySpec, path: MixturePath, x: float,
@@ -273,10 +268,10 @@ def perturbation_bound_check(fam: FamilySpec, prior: ConjugatePrior, x: float,
         raise SpecificationError("eps and width must be positive")
     log_z = _log_prior_normalizer(fam, prior)
     logf = _log_posterior_integrand(fam, prior, x)
-    mode, m_shift, (m_base, r_base) = _peak_integrals(fam, logf, None, fam.mean)
+    lo, hi = fam.support
+    mode, m_shift, (m_base, r_base) = _peak_integrals(logf, lo, hi, None, fam.mean)
     m_base *= math.exp(m_shift - log_z)
     r_base *= math.exp(m_shift - log_z)
-    lo, hi = fam.support
     psi = r_base / m_base
 
     # Likelihood-only integrals for the bound constants.

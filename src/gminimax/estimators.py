@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -99,14 +99,7 @@ class EstimateReport:
             raise SpecificationError("report needs delta_lo <= delta_hi")
 
     def to_json_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "delta_lo": self.delta_lo,
-            "delta_hi": self.delta_hi,
-            "equalized_regret": self.equalized_regret,
-            "method": self.method,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
 
 
 def bayes_estimate(fam: FamilySpec, prior: ConjugatePrior, x: float) -> EstimateReport:
@@ -170,17 +163,18 @@ def prgm_from_bounds(fam: FamilySpec, d_lo: float, d_hi: float) -> EstimateRepor
         return EstimateReport(0.5 * (d_lo + d_hi), d_lo, d_hi, 0.0, METHOD_CLOSED,
                               {"degenerate": True, "residual": 0.0, "iterations": 0})
 
-    mu_lo = float(fam.mean(d_lo))
-    mu_hi = float(fam.mean(d_hi))
-    den = mu_hi - mu_lo
     est, method, iterations = None, METHOD_CLOSED, 0
-    if abs(den) >= ILL_CONDITIONED_REL * max(abs(mu_lo), abs(mu_hi), 1e-300):
-        num = (d_hi * mu_hi - d_lo * mu_lo
-               - (float(fam.log_norm(d_hi)) - float(fam.log_norm(d_lo))))
-        if not math.isfinite(num):
-            raise _overflow_error(fam, d_lo, d_hi)
-        # The exact equalizer is interior; any excursion is round-off.
-        est = min(max(num / den, d_lo), d_hi)
+    with np.errstate(all="ignore"):  # overflow is reported below, not warned
+        mu_lo = float(fam.mean(d_lo))
+        mu_hi = float(fam.mean(d_hi))
+        den = mu_hi - mu_lo
+        if abs(den) >= ILL_CONDITIONED_REL * max(abs(mu_lo), abs(mu_hi), 1e-300):
+            num = (d_hi * mu_hi - d_lo * mu_lo
+                   - (float(fam.log_norm(d_hi)) - float(fam.log_norm(d_lo))))
+            if not math.isfinite(num):
+                raise _overflow_error(fam, d_lo, d_hi)
+            # The exact equalizer is interior; any excursion is round-off.
+            est = min(max(num / den, d_lo), d_hi)
     while True:
         if est is None:
             est, iterations = _equalizer_root(partial(posterior_regret, fam),

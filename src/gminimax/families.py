@@ -64,8 +64,9 @@ class FamilySpec:
     mean:            derivative of ``log_norm``; strictly decreasing.
     mean_deriv:      derivative of ``mean``; strictly negative.
     stat:            sufficient statistic as a function of the data.
-    mean_inv:        analytic inverse of ``mean`` when one is known.
-    mean_range:      closure of the image of ``mean`` (for diagnostics).
+    mean_inv:        analytic inverse of ``mean`` when one is known; only
+                     called on the open ``mean_range`` when that is set.
+    mean_range:      closure of the image of ``mean``.
     jeffreys_shift:  ``(a, b)`` with sqrt(Fisher) ∝ base^a * exp(-b*theta),
                      or ``None`` when no such pair exists / is known.
     obs_units:       prior-base units one observation adds to ``alpha``.
@@ -74,6 +75,14 @@ class FamilySpec:
     posterior_ok:    predicate on ``(alpha, lam, x)`` for a proper
                      posterior with a finite posterior mean of ``mean``.
     meta:            family-specific extras (e.g. ``{"n": 5}``).
+    log_carrier:     log of ``carrier(x)``, vectorized in x.
+    sample_space:    ``(lo, hi, integers)``: observations lie in [lo, hi],
+                     on its integers (lo finite) when ``integers`` is true.
+    prior_proper:    predicate on standard ``(alpha, lam)`` for a prior
+                     that is itself a distribution (mixture components).
+
+    The last three default to ``None`` (user-defined families): then
+    there is no KL oracle, no observation check and no mixture.
     """
 
     name: str
@@ -90,6 +99,9 @@ class FamilySpec:
     prior_rule: str = ""
     posterior_ok: Callable[[float, float, float], bool] | None = None
     meta: dict = field(default_factory=dict)
+    log_carrier: Callable | None = None
+    sample_space: tuple[float, float, bool] | None = None
+    prior_proper: Callable[[float, float], bool] | None = None
 
     def __post_init__(self):
         lo, hi = self.support
@@ -100,13 +112,10 @@ class FamilySpec:
         if self.obs_units <= 0:
             raise SpecificationError("obs_units must be positive")
 
-    # Prior-base helpers: identical to log_norm/mean except for the
-    # binomial, where one observation carries obs_units = n base units.
+    # Identical to log_norm except for the binomial, where one
+    # observation carries obs_units = n base units.
     def log_prior_base(self, theta):
         return self.log_norm(theta) / self.obs_units
-
-    def prior_base_mean(self, theta):
-        return self.mean(theta) / self.obs_units
 
 
 def require_in_support(fam: FamilySpec, theta: float, what: str = "theta") -> None:
@@ -136,15 +145,20 @@ def interior_clamp(fam: FamilySpec, theta: float) -> float:
 def support_grid(fam: FamilySpec, n: int = 201, cap: float = 12.0) -> np.ndarray:
     """Evenly spaced interior points covering a working window of the support.
 
-    Infinite endpoints are truncated at +-cap; finite endpoints are inset
-    by the interior margin.  The window is where family invariants get
-    spot-checked, not a claim about where the family is defined.
+    The window is where family invariants get spot-checked, not a claim
+    about where the family is defined.
     """
-    lo, hi = fam.support
+    return interval_grid(*fam.support, n=n, cap=cap)
+
+
+def interval_grid(lo: float, hi: float, n: int = 201,
+                  cap: float = 12.0) -> np.ndarray:
+    """Evenly spaced points of (lo, hi), infinite ends cut at +-cap and
+    finite ones inset by the interior margin."""
     a = lo if math.isfinite(lo) else -cap
     b = hi if math.isfinite(hi) else cap
     if a >= b:
-        raise SpecificationError(f"empty working window for support ({lo}, {hi})")
+        raise SpecificationError(f"empty working window for ({lo}, {hi})")
     pad = INTERIOR_MARGIN * max(1.0, abs(a), abs(b))
     if math.isfinite(lo):
         a += max(pad, 1e-9 * (b - a))
@@ -369,20 +383,14 @@ def _normal_family() -> FamilySpec:
         prior_ok=lambda a, lam: a > -1.0,
         prior_rule="alpha > -1 (posterior is then a proper normal for any x)",
         posterior_ok=lambda a, lam, x: True,
+        log_carrier=lambda x: -0.5 * np.square(x) - 0.5 * math.log(2.0 * math.pi),
+        sample_space=(-math.inf, math.inf, False),
+        prior_proper=lambda a, lam: a > 0.0,
     )
 
 
 def _exponential_family() -> FamilySpec:
     """Exponential observations; theta is the rate, stat(x) = x."""
-
-    def _mean_inv(t):
-        if t <= 0:
-            raise DomainError(
-                "mean value must be positive for exponential_rate; the mean "
-                "function maps (0, inf) onto (0, inf)"
-            )
-        return 1.0 / t
-
     return FamilySpec(
         name="exponential_rate",
         support=(0.0, math.inf),
@@ -390,12 +398,15 @@ def _exponential_family() -> FamilySpec:
         mean=lambda th: 1.0 / np.asarray(th, dtype=float),
         mean_deriv=lambda th: -1.0 / np.square(np.asarray(th, dtype=float)),
         stat=lambda x: np.asarray(x, dtype=float),
-        mean_inv=_mean_inv,
+        mean_inv=lambda t: 1.0 / t,
         mean_range=(0.0, math.inf),
         jeffreys_shift=(-1.0, 0.0),
         prior_ok=lambda a, lam: a > -1.0 and lam >= 0.0,
         prior_rule="alpha > -1 and lambda >= 0 (proper posterior for x > 0)",
         posterior_ok=lambda a, lam, x: a > -1.0 and lam + x > 0.0,
+        log_carrier=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        sample_space=(0.0, math.inf, False),
+        prior_proper=lambda a, lam: a > -1.0 and lam > 0.0,
     )
 
 
@@ -417,6 +428,10 @@ def expit(t):
         return 1.0 / (1.0 + np.exp(-np.asarray(t, dtype=float)))
 
 
+# log Gamma, elementwise: the log factorials in the count carriers.
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
+
+
 def _binomial_family(n: int) -> FamilySpec:
     """Binomial with n trials; theta is the negated log-odds of success.
 
@@ -429,15 +444,6 @@ def _binomial_family(n: int) -> FamilySpec:
     if n < 1:
         raise SpecificationError(f"binomial trial count must be >= 1, got {n}")
     nf = float(n)
-
-    def _mean_inv(t):
-        if not 0.0 < t < nf:
-            raise DomainError(
-                f"mean value must lie in (0, {n}) for binomial_logit({n}); "
-                "the mean function maps the real line onto that interval"
-            )
-        return math.log(nf / t - 1.0)
-
     return FamilySpec(
         name=f"binomial_logit({n})",
         support=(-math.inf, math.inf),
@@ -445,7 +451,7 @@ def _binomial_family(n: int) -> FamilySpec:
         mean=lambda th: nf * expit(-np.asarray(th, dtype=float)),
         mean_deriv=lambda th: -nf * expit(th) * expit(-np.asarray(th, dtype=float)),
         stat=lambda x: np.asarray(x, dtype=float),
-        mean_inv=_mean_inv,
+        mean_inv=lambda t: math.log(nf / t - 1.0),
         mean_range=(0.0, nf),
         jeffreys_shift=(1.0, 0.5),
         obs_units=nf,
@@ -456,6 +462,10 @@ def _binomial_family(n: int) -> FamilySpec:
         ),
         posterior_ok=lambda a, lam, x: lam + x > 0.0 and a + nf - lam - x > 0.0,
         meta={"n": n},
+        log_carrier=lambda x: (math.lgamma(nf + 1.0) - _lgamma(x + 1.0)
+                               - _lgamma(nf - x + 1.0)),
+        sample_space=(0, n, True),
+        prior_proper=lambda a, lam: 0.0 < lam < a,
     )
 
 
@@ -468,15 +478,6 @@ def _poisson_family() -> FamilySpec:
     catalogue.  The rate is exp(-theta), and the conjugate prior is
     Gamma(lambda, rate=alpha) on the rate scale.
     """
-
-    def _mean_inv(t):
-        if t <= 0:
-            raise DomainError(
-                "mean value must be positive for poisson_neglograte; the mean "
-                "function maps the real line onto (0, inf)"
-            )
-        return -math.log(t)
-
     return FamilySpec(
         name="poisson_neglograte",
         support=(-math.inf, math.inf),
@@ -484,13 +485,16 @@ def _poisson_family() -> FamilySpec:
         mean=lambda th: np.exp(-np.asarray(th, dtype=float)),
         mean_deriv=lambda th: -np.exp(-np.asarray(th, dtype=float)),
         stat=lambda x: np.asarray(x, dtype=float),
-        mean_inv=_mean_inv,
+        mean_inv=lambda t: -math.log(t),
         mean_range=(0.0, math.inf),
         jeffreys_shift=(0.0, 0.5),
         prior_ok=lambda a, lam: a > -1.0 and lam >= 0.0,
         prior_rule="alpha > -1 and lambda >= 0 (proper posterior for x >= 1, "
                    "or x = 0 with lambda > 0)",
         posterior_ok=lambda a, lam, x: lam + x > 0.0,
+        log_carrier=lambda x: -_lgamma(x + 1.0),
+        sample_space=(0, math.inf, True),
+        prior_proper=lambda a, lam: a > 0.0 and lam > 0.0,
     )
 
 
@@ -556,11 +560,25 @@ def check_prior_ok(fam: FamilySpec, alpha: float, lam: float) -> None:
         )
 
 
-def check_posterior_ok(fam: FamilySpec, alpha: float, lam: float, x: float) -> None:
-    """Raise DomainError for a non-finite observation, ProprietyError if
-    the posterior at x would be improper."""
+def check_observation(fam: FamilySpec, x: float) -> None:
+    """Raise DomainError unless x is finite and in the family's sample space."""
     if not math.isfinite(x):
         raise DomainError(f"observation x={x} is not finite")
+    if fam.sample_space is None:
+        return
+    lo, hi, integers = fam.sample_space
+    if not (lo <= x <= hi and (not integers or float(x).is_integer())):
+        kind = "integers in " if integers else ""
+        raise DomainError(
+            f"observation x={x} is outside the sample space ({kind}[{lo}, {hi}]) "
+            f"of {fam.name}"
+        )
+
+
+def check_posterior_ok(fam: FamilySpec, alpha: float, lam: float, x: float) -> None:
+    """Raise DomainError for an impossible observation, ProprietyError if
+    the posterior at x would be improper."""
+    check_observation(fam, x)
     if fam.posterior_ok is None:
         return
     if not fam.posterior_ok(alpha, lam, x):

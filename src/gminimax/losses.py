@@ -32,18 +32,25 @@ def intrinsic_loss(fam: FamilySpec, theta, delta):
     require_in_support(fam, delta, what="delta")
     th = np.asarray(theta, dtype=float)
     de = np.asarray(delta, dtype=float)
-    val = (
-        np.asarray(fam.log_norm(th))
-        - np.asarray(fam.log_norm(de))
-        + (de - th) * np.asarray(fam.mean(th))
-    )
-    # Guard against tiny negative round-off on the diagonal.
-    val = np.where((val < 0) & (val > -1e-12), 0.0, val)
-    if np.any(val < 0):
+    with np.errstate(all="ignore"):
+        psi_th = np.asarray(fam.log_norm(th))
+        psi_de = np.asarray(fam.log_norm(de))
+        lin = (de - th) * np.asarray(fam.mean(th))
+        val = psi_th - psi_de + lin
+        # Round-off bound of the sum; nan and +-inf fail the test too.
+        slack = 4.0 * np.finfo(float).eps * (abs(psi_th) + abs(psi_de) + abs(lin))
+        ok = (val >= -slack) & (val < np.inf)
+    if not ok.all():
+        if not np.isfinite(val).all():
+            raise DomainError(
+                f"intrinsic loss for {fam.name} at theta={theta!r}, "
+                f"delta={delta!r} overflows the float range"
+            )
         raise DomainError(
             f"negative intrinsic loss for {fam.name}; the supplied mean "
             "function is inconsistent with log_norm"
         )
+    val = np.maximum(val, 0.0)
     if np.ndim(val) == 0:
         return float(val)
     return val

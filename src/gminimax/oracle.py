@@ -2,15 +2,13 @@
 
 Nothing in this module trusts the estimator formulas.  The minimax
 oracle enumerates Bayes estimates over a hyper-parameter lattice and
-sweeps a padded action grid; the KL oracle integrates (or sums) the
-actual sampling densities, carrier included; the corner check verifies,
-rather than assumes, that worst-case regret sits at an extreme Bayes
-estimate.  Padding and full-lattice suprema exist precisely so a wrong
-closed form gets caught instead of reproduced.
-
-Sampling models (the concrete density of the data, which the family
-abstraction deliberately does not carry) are registered here per family
-name; the KL oracle refuses families it has no model for.
+sweeps a padded action grid; the KL oracle sums or integrates the
+family's sampling model (carrier, statistic and sample space) and
+normalizes it itself, never calling ``log_norm`` or ``mean``; the corner
+check verifies, rather than assumes, that worst-case regret sits at an
+extreme Bayes estimate.  Padding and full-lattice suprema exist
+precisely so a wrong closed form gets caught instead of reproduced.
+A family without a sampling model is refused by the KL oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +21,8 @@ import numpy as np
 from .errors import DomainError, SpecificationError
 from .families import FamilySpec, interior_clamp, mean_inverse, require_in_support
 from .losses import posterior_regret
-from .priors import ConjugatePrior, PriorBox, posterior_predictive_mean
+from .priors import (ConjugatePrior, PriorBox, _peak_integrals,
+                     posterior_predictive_mean)
 
 __all__ = [
     "GridSpec",
@@ -185,91 +184,64 @@ def sup_regret_corner_check(fam: FamilySpec, box: PriorBox, x: float,
 
 
 # ---------------------------------------------------------------------------
-# KL divergence from the actual sampling model
+# KL divergence from the family's own sampling model
 # ---------------------------------------------------------------------------
 
-
-def _kl_normal(theta: float, delta: float) -> float:
-    from scipy import integrate, stats  # lazy import: cold start stays scipy-free
-
-    def integrand(x):
-        log_ratio = 0.5 * (x - delta) ** 2 - 0.5 * (x - theta) ** 2
-        return stats.norm.pdf(x, loc=theta) * log_ratio
-
-    total = 0.0
-    for a, b in ((-np.inf, theta), (theta, np.inf)):
-        val, _ = integrate.quad(integrand, a, b, epsabs=1e-12, epsrel=1e-10,
-                                limit=200)
-        total += val
-    return total
+def _count_terms(logf, lo: int, hi: float):
+    """The integers of [lo, hi] with their log terms.  An unbounded range
+    is cut once the terms, past their peak, drop below e^-60 times it."""
+    for n in 2 ** np.arange(6, 21):
+        ks = np.arange(lo, min(hi, lo + n - 1) + 1, dtype=float)
+        lv = np.asarray(logf(ks), dtype=float)
+        if ks[-1] == hi or lv[-1] < min(lv[-2], lv.max() - 60.0):
+            return ks, lv
+    raise DomainError(f"the sampling model needs more than {n} terms to sum")
 
 
-def _kl_exponential(theta: float, delta: float) -> float:
-    if theta <= 0 or delta <= 0:
-        raise DomainError("exponential rates must be positive")
-    from scipy import integrate  # lazy import: cold start stays scipy-free
+def _log_partition(fam: FamilySpec, t: float) -> tuple[float, float]:
+    """log of the sum or integral of carrier*exp(-t*stat) over the sample
+    space, and the mean of stat under the normalized model."""
+    lo, hi, integers = fam.sample_space
 
-    def integrand(x):
-        log_ratio = math.log(theta / delta) + (delta - theta) * x
-        return theta * math.exp(-theta * x) * log_ratio
+    def logf(x):
+        return np.asarray(fam.log_carrier(x)) - t * np.asarray(fam.stat(x))
 
-    total = 0.0
-    for a, b in ((0.0, 1.0 / theta), (1.0 / theta, np.inf)):
-        val, _ = integrate.quad(integrand, a, b, epsabs=1e-12, epsrel=1e-10,
-                                limit=200)
-        total += val
-    return total
+    if integers:
+        ks, lv = _count_terms(logf, lo, hi)
+        m = float(lv.max())
+        w = np.exp(lv - m)
+        z, s1 = float(w.sum()), float(w @ np.asarray(fam.stat(ks), dtype=float))
+    elif math.isinf(lo) == math.isinf(hi):
+        _, m, (z, s1) = _peak_integrals(logf, lo, hi, None, fam.stat)
+    else:
+        # A half-line as x = end +- e^u: every scale of x is a shift in u.
+        end, sign = (lo, 1.0) if math.isfinite(lo) else (hi, -1.0)
 
+        def x_of(u):
+            return end + sign * np.exp(u)
 
-def _kl_binomial(n: int, theta: float, delta: float) -> float:
-    # Lazy imports: cold start stays scipy-free.  scipy's own expit, not
-    # the families helper: the oracle shares no estimator code.
-    from scipy import stats
-    from scipy.special import expit
-
-    xs = np.arange(n + 1)
-    p_t = expit(-theta)
-    p_d = expit(-delta)
-    lp = stats.binom.logpmf(xs, n, p_t)
-    lq = stats.binom.logpmf(xs, n, p_d)
-    return float(np.sum(np.exp(lp) * (lp - lq)))
-
-
-def _kl_poisson(theta: float, delta: float) -> float:
-    from scipy import stats  # lazy import: cold start stays scipy-free
-
-    mu_t = math.exp(-theta)
-    mu_d = math.exp(-delta)
-    # Truncate where the remaining mass is far below the 1e-14 target.
-    upper = int(stats.poisson.isf(1e-16, mu_t)) + 10
-    xs = np.arange(upper + 1)
-    lp = stats.poisson.logpmf(xs, mu_t)
-    log_ratio = xs * (math.log(mu_t) - math.log(mu_d)) + mu_d - mu_t
-    return float(np.sum(np.exp(lp) * log_ratio))
+        _, m, (z, s1) = _peak_integrals(lambda u: logf(x_of(u)) + u, -math.inf,
+                                        math.inf, None, lambda u: fam.stat(x_of(u)))
+    return m + math.log(z), s1 / z
 
 
 def kl_quadrature(fam: FamilySpec, theta: float, delta: float) -> float:
-    """KL divergence computed from the registered sampling model.
+    """KL divergence computed from the family's sampling model.
 
-    Integrates or sums the genuine density/mass function (carrier and
-    all); the only thing shared with ``intrinsic_loss`` is the family
-    name.  Families without a registered model are refused.
+    Normalizes ``carrier(x) * exp(-t * stat(x))`` over the sample space
+    itself (a sum on integers, quadrature on an interval) and returns
+    ``(delta - theta) * E_theta[stat] + log Z(delta) - log Z(theta)``,
+    never calling ``log_norm``, ``mean`` or ``mean_deriv``.  Families
+    without ``log_carrier`` and ``sample_space`` are refused.
     """
     require_in_support(fam, theta)
     require_in_support(fam, delta, what="delta")
-    theta, delta = float(theta), float(delta)
-    name = fam.name
-    if name == "normal_mean_unitvar":
-        val = _kl_normal(theta, delta)
-    elif name == "exponential_rate":
-        val = _kl_exponential(theta, delta)
-    elif name.startswith("binomial_logit"):
-        val = _kl_binomial(int(fam.meta["n"]), theta, delta)
-    elif name == "poisson_neglograte":
-        val = _kl_poisson(theta, delta)
-    else:
+    if fam.log_carrier is None or fam.sample_space is None:
         raise SpecificationError(
-            f"no sampling model registered for family {name}; the KL oracle "
-            "only covers the built-ins"
+            f"family {fam.name} carries no sampling model (log_carrier and "
+            "sample_space); the KL oracle cannot check it"
         )
-    return max(val, 0.0)
+    theta, delta = float(theta), float(delta)
+    log_z_theta, mean_stat = _log_partition(fam, theta)
+    log_z_delta, _ = _log_partition(fam, delta)
+    return max((delta - theta) * mean_stat + log_z_delta - log_z_theta, 0.0)

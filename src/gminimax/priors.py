@@ -33,9 +33,10 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, ProprietyError, SpecificationError
 from .families import (
     FamilySpec,
+    check_observation,
     check_posterior_ok,
     check_prior_ok,
-    support_grid,
+    interval_grid,
 )
 
 __all__ = [
@@ -213,11 +214,15 @@ class PriorBox:
 
 def prior_box(fam: FamilySpec, alpha_lo: float, alpha_hi: float,
               lam_lo: float, lam_hi: float, flavor: str = "standard") -> PriorBox:
-    """Construct a box after validating every corner's propriety."""
+    """Construct a box after validating every corner's propriety on its
+    standard-flavor equivalent."""
     box = PriorBox(fam, float(alpha_lo), float(alpha_hi), float(lam_lo),
                    float(lam_hi), flavor)
-    for a, l in box.corners():
-        conjugate_prior(fam, a, l, flavor)
+    if flavor == "jcp" and fam.jeffreys_shift is None:
+        conjugate_prior(fam, alpha_lo, lam_lo, flavor)  # warns: no pre-check
+    else:
+        for a, l in box.to_standard().corners():
+            check_prior_ok(fam, a, l)
     return box
 
 
@@ -234,18 +239,10 @@ def prior_is_proper(fam: FamilySpec, alpha: float, lam: float) -> bool:
 
     Stricter than the usability predicate: a flat normal prior has
     proper posteriors but is not itself a distribution, so it cannot be
-    a mixture component.
+    a mixture component.  A family without ``prior_proper`` (a custom
+    one) has no proper prior here.
     """
-    name = fam.name
-    if name == "normal_mean_unitvar":
-        return alpha > 0.0
-    if name == "exponential_rate":
-        return alpha > -1.0 and lam > 0.0
-    if name.startswith("binomial_logit"):
-        return 0.0 < lam < alpha
-    if name == "poisson_neglograte":
-        return alpha > 0.0 and lam > 0.0
-    return False  # unknown family: the caller must go through quadrature
+    return fam.prior_proper is not None and bool(fam.prior_proper(alpha, lam))
 
 
 @dataclass(frozen=True)
@@ -347,6 +344,7 @@ def _log_weight(fam: FamilySpec, prior: ConjugatePrior):
 
 def _log_posterior_integrand(fam: FamilySpec, prior: ConjugatePrior, x: float):
     """Log of (likelihood shape) * (unnormalized prior), vectorized."""
+    check_observation(fam, x)
     r = float(fam.stat(x))
     logw = _log_weight(fam, prior)
 
@@ -357,27 +355,42 @@ def _log_posterior_integrand(fam: FamilySpec, prior: ConjugatePrior, x: float):
     return logf
 
 
-def _peak(fam: FamilySpec, logf) -> tuple[float, float]:
-    """Coarse scan for the integrand's peak: (argmax, max log value)."""
-    grid = support_grid(fam, n=_SCAN_POINTS, cap=_SCAN_CAP)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(logf(grid), dtype=float)
-    vals = np.where(np.isfinite(vals), vals, -np.inf)
-    k = int(np.argmax(vals))
-    if not math.isfinite(vals[k]):
-        raise ConvergenceError("prior integrand is nowhere finite on the scan grid")
-    return float(grid[k]), float(vals[k])
+def _peak(logf, lo: float, hi: float) -> tuple[float, float]:
+    """Coarse scan for the integrand's peak on (lo, hi): (argmax, max log).
+
+    Infinite ends are cut at +-_SCAN_CAP.  While the peak sits on a cut
+    edge the cut grows sixteenfold (while under 1e9); the grid cells
+    around a peak found that way are then rescanned twice.
+    """
+    cap, zooms = _SCAN_CAP, 0
+    grid = interval_grid(lo, hi, _SCAN_POINTS, cap)
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(logf(grid), dtype=float)
+        vals = np.where(np.isfinite(vals), vals, -np.inf)
+        k = int(np.argmax(vals))
+        if not math.isfinite(vals[k]):
+            raise ConvergenceError("integrand is nowhere finite on the scan grid")
+        on_cut = (k == 0 and lo == -math.inf) or (k == grid.size - 1 and hi == math.inf)
+        if on_cut and zooms == 0 and cap < 1e9:
+            cap *= 16.0
+            grid = interval_grid(lo, hi, _SCAN_POINTS, cap)
+        elif cap > _SCAN_CAP and zooms < 2:
+            zooms += 1
+            grid = np.linspace(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)],
+                               _SCAN_POINTS)
+        else:
+            return float(grid[k]), float(vals[k])
 
 
-def _peak_integrals(fam: FamilySpec, logf, *factors):
-    """Integrals of exp(logf - m) * factor over the support, one per factor.
+def _peak_integrals(logf, lo: float, hi: float, *factors):
+    """Integrals of exp(logf - m) * factor over (lo, hi), one per factor.
 
     A factor of None integrates the plain density.  ``m`` is the scanned
     peak of logf, and each integral is split at the peak's location.
     Returns ``(mode, m, values)``; m cancels in any ratio of the values.
     """
-    mode, m = _peak(fam, logf)
-    lo, hi = fam.support
+    mode, m = _peak(logf, lo, hi)
     values = [_quad_split(_weighted_integrand(logf, m, f), lo, hi, mode)
               for f in factors]
     return mode, m, values
@@ -399,7 +412,7 @@ def predictive_mean_quadrature(fam: FamilySpec, prior: ConjugatePrior, x: float,
     else:
         def logf(th):
             return np.asarray(base_logf(th)) + np.asarray(extra_log_weight(th))
-    _, _, (den, num) = _peak_integrals(fam, logf, None, fam.mean)
+    _, _, (den, num) = _peak_integrals(logf, *fam.support, None, fam.mean)
     if den <= 0 or not math.isfinite(den):
         raise ConvergenceError(
             f"posterior normalizer failed for {fam.name} at x={x}"
@@ -408,7 +421,7 @@ def predictive_mean_quadrature(fam: FamilySpec, prior: ConjugatePrior, x: float,
 
 
 def _log_prior_normalizer(fam: FamilySpec, prior: ConjugatePrior) -> float:
-    _, m, (z,) = _peak_integrals(fam, _log_weight(fam, prior), None)
+    _, m, (z,) = _peak_integrals(_log_weight(fam, prior), *fam.support, None)
     if z <= 0 or not math.isfinite(z):
         raise ProprietyError(
             f"prior (alpha={prior.alpha}, lam={prior.lam}, {prior.flavor}) has "
@@ -429,7 +442,7 @@ def mixture_components(fam: FamilySpec, path: MixturePath, x: float):
     for p in (path.p0, path.p1):
         log_z = _log_prior_normalizer(fam, p)
         logf = _log_posterior_integrand(fam, p, x)
-        _, m, (den, num) = _peak_integrals(fam, logf, None, fam.mean)
+        _, m, (den, num) = _peak_integrals(logf, *fam.support, None, fam.mean)
         scale = math.exp(m - log_z)
         out.append((num * scale, den * scale))
     (a0, b0), (a1, b1) = out

@@ -26,7 +26,9 @@ from .bayesianity import (
     data_independent_alpha_normal,
     mixture_witness,
 )
+from .errors import SpecificationError
 from .estimators import (
+    EQUALIZE_TOL,
     bayes_estimate,
     eta_scale_prgm,
     iprgm_jcp_box,
@@ -37,15 +39,13 @@ from .estimators import (
 )
 from .families import builtin_family
 from .losses import intrinsic_loss
-from .oracle import GridSpec, grid_minimax, kl_quadrature
+from .oracle import CORNER_TOL, GridSpec, grid_minimax, kl_quadrature
 from .priors import MixturePath, PriorBox, conjugate_prior
 
 __all__ = ["CheckRecord", "run_suite", "SUITE_NAMES"]
 
 SUITE_NAMES = ("minimax", "invariance", "bayesianity")
 
-EQUALIZE_TOL = 1e-10
-CORNER_TOL = 1e-12
 INVARIANCE_TOL = 1e-9
 CONTROL_GAP = 1e-3
 WITNESS_TOL = 1e-8
@@ -286,4 +286,4 @@ def run_suite(name: str, seed: int, grid: GridSpec = GridSpec(),
         return invariance_suite(seed, n_instances or 25)
     if name == "bayesianity":
         return bayesianity_suite(seed, n_instances or 30)
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    raise SpecificationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")

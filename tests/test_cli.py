@@ -256,6 +256,12 @@ class TestVerifyCommand:
         assert summary["n_failed"] == 1
         assert summary["passed"] is False
 
+    def test_unknown_suite_is_a_specification_error(self):
+        from gminimax.verify import run_suite
+
+        with pytest.raises(SpecificationError, match="unknown suite 'bogus'"):
+            run_suite("bogus", 1)
+
 
 class TestExitCodes:
     def test_unknown_family(self, capsys):
@@ -316,6 +322,44 @@ class TestExitCodes:
         ])
         assert rc == 2
         assert "overflows the float range" in err and "nan" not in err
+
+    @pytest.mark.parametrize("family,x,prior", [
+        ("exponential", "-1", "a=2,l=2"),
+        ("binomial_logit(5)", "2.5", "a=10,l=1"),
+        ("binomial_logit(5)", "7", "a=10,l=1"),
+        ("poisson", "2.5", "a=2,l=1"),
+        ("poisson", "-0.5", "a=2,l=1"),
+    ])
+    def test_impossible_observation_is_config_error(self, capsys, family, x, prior):
+        rc, out, err = run_cli(capsys, [
+            "bayes", "--family", family, f"--x={x}", "--prior", prior,
+        ])
+        assert rc == 2 and out == ""
+        assert err.startswith(
+            f"gminimax: configuration error: observation x={float(x)} is "
+            "outside the sample space")
+
+    @pytest.mark.parametrize("argv", [
+        ["loss", "--family", "poisson", "--theta", "1", "--delta=-800"],
+        ["loss", "--family", "exponential", "--theta", "1e-300", "--delta", "1e300"],
+        ["prgm", "--family", "normal", "--x=1e300", "--box", "a=1:2,l=0:1"],
+    ])
+    def test_overflow_prints_one_line_and_no_numpy_warning(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "gminimax", *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("gminimax: configuration error:")
+        assert "overflows the float range" in lines[0]
+
+    def test_round_off_near_the_diagonal(self, capsys):
+        got = run_json(capsys, ["loss", "--family", "normal", "--theta", "10000",
+                                "--delta", "10000.000000000002"])
+        assert got["loss"] == 0.0
+        rc, _, err = run_cli(capsys, ["prgm", "--family", "normal",
+                                      "--bounds", "10000:10000.000001"])
+        assert rc == 3 and "could not equalize" in err
 
     def test_missing_family_file(self, capsys):
         rc, _, err = run_cli(capsys, [
@@ -412,13 +456,24 @@ after_cli = scipy_modules()
 
 from gminimax import (builtin_family, conjugate_prior, kl_quadrature,
                       predictive_mean_quadrature)
-kl = {name: kl_quadrature(builtin_family(name), th, de) for name, th, de in (
-    ("normal", 0.3, 1.1), ("exponential", 2.0, 3.0),
-    ("binomial_logit(5)", 0.4, -0.7), ("poisson", 0.2, -0.5))}
+def kl_of(*cases):
+    return {name: kl_quadrature(builtin_family(name), th, de)
+            for name, th, de in cases}
+kl = kl_of(("binomial_logit(5)", 0.4, -0.7), ("poisson", 0.2, -0.5))
+after_sums = scipy_modules()
+kl.update(kl_of(("normal", 0.3, 1.1), ("exponential", 2.0, 3.0)))
+after_kl = scipy_modules()
 fam = builtin_family("exponential")
 pm = predictive_mean_quadrature(fam, conjugate_prior(fam, 2.0, 1.0), 1.5)
 print(json.dumps(dict(after_import=after_import, after_cli=after_cli, codes=codes,
-                      kl=kl, pm=pm, scipy_loaded="scipy.integrate" in sys.modules)))
+                      after_sums=after_sums, after_kl=after_kl, kl=kl, pm=pm,
+                      scipy_loaded="scipy.integrate" in sys.modules)))
+"""
+
+_INTEGRATE_ONLY_SCRIPT = r"""
+import json, sys
+from scipy import integrate
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
 """
 
 
@@ -440,6 +495,17 @@ def test_closed_form_path_imports_no_scipy(tmp_path):
     assert got["after_import"] == []
     assert got["codes"] == [0] * 7
     assert got["after_cli"] == []
+    # The KL oracle sums the count families without scipy, and on
+    # intervals loads scipy.integrate only: no scipy.stats, and no
+    # scipy.special module beyond those scipy.integrate itself imports.
+    assert got["after_sums"] == []
+    assert not [m for m in got["after_kl"] if m.startswith("scipy.stats")]
+    proc = subprocess.run([sys.executable, "-c", _INTEGRATE_ONLY_SCRIPT],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    integrate_only = set(json.loads(proc.stdout))
+    assert {m for m in got["after_kl"] if m.startswith("scipy.special")} <= (
+        integrate_only)
     # The lazy imports still load scipy and give the same numbers.
     assert got["scipy_loaded"] is True
     want = {"normal": 0.3200000000000001, "exponential": 0.09453489189183553,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gminimax import (
+    ConvergenceError,
     DomainError,
     FamilySpec,
     PriorBox,
@@ -19,6 +20,7 @@ from gminimax import (
     iprgm_jcp_box,
     make_transform,
     posterior_regret,
+    predictive_mean_quadrature,
     prgm_conjugate_box,
     prgm_from_bounds,
     prior_box,
@@ -175,6 +177,43 @@ class TestNonFiniteObservation:
             prgm_conjugate_box(fam, prior_box(fam, 2.0, 3.0, 0.5, 1.0), x)
 
 
+class TestImpossibleObservation:
+    # (family, observation, prior a, prior l): each is accepted by the
+    # family's posterior propriety rule, but cannot be observed.
+    CASES = [
+        ("exponential", -1.0, 2.0, 2.0),
+        ("binomial_logit(5)", 2.5, 10.0, 1.0),
+        ("binomial_logit(5)", 7.0, 10.0, 1.0),
+        ("poisson", 2.5, 2.0, 1.0),
+        ("poisson", -0.5, 2.0, 1.0),
+    ]
+
+    @pytest.mark.parametrize("name,x,a,l", CASES)
+    def test_every_entry_point_blames_the_observation(self, name, x, a, l):
+        fam = builtin_family(name)
+        prior = conjugate_prior(fam, a, l)
+        message = f"observation x={x} is outside the sample space"
+        with pytest.raises(DomainError, match=message):
+            bayes_estimate(fam, prior, x)
+        with pytest.raises(DomainError, match=message):
+            prgm_conjugate_box(fam, prior_box(fam, a, a + 1.0, l, l + 0.5), x)
+        with pytest.raises(DomainError, match=message):
+            predictive_mean_quadrature(fam, prior, x)
+
+    @pytest.mark.parametrize("name,x", [
+        ("exponential", 0.0), ("binomial_logit(5)", 0.0), ("binomial_logit(5)", 5.0),
+        ("poisson", 0.0), ("poisson", 40.0), ("normal", -1e6),
+    ])
+    def test_edges_of_the_sample_space_are_observable(self, name, x):
+        fam = builtin_family(name)
+        bayes_estimate(fam, conjugate_prior(fam, 10.0, 1.0), x)
+
+    def test_custom_family_observation_is_unchecked(self, exponential):
+        bare = dataclasses.replace(exponential, sample_space=None)
+        prior = conjugate_prior(bare, 2.0, 2.0)
+        assert bayes_estimate(bare, prior, -1.0).estimate == pytest.approx(3.0)
+
+
 class TestFloatOverflow:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_blames_the_bounds_not_an_estimate(self, normal):
@@ -182,6 +221,18 @@ class TestFloatOverflow:
         with pytest.raises(DomainError, match="overflows the float range") as info:
             prgm_conjugate_box(normal, box, 1e300)
         assert "nan" not in str(info.value)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_leaks_no_numpy_warning(self, normal):
+        box = prior_box(normal, 1.0, 2.0, 0.0, 1.0)
+        with pytest.raises(DomainError, match="overflows the float range"):
+            prgm_conjugate_box(normal, box, 1e300)
+
+    def test_narrow_bounds_do_not_blame_the_family(self, normal):
+        # Regrets of ~5e-13 are round-off at theta=1e4; the loss accepts
+        # them, and the equalizer reports its own failure.
+        with pytest.raises(ConvergenceError, match="could not equalize"):
+            prgm_from_bounds(normal, 1e4, 1e4 + 1e-6)
 
 
 class TestInvariantBoxMinimax:

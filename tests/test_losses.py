@@ -1,5 +1,6 @@
 """Intrinsic loss values, posterior risk identity, nonnegativity."""
 
+import dataclasses
 import math
 
 import hypothesis.strategies as st
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from scipy import integrate
 
 from gminimax import (
+    DomainError,
     builtin_family,
     intrinsic_loss,
     posterior_regret,
@@ -114,3 +116,31 @@ def test_nonnegative_binomial(theta, delta):
 def test_nonnegative_poisson(theta, delta):
     fam = builtin_family("poisson")
     assert float(intrinsic_loss(fam, theta, delta)) >= 0.0
+
+
+@pytest.mark.parametrize("name,theta,delta", [
+    ("normal", 1e4, 10000.000000000002),
+    ("normal", 4295.153968166554, 4295.1539497662325),
+    ("poisson", -23.6, -23.599999999999998),
+    ("poisson", -15.44139187738507, -15.441391877385069),
+])
+def test_round_off_near_the_diagonal_is_not_blamed_on_the_family(name, theta, delta):
+    # The three terms cancel to round-off here; the guard scales with them.
+    assert float(intrinsic_loss(builtin_family(name), theta, delta)) >= 0.0
+
+
+def test_inconsistent_mean_is_still_refused(exponential):
+    off = dataclasses.replace(exponential, mean=lambda th: 1.01 / np.asarray(th))
+    with pytest.raises(DomainError, match="inconsistent with log_norm"):
+        intrinsic_loss(off, 1.0, 0.999)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name,theta,delta", [
+    ("poisson", 1.0, -800.0), ("exponential", 1e-300, 1e300),
+])
+def test_overflow_is_a_domain_error(name, theta, delta):
+    with pytest.raises(DomainError, match="overflows the float range"):
+        intrinsic_loss(builtin_family(name), theta, delta)
+    with pytest.raises(DomainError, match="overflows the float range"):
+        intrinsic_loss(builtin_family(name), theta, np.array([delta, theta]))

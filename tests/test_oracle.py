@@ -1,6 +1,7 @@
 """Brute-force oracle checks: grid minimax, regret curves, KL quadrature."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -182,10 +183,71 @@ class TestKLQuadrature:
         assert kl_quadrature(poisson, 0.8, 0.8) == 0.0
 
     def test_refuses_unregistered_family(self, exponential):
-        stranger = dataclasses.replace(exponential, name="renamed_rate")
+        # The model travels with the family, not with its name.
+        renamed = dataclasses.replace(exponential, name="renamed_rate")
+        assert kl_quadrature(renamed, 1.0, 2.0) == kl_quadrature(exponential, 1.0, 2.0)
+        stranger = dataclasses.replace(exponential, log_carrier=None,
+                                       sample_space=None)
         with pytest.raises(SpecificationError, match="sampling model"):
             kl_quadrature(stranger, 1.0, 2.0)
 
     def test_rejects_out_of_support(self, exponential):
         with pytest.raises(DomainError):
             kl_quadrature(exponential, -1.0, 2.0)
+
+    @pytest.mark.parametrize("name", ["normal", "exponential", "binomial(n=1)",
+                                      "binomial_logit(5)", "poisson"])
+    def test_needs_no_estimator_formulas(self, name):
+        # The oracle normalizes the model itself: a family whose log_norm,
+        # mean and mean_deriv all raise gives the same divergences.
+        fam = builtin_family(name)
+
+        def refuse(theta):
+            raise AssertionError("the KL oracle called an estimator formula")
+
+        blind = dataclasses.replace(fam, log_norm=refuse, mean=refuse,
+                                    mean_deriv=refuse)
+        for theta, delta in ((0.3, 1.1), (1.4, 0.9), (2.0, 2.0)):
+            assert kl_quadrature(blind, theta, delta) == kl_quadrature(
+                fam, theta, delta)
+
+    @pytest.mark.parametrize("theta", [60.0, 300.0, -1e4])
+    def test_normal_far_outside_the_scan_window(self, normal, theta):
+        assert kl_quadrature(normal, theta, theta + 1.5) == pytest.approx(
+            1.125, rel=1e-10)
+
+    @pytest.mark.parametrize("theta", [1e-7, 1e-4, 1e4, 1e7])
+    def test_exponential_at_every_scale(self, exponential, theta):
+        # log(1/2) + 1 at any rate: the half-line is integrated in log x.
+        assert kl_quadrature(exponential, theta, 2.0 * theta) == pytest.approx(
+            1.0 - math.log(2.0), rel=1e-10)
+
+
+# Values of the per-family oracle this package used before the families
+# carried their sampling model (scipy.stats densities and mass functions,
+# quad split at the mean); the generic oracle must reproduce them.
+FROZEN_KL = [
+    ("normal", 50.0, 51.0, 0.5000000000000002),
+    ("normal", 50.0, 48.5, 1.1250000000000002),
+    ("normal", -0.7, 1.1, 1.62),
+    ("normal", -3.0, 2.0, 12.5),
+    ("exponential", 0.001, 0.002, 0.3068528194400546),
+    ("exponential", 1000.0, 700.0, 0.05667494393873303),
+    ("exponential", 0.4, 2.5, 3.4174185362516902),
+    ("exponential", 3.0, 2.9, 0.0005682183423480515),
+    ("binomial(n=1)", 0.3, -0.7, 0.12327332122858975),
+    ("binomial(n=1)", -2.0, 1.5, 1.1572750398623681),
+    ("binomial_logit(5)", 0.3, -0.7, 0.6163666061429485),
+    ("binomial_logit(5)", -1.2, 0.8, 2.224338828038908),
+    ("binomial_logit(20)", 2.0, -1.0, 16.574498208177925),
+    ("poisson", -5.0, -4.5, 15.810551749233078),
+    ("poisson", -5.0, -5.2, 3.176450952059235),
+    ("poisson", 1.2, 0.4, 0.1281704645936755),
+    ("poisson", -0.3, 0.9, 0.6765414212558002),
+]
+
+
+@pytest.mark.parametrize("name,theta,delta,value", FROZEN_KL)
+def test_kl_matches_frozen_per_family_values(name, theta, delta, value):
+    got = kl_quadrature(builtin_family(name), theta, delta)
+    assert got == pytest.approx(value, rel=1e-10)

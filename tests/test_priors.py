@@ -1,11 +1,13 @@
 """Conjugate priors, updates, flavors, boxes, and mixtures."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from gminimax import priors
 from gminimax import (
     ConjugatePrior,
     DomainError,
@@ -136,12 +138,32 @@ class TestPriorBox:
         with pytest.raises(SpecificationError):
             prior_box(exponential, 3.0, 1.0, 1.0, 2.0)
 
+    def test_jcp_box_checks_its_shifted_corners(self, exponential, monkeypatch):
+        # One shift of the whole box; no prior is built per corner.
+        monkeypatch.setattr(priors, "conjugate_prior", None)
+        box = prior_box(exponential, 1.0, 3.0, 1.0, 2.0, "jcp")
+        assert box.flavor == "jcp" and box.alpha_lo == 1.0
+        prior_box(exponential, -0.5, 1.0, 1.0, 2.0)  # standard: alpha > -1
+        with pytest.raises(ProprietyError):  # jcp: alpha - 1 = -1.5
+            prior_box(exponential, -0.5, 1.0, 1.0, 2.0, "jcp")
+
+    def test_jcp_box_without_a_shift_warns(self, exponential):
+        fam = dataclasses.replace(exponential, jeffreys_shift=None)
+        with pytest.warns(UserWarning, match="declares no Jeffreys shift"):
+            box = prior_box(fam, 1.0, 3.0, 1.0, 2.0, "jcp")
+        assert box.flavor == "jcp"
+
 
 class TestMixtures:
     def test_components_must_be_proper(self, exponential):
         ok = conjugate_prior(exponential, 1.0, 1.0)
         assert prior_is_proper(exponential, 1.0, 1.0)
         assert not prior_is_proper(exponential, 1.0, 0.0)
+        # The rule travels with the family, not with its name.
+        renamed = dataclasses.replace(exponential, name="renamed_rate")
+        assert prior_is_proper(renamed, 1.0, 1.0)
+        assert not prior_is_proper(
+            dataclasses.replace(exponential, prior_proper=None), 1.0, 1.0)
         with pytest.raises(ProprietyError):
             MixturePath(ok, conjugate_prior(exponential, 1.0, 0.0))
 
