@@ -4,19 +4,17 @@ The central fact used everywhere: for a conjugate prior box the Bayes
 estimates sweep a delta-interval whose endpoints sit at box corners, the
 worst-case posterior regret of any action is attained against one of the
 two extreme Bayes estimates, and the minimax action equalizes the regret
-against those extremes.  With bounds ``d_lo <= d_hi`` the equalizer is
+against those extremes.  With bounds ``d_lo < d_hi`` the regret gap
+``L(d_hi, d) - L(d_lo, d)`` is linear in ``d``, falling from
+``L(d_hi, d_lo)`` to ``-L(d_lo, d_hi)``, so the equalizer is
 
-    ( d_hi*mean(d_hi) - d_lo*mean(d_lo)
-      - (log_norm(d_hi) - log_norm(d_lo)) ) / (mean(d_hi) - mean(d_lo)),
+    d_lo + (d_hi - d_lo) * L(d_hi, d_lo) / (L(d_hi, d_lo) + L(d_lo, d_hi)),
 
-an interior point of ``[d_lo, d_hi]``.  When the mean values are too
-close for that quotient to be trustworthy, or it fails to equalize, a
-sign-change bisection on the regret difference replaces it; when the
-bounds themselves collapse, the midpoint is the answer by continuity.
-That one regret-gap bisection, ``_equalizer_root``, serves both the
-theta scale and the transformed scale of ``eta_scale_prgm``, and it runs
-through the one bracketing helper in ``families``, as ``mean_inverse``
-does.  The corner Bayes estimates all come from ``_corner_bayes``.
+a ratio of two positive losses, as accurate as ``intrinsic_loss``.
+Collapsed bounds give the midpoint.  ``eta_scale_prgm`` bisects the
+regret gap instead, through the one bracketing helper in ``families``,
+so the invariance check compares against an independent solver.  The
+corner Bayes estimates all come from ``_corner_bayes``.
 
 A ``jcp`` box is solved as its standard-flavor equivalent; the Jeffreys
 shift is applied in one place, ``priors.to_standard``.  That flavor
@@ -73,7 +71,6 @@ METHOD_ROOT = "prgm_root_find"
 METHOD_IPRGM = "iprgm"
 
 DEGENERATE_REL_WIDTH = 1e-10
-ILL_CONDITIONED_REL = 1e-13
 EQUALIZE_TOL = 1e-10
 
 
@@ -117,40 +114,12 @@ def bayes_estimate(fam: FamilySpec, prior: ConjugatePrior, x: float) -> Estimate
     )
 
 
-def _equalizer_root(regret: Callable, lo: float, hi: float) -> tuple[float, int]:
-    """Bisection on regret(hi, d) - regret(lo, d), strictly decreasing in
-    d with a sign change across (lo, hi).
-
-    ``regret(m, d)`` is the posterior regret of action ``d`` against the
-    Bayes action ``m``, on whichever scale ``lo`` and ``hi`` live.
-    """
-
-    def gap(d: float) -> float:
-        return regret(hi, d) - regret(lo, d)
-
-    if not gap(lo) >= 0 >= gap(hi):
-        raise ConvergenceError(
-            f"regret gap lost its sign change on [{lo}, {hi}]; the mean "
-            "function may not be strictly decreasing"
-        )
-    tol = 1e-15 * max(1.0, abs(lo), abs(hi))
-    return _bisect(lambda d: gap(d) > 0, lo, hi, width=tol)
-
-
-def _overflow_error(fam: FamilySpec, d_lo: float, d_hi: float) -> DomainError:
-    return DomainError(
-        f"the equalizer on [{d_lo}, {d_hi}] for {fam.name} overflows the "
-        "float range; bounds this large cannot be resolved"
-    )
-
-
 def prgm_from_bounds(fam: FamilySpec, d_lo: float, d_hi: float) -> EstimateReport:
     """Minimax action against the two extreme Bayes estimates.
 
     ``d_lo`` and ``d_hi`` must lie inside the support with
-    ``d_lo <= d_hi``.  Collapsed bounds return the midpoint; an
-    ill-conditioned mean-value difference, or a closed form that fails
-    to equalize, falls back to bisection.
+    ``d_lo <= d_hi``.  The answer is the ratio of two losses given in the
+    module docstring; collapsed bounds return the midpoint.
     """
     d_lo, d_hi = float(d_lo), float(d_hi)
     require_in_support(fam, d_lo, what="delta_lo")
@@ -163,45 +132,26 @@ def prgm_from_bounds(fam: FamilySpec, d_lo: float, d_hi: float) -> EstimateRepor
         return EstimateReport(0.5 * (d_lo + d_hi), d_lo, d_hi, 0.0, METHOD_CLOSED,
                               {"degenerate": True, "residual": 0.0, "iterations": 0})
 
-    est, method, iterations = None, METHOD_CLOSED, 0
-    with np.errstate(all="ignore"):  # overflow is reported below, not warned
-        mu_lo = float(fam.mean(d_lo))
-        mu_hi = float(fam.mean(d_hi))
-        den = mu_hi - mu_lo
-        if abs(den) >= ILL_CONDITIONED_REL * max(abs(mu_lo), abs(mu_hi), 1e-300):
-            num = (d_hi * mu_hi - d_lo * mu_lo
-                   - (float(fam.log_norm(d_hi)) - float(fam.log_norm(d_lo))))
-            if not math.isfinite(num):
-                raise _overflow_error(fam, d_lo, d_hi)
-            # The exact equalizer is interior; any excursion is round-off.
-            est = min(max(num / den, d_lo), d_hi)
-    while True:
-        if est is None:
-            est, iterations = _equalizer_root(partial(posterior_regret, fam),
-                                              d_lo, d_hi)
-            method = METHOD_ROOT
-        r_lo = posterior_regret(fam, d_lo, est)
-        r_hi = posterior_regret(fam, d_hi, est)
-        if not math.isfinite(r_lo + r_hi):
-            raise _overflow_error(fam, d_lo, d_hi)
-        residual = abs(r_lo - r_hi)
-        if residual <= EQUALIZE_TOL * max(1.0, r_lo, r_hi):
-            break
-        if method == METHOD_ROOT:
-            raise ConvergenceError(
-                f"could not equalize the corner regrets on [{d_lo}, {d_hi}] "
-                f"for {fam.name}: residual {residual:.3e}"
-            )
-        est = None
-    return EstimateReport(
-        estimate=est,
-        delta_lo=d_lo,
-        delta_hi=d_hi,
-        equalized_regret=0.5 * (r_lo + r_hi),
-        method=method,
-        diagnostics={"degenerate": False, "residual": residual,
-                     "iterations": iterations},
-    )
+    down, up = posterior_regret(fam, [d_hi, d_lo], [d_lo, d_hi]).tolist()
+    total = down + up
+    if not 0.0 < total < math.inf:
+        raise DomainError(
+            f"the regrets on [{d_lo}, {d_hi}] for {fam.name} sum to {total}, "
+            "outside the float range; these bounds cannot be resolved")
+    width = d_hi - d_lo
+    est = d_lo + width * (down / total)
+    r_lo, r_hi = posterior_regret(fam, [d_lo, d_hi], est).tolist()
+    residual = abs(r_lo - r_hi)
+    # No float action equalizes closer than one ulp times the gap's slope.
+    if residual > (EQUALIZE_TOL * max(1.0, r_lo, r_hi)
+                   + total / width * math.ulp(est)):
+        raise ConvergenceError(
+            f"could not equalize the corner regrets on [{d_lo}, {d_hi}] "
+            f"for {fam.name}: residual {residual:.3e}"
+        )
+    return EstimateReport(est, d_lo, d_hi, 0.5 * (r_lo + r_hi), METHOD_CLOSED,
+                          {"degenerate": False, "residual": residual,
+                           "iterations": 0})
 
 
 def _corner_bayes(fam: FamilySpec, box: PriorBox, x: float,
@@ -405,9 +355,8 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
 
     The intrinsic loss between transformed values is the theta-scale
     loss of the pulled-back points, so once the extreme Bayes estimates
-    on the new scale are known the equalizer is found there by the same
-    regret-gap bisection that ``prgm_from_bounds`` falls back on, never
-    reusing the theta-scale closed form.
+    on the new scale are known the equalizer is found there by bisection
+    on the regret gap, never reusing the theta-scale ratio.
 
     For a ``jcp`` box the prior class is the same set of measures on
     either scale, so the extreme Bayes estimates are the transported
@@ -437,7 +386,15 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
                               {"scale": "eta", "transform": tr.label,
                                "degenerate": True})
 
-    est, _ = _equalizer_root(regret_eta, e_lo, e_hi)
+    def gap(d: float) -> float:
+        return regret_eta(e_hi, d) - regret_eta(e_lo, d)
+
+    if not gap(e_lo) >= 0 >= gap(e_hi):
+        raise ConvergenceError(
+            f"regret gap lost its sign change on [{e_lo}, {e_hi}]; the mean "
+            "function may not be strictly decreasing"
+        )
+    est, _ = _bisect(lambda d: gap(d) > 0, e_lo, e_hi, width=1e-15 * scale)
     r_lo = regret_eta(e_lo, est)
     r_hi = regret_eta(e_hi, est)
     return EstimateReport(

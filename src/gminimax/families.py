@@ -122,7 +122,7 @@ def require_in_support(fam: FamilySpec, theta: float, what: str = "theta") -> No
     """Raise DomainError unless theta lies strictly inside the support."""
     lo, hi = fam.support
     th = np.asarray(theta, dtype=float)
-    if np.any(~np.isfinite(th)) or np.any(th <= lo) or np.any(th >= hi):
+    if not ((th > lo) & (th < hi)).all():  # nan and +-inf fail too
         raise DomainError(
             f"{what}={theta!r} is outside the open support ({lo}, {hi}) "
             f"of family {fam.name}"
@@ -171,7 +171,7 @@ def fisher_info(fam: FamilySpec, theta):
     """Fisher information: the negated derivative of the mean function."""
     require_in_support(fam, theta)
     info = -np.asarray(fam.mean_deriv(theta), dtype=float)
-    if np.any(info <= 0.0) or np.any(~np.isfinite(info)):
+    if not ((info > 0.0) & (info < np.inf)).all():
         raise SpecificationError(
             f"family {fam.name} reports non-positive Fisher information at "
             f"theta={theta!r}; its mean function is not strictly decreasing there"

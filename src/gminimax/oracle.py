@@ -198,9 +198,10 @@ def _count_terms(logf, lo: int, hi: float):
     raise DomainError(f"the sampling model needs more than {n} terms to sum")
 
 
-def _log_partition(fam: FamilySpec, t: float) -> tuple[float, float]:
+def _log_partition(fam: FamilySpec, t: float, with_mean: bool = True):
     """log of the sum or integral of carrier*exp(-t*stat) over the sample
-    space, and the mean of stat under the normalized model."""
+    space, and the mean of stat under the normalized model (None on an
+    interval without ``with_mean``, which skips its quadrature)."""
     lo, hi, integers = fam.sample_space
 
     def logf(x):
@@ -211,8 +212,9 @@ def _log_partition(fam: FamilySpec, t: float) -> tuple[float, float]:
         m = float(lv.max())
         w = np.exp(lv - m)
         z, s1 = float(w.sum()), float(w @ np.asarray(fam.stat(ks), dtype=float))
-    elif math.isinf(lo) == math.isinf(hi):
-        _, m, (z, s1) = _peak_integrals(logf, lo, hi, None, fam.stat)
+        return m + math.log(z), s1 / z
+    if math.isinf(lo) == math.isinf(hi):
+        f, stat = logf, fam.stat
     else:
         # A half-line as x = end +- e^u: every scale of x is a shift in u.
         end, sign = (lo, 1.0) if math.isfinite(lo) else (hi, -1.0)
@@ -220,9 +222,10 @@ def _log_partition(fam: FamilySpec, t: float) -> tuple[float, float]:
         def x_of(u):
             return end + sign * np.exp(u)
 
-        _, m, (z, s1) = _peak_integrals(lambda u: logf(x_of(u)) + u, -math.inf,
-                                        math.inf, None, lambda u: fam.stat(x_of(u)))
-    return m + math.log(z), s1 / z
+        lo, hi = -math.inf, math.inf
+        f, stat = (lambda u: logf(x_of(u)) + u), (lambda u: fam.stat(x_of(u)))
+    _, m, (z, *s1) = _peak_integrals(f, lo, hi, None, *((stat,) if with_mean else ()))
+    return m + math.log(z), s1[0] / z if s1 else None
 
 
 def kl_quadrature(fam: FamilySpec, theta: float, delta: float) -> float:
@@ -243,5 +246,5 @@ def kl_quadrature(fam: FamilySpec, theta: float, delta: float) -> float:
         )
     theta, delta = float(theta), float(delta)
     log_z_theta, mean_stat = _log_partition(fam, theta)
-    log_z_delta, _ = _log_partition(fam, delta)
+    log_z_delta, _ = _log_partition(fam, delta, with_mean=False)
     return max((delta - theta) * mean_stat + log_z_delta - log_z_theta, 0.0)

@@ -298,8 +298,8 @@ def _quad_split(f, lo: float, hi: float, mid: float) -> float:
     tol = max(1e-8 * abs(total), 1e-9)
     if err_total > tol:
         raise ConvergenceError(
-            f"quadrature error estimate {err_total:.3e} exceeds {tol:.3e}; "
-            "the integrand is too wild or the prior is effectively improper"
+            f"quadrature error estimate {err_total:.3e} exceeds the "
+            f"tolerance {tol:.3e} on [{lo}, {hi}]"
         )
     return total
 
@@ -404,7 +404,8 @@ def predictive_mean_quadrature(fam: FamilySpec, prior: ConjugatePrior, x: float,
     posterior density (including the sqrt-Fisher factor for jcp priors).
     ``extra_log_weight`` multiplies one more density factor in, e.g. the
     Jacobian of a reparameterization when a conjugate class is
-    re-elicited on a transformed scale.
+    re-elicited on a transformed scale.  An integrand that grows like
+    distance^p, p <= -1, at a finite support end raises ProprietyError.
     """
     base_logf = _log_posterior_integrand(fam, prior, x)
     if extra_log_weight is None:
@@ -412,6 +413,17 @@ def predictive_mean_quadrature(fam: FamilySpec, prior: ConjugatePrior, x: float,
     else:
         def logf(th):
             return np.asarray(base_logf(th)) + np.asarray(extra_log_weight(th))
+    for end, inward in zip(fam.support, (1.0, -1.0)):
+        if math.isfinite(end):
+            th = end + inward * np.array([1e-12, 1e-9]) * max(1.0, abs(end))
+            with np.errstate(all="ignore"):
+                g = np.asarray(logf(th)) + np.log(np.abs(fam.mean(th)))
+            slope = (g[1] - g[0]) / math.log(1e3)
+            if slope <= -1.0:
+                raise ProprietyError(
+                    f"the posterior mean of the mean function diverges for "
+                    f"{fam.name} at x={x}: |mean| * density ~ distance^"
+                    f"{slope:.4g} at the support end {end}")
     _, _, (den, num) = _peak_integrals(logf, *fam.support, None, fam.mean)
     if den <= 0 or not math.isfinite(den):
         raise ConvergenceError(

@@ -354,12 +354,13 @@ class TestExitCodes:
         assert "overflows the float range" in lines[0]
 
     def test_round_off_near_the_diagonal(self, capsys):
+        # Where the closed form cancels the loss is integrated: (d - t)^2/2.
         got = run_json(capsys, ["loss", "--family", "normal", "--theta", "10000",
                                 "--delta", "10000.000000000002"])
-        assert got["loss"] == 0.0
-        rc, _, err = run_cli(capsys, ["prgm", "--family", "normal",
-                                      "--bounds", "10000:10000.000001"])
-        assert rc == 3 and "could not equalize" in err
+        assert got["loss"] == 1.6543612251060553e-24
+        got = run_json(capsys, ["prgm", "--family", "normal",
+                                "--bounds", "10000:10000.000001"])
+        assert got["estimate"] == 10000.0000005
 
     def test_missing_family_file(self, capsys):
         rc, _, err = run_cli(capsys, [
@@ -437,6 +438,9 @@ def scipy_modules():
 import gminimax
 from gminimax.cli import main
 after_import = scipy_modules()
+def polynomial_modules():
+    return sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))
+polynomial = polynomial_modules()
 commands = [
     ["bayes", "--family", "exponential", "--x", "2", "--prior", "a=2,l=1"],
     ["prgm", "--family", "exponential", "--x", "2", "--box", "a=1:3,l=1:2"],
@@ -453,6 +457,9 @@ for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
 after_cli = scipy_modules()
+# integrated, since the closed form cancels; scipy (below) loads numpy.polynomial
+gminimax.intrinsic_loss(gminimax.builtin_family("exponential"), 100.0, 100.00001)
+polynomial += polynomial_modules()
 
 from gminimax import (builtin_family, conjugate_prior, kl_quadrature,
                       predictive_mean_quadrature)
@@ -465,7 +472,8 @@ kl.update(kl_of(("normal", 0.3, 1.1), ("exponential", 2.0, 3.0)))
 after_kl = scipy_modules()
 fam = builtin_family("exponential")
 pm = predictive_mean_quadrature(fam, conjugate_prior(fam, 2.0, 1.0), 1.5)
-print(json.dumps(dict(after_import=after_import, after_cli=after_cli, codes=codes,
+print(json.dumps(dict(after_import=after_import, polynomial=polynomial,
+                      after_cli=after_cli, codes=codes,
                       after_sums=after_sums, after_kl=after_kl, kl=kl, pm=pm,
                       scipy_loaded="scipy.integrate" in sys.modules)))
 """
@@ -478,7 +486,8 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
 
 
 def test_closed_form_path_imports_no_scipy(tmp_path):
-    """numpy is the only scientific import until quadrature or an oracle runs."""
+    """numpy is the only scientific import until quadrature or an oracle runs;
+    the loss integrates near the diagonal without loading numpy.polynomial."""
     import os
     from pathlib import Path
 
@@ -493,6 +502,7 @@ def test_closed_form_path_imports_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["after_import"] == []
+    assert got["polynomial"] == []
     assert got["codes"] == [0] * 7
     assert got["after_cli"] == []
     # The KL oracle sums the count families without scipy, and on

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from gminimax import (
-    ConvergenceError,
     DomainError,
     FamilySpec,
     PriorBox,
+    ProprietyError,
     SpecificationError,
     bayes_estimate,
     builtin_family,
@@ -94,9 +94,10 @@ class TestWorstCaseBetweenBounds:
         with pytest.raises(DomainError):
             prgm_from_bounds(exponential, 2.0, 1.0)
 
-    def test_near_flat_mean_falls_back_to_root_finding(self):
-        # A family whose mean barely moves makes the closed form a 0/0;
-        # the bisection on the regret gap must take over.
+    def test_near_flat_mean_gives_the_midpoint(self):
+        # A family whose mean barely moves makes the mean-difference
+        # quotient a 0/0 and cancels the closed-form loss; the integrated
+        # loss does not.  I is constant, so the equalizer is the midpoint.
         eps = 1e-15
         flat = FamilySpec(
             name="near_flat",
@@ -108,13 +109,14 @@ class TestWorstCaseBetweenBounds:
             stat=lambda x: np.asarray(x, dtype=float),
         )
         rep = prgm_from_bounds(flat, 0.0, 1.0)
-        assert rep.method == "prgm_root_find"
-        assert 0.0 <= rep.estimate <= 1.0
+        assert rep.method == "prgm_closed_form"
+        assert rep.estimate == 0.5
+        assert rep.diagnostics["iterations"] == 0
 
-    def test_closed_form_failing_to_equalize_falls_back_to_root_finding(self):
-        # A shallow mean keeps the closed form well-conditioned enough to
-        # try, but its cancellation leaves the corner regrets unequal;
-        # the residual check must hand over to the bisection.
+    def test_shallow_mean_gives_the_exact_midpoint(self):
+        # The mean-difference quotient cancels here (mean ~ 1e3, slope
+        # 1e-9); the loss ratio does not.  I is constant, so the exact
+        # equalizer is the midpoint 1500.
         shallow = FamilySpec(
             name="shallow",
             support=(-math.inf, math.inf),
@@ -125,10 +127,10 @@ class TestWorstCaseBetweenBounds:
             stat=lambda x: np.asarray(x, dtype=float),
         )
         rep = prgm_from_bounds(shallow, 1000.0, 2000.0)
-        assert rep.method == "prgm_root_find"
-        assert rep.estimate == 1499.9998149178205
-        assert rep.diagnostics["iterations"] == 49
-        assert rep.diagnostics["residual"] == pytest.approx(5.82e-11, rel=1e-3)
+        assert rep.method == "prgm_closed_form"
+        assert rep.estimate == 1500.0
+        assert rep.diagnostics["iterations"] == 0
+        assert rep.diagnostics["residual"] == 0.0
 
 
 class TestBoxMinimax:
@@ -228,11 +230,19 @@ class TestFloatOverflow:
         with pytest.raises(DomainError, match="overflows the float range"):
             prgm_conjugate_box(normal, box, 1e300)
 
+    def test_underflowing_regrets_are_a_domain_error(self):
+        # At theta = 750 the poisson rate e^-750 underflows: both directed
+        # losses are 0.0, so their ratio names no action.
+        with pytest.raises(DomainError, match="outside the float range"):
+            prgm_from_bounds(builtin_family("poisson"), 750.0, 751.0)
+
     def test_narrow_bounds_do_not_blame_the_family(self, normal):
-        # Regrets of ~5e-13 are round-off at theta=1e4; the loss accepts
-        # them, and the equalizer reports its own failure.
-        with pytest.raises(ConvergenceError, match="could not equalize"):
-            prgm_from_bounds(normal, 1e4, 1e4 + 1e-6)
+        # Regrets of ~5e-13 are round-off for the closed form at
+        # theta=1e4; the integrated loss resolves them, and I is
+        # constant, so the answer is the midpoint.
+        rep = prgm_from_bounds(normal, 1e4, 1e4 + 1e-6)
+        assert rep.estimate == 10000.0000005
+        assert rep.diagnostics["degenerate"] is False
 
 
 class TestInvariantBoxMinimax:
@@ -324,6 +334,21 @@ class TestTransformedScaleSolve:
         assert rep_eta.estimate == pytest.approx(
             2.0 * rep_theta.estimate - 1.0, rel=1e-9
         )
+
+    @pytest.mark.parametrize("a_lo", [0.5, 1.0])
+    def test_infinite_posterior_mean_is_a_propriety_error(self, exponential, a_lo):
+        # Re-elicited on the reciprocal scale, the alpha = a_lo corner has
+        # |mean| * density ~ theta^(a_lo - 2) at 0: E[1/theta] diverges.
+        box = prior_box(exponential, a_lo, 2.0, 1.0, 2.0)
+        tr = make_transform("reciprocal", exponential)
+        with pytest.raises(ProprietyError, match="diverges .* support end 0.0"):
+            eta_scale_prgm(exponential, box, 2.0, tr)
+
+    def test_finite_posterior_mean_still_answers(self, exponential):
+        box = prior_box(exponential, 1.2, 2.0, 1.0, 2.0)
+        tr = make_transform("reciprocal", exponential)
+        rep = eta_scale_prgm(exponential, box, 2.0, tr)
+        assert rep.estimate == pytest.approx(8.96095140815369, rel=1e-12)
 
     def test_non_jcp_class_is_not_invariant(self, exponential):
         """Re-eliciting the plain conjugate class on the reciprocal scale

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from gminimax import priors
 from gminimax import (
     ConjugatePrior,
+    ConvergenceError,
     DomainError,
     GridSpec,
     SpecificationError,
@@ -178,6 +180,28 @@ class TestKLQuadrature:
         one = kl_quadrature(builtin_family("binomial(n=1)"), 0.3, -0.7)
         five = kl_quadrature(builtin_family("binomial(n=5)"), 0.3, -0.7)
         assert five == pytest.approx(5.0 * one, rel=1e-10)
+
+    @pytest.mark.parametrize("name", ["normal", "exponential"])
+    def test_three_quadratures_per_interval_call(self, name, monkeypatch):
+        # Z(theta) and E_theta[stat], then Z(delta) alone.
+        calls = []
+        quad_split = priors._quad_split
+
+        def counted(*args):
+            calls.append(args[1:])
+            return quad_split(*args)
+
+        monkeypatch.setattr(priors, "_quad_split", counted)
+        kl_quadrature(builtin_family(name), 2.0, 3.0)
+        assert len(calls) == 3
+
+    def test_quadrature_failure_states_what_it_measured(self, normal):
+        # Round-off in a log integrand of size theta^2/2; no prior involved.
+        with pytest.raises(ConvergenceError) as info:
+            kl_quadrature(normal, 3e4, 3e4 + 1.5)
+        message = str(info.value)
+        assert "exceeds the tolerance" in message and "[-inf, inf]" in message
+        assert "improper" not in message and "wild" not in message
 
     def test_zero_on_diagonal(self, poisson):
         assert kl_quadrature(poisson, 0.8, 0.8) == 0.0

@@ -10,6 +10,7 @@ from scipy.special import gammaln
 from gminimax import priors
 from gminimax import (
     ConjugatePrior,
+    ConvergenceError,
     DomainError,
     MixturePath,
     ProprietyError,
@@ -152,6 +153,28 @@ class TestPriorBox:
         with pytest.warns(UserWarning, match="declares no Jeffreys shift"):
             box = prior_box(fam, 1.0, 3.0, 1.0, 2.0, "jcp")
         assert box.flavor == "jcp"
+
+
+def test_quadrature_failure_blames_no_prior(normal):
+    # A proper prior; the error estimate is round-off at theta ~ 5e4.
+    with pytest.raises(ConvergenceError, match="exceeds the tolerance") as info:
+        predictive_mean_quadrature(normal, conjugate_prior(normal, 1.0, 0.0), -5e4)
+    assert "improper" not in str(info.value)
+
+
+def test_divergent_posterior_mean_is_improper(exponential):
+    # With one more factor 1/theta the posterior at x = 1 is Gamma(alpha + 1,
+    # rate 2), and |mean| * density ~ theta^(alpha - 1) at 0: alpha = 0
+    # diverges, alpha = 0.5 gives E[1/theta] = 2 / 0.5.
+    def weight(th):
+        return -np.log(th)
+
+    prior = conjugate_prior(exponential, 0.0, 1.0)
+    with pytest.raises(ProprietyError, match="diverges"):
+        predictive_mean_quadrature(exponential, prior, 1.0, extra_log_weight=weight)
+    prior = conjugate_prior(exponential, 0.5, 1.0)
+    got = predictive_mean_quadrature(exponential, prior, 1.0, extra_log_weight=weight)
+    assert got == pytest.approx(4.0, rel=1e-8)
 
 
 class TestMixtures:
