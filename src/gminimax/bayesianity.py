@@ -47,9 +47,7 @@ from .priors import (
     ConjugatePrior,
     MixturePath,
     PriorBox,
-    _log_prior_normalizer,
-    _log_posterior_integrand,
-    _peak_integrals,
+    _component_integrals,
     _quad_split,
     _weighted_integrand,
     mixture_components,
@@ -266,12 +264,8 @@ def perturbation_bound_check(fam: FamilySpec, prior: ConjugatePrior, x: float,
     """
     if eps <= 0 or width <= 0:
         raise SpecificationError("eps and width must be positive")
-    log_z = _log_prior_normalizer(fam, prior)
-    logf = _log_posterior_integrand(fam, prior, x)
     lo, hi = fam.support
-    mode, m_shift, (m_base, r_base) = _peak_integrals(logf, lo, hi, None, fam.mean)
-    m_base *= math.exp(m_shift - log_z)
-    r_base *= math.exp(m_shift - log_z)
+    mode, m_base, r_base = _component_integrals(fam, prior, x)
     psi = r_base / m_base
 
     # Likelihood-only integrals for the bound constants.

@@ -61,16 +61,12 @@ _CURVE_X = 2.0
 
 def _parse_range(text: str, what: str) -> tuple[float, float]:
     """"lo:hi" or a single number (degenerate range)."""
-    parts = text.split(":")
     try:
-        if len(parts) == 1:
-            v = float(parts[0])
-            return v, v
-        if len(parts) == 2:
-            lo, hi = float(parts[0]), float(parts[1])
-            return lo, hi
+        ends = [float(part) for part in text.split(":")]
     except ValueError:
-        pass
+        ends = []
+    if 1 <= len(ends) <= 2:
+        return ends[0], ends[-1]
     raise SpecificationError(f"cannot parse {what} range {text!r}; "
                              "expected 'lo:hi' or a single number")
 

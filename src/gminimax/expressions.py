@@ -18,8 +18,8 @@ position.  Evaluation is vectorized: variables may be numpy arrays.
 from __future__ import annotations
 
 import math
+import operator
 import re
-import warnings
 
 import numpy as np
 
@@ -36,52 +36,118 @@ _TOKEN_RE = re.compile(
 )
 
 _FUNCTIONS = {"exp": np.exp, "log": np.log}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": np.power}
 
 
 class Expression:
-    """Parsed expression: callable with keyword variables."""
+    """Parsed expression: callable with keyword variables.
+
+    The tree is compiled once into nested closures; a call converts each
+    of its variables to a float array once and runs the closures.
+    """
 
     def __init__(self, source: str, ast, variables: frozenset[str]):
         self.source = source
         self._ast = ast
         self.variables = variables
+        self._run = _compile(ast)
 
     def __call__(self, **env):
-        missing = self.variables - env.keys()
-        if missing:
+        try:
+            for name in self.variables:
+                env[name] = np.asarray(env[name], dtype=float)
+        except KeyError:
             raise SpecificationError(
                 f"expression {self.source!r} needs variable(s) "
-                f"{sorted(missing)}; got {sorted(env)}"
-            )
-        return _eval(self._ast, env)
+                f"{sorted(self.variables - env.keys())}; got {sorted(env)}"
+            ) from None
+        return self._run(env)
 
     def __repr__(self):
         return f"Expression({self.source!r})"
 
 
-def _eval(node, env):
+def _compile(node):
+    """Nested closures that compute the tree from a dict of float arrays."""
     kind = node[0]
     if kind == "num":
-        return node[1]
+        value = node[1]
+        return lambda env: value
     if kind == "var":
-        return np.asarray(env[node[1]], dtype=float)
+        name = node[1]
+        return lambda env: env[name]
+    if kind in ("neg", "call"):
+        fn = operator.neg if kind == "neg" else _FUNCTIONS[node[1]]
+        arg = _compile(node[-1])
+        return lambda env: fn(arg(env))
+    op, a, b = _BINARY[kind], _compile(node[1]), _compile(node[2])
+    return lambda env: op(a(env), b(env))
+
+
+# Tree builders for derivatives.  They fold the literals 0 and 1, and
+# sums and products of two literals (which round as the call would), so
+# a constant's zero derivative never meets an infinite cofactor and a
+# constant derivative stays a literal.
+_ZERO, _ONE = ("num", 0.0), ("num", 1.0)
+
+
+def _is(node, value: float) -> bool:
+    return node[0] == "num" and node[1] == value
+
+
+def _neg(a):
+    if a[0] == "num":
+        return ("num", -a[1])
+    return a[1] if a[0] == "neg" else ("neg", a)
+
+
+def _add(a, b, sign: float = 1.0):
+    if a[0] == b[0] == "num":
+        return ("num", a[1] + sign * b[1])
+    if _is(a, 0.0):
+        return b if sign > 0 else _neg(b)
+    return a if _is(b, 0.0) else ("+" if sign > 0 else "-", a, b)
+
+
+def _mul(a, b):
+    if _is(a, 0.0) or _is(b, 0.0):
+        return _ZERO
+    if a[0] == b[0] == "num":
+        return ("num", a[1] * b[1])
+    return b if _is(a, 1.0) else a if _is(b, 1.0) else ("*", a, b)
+
+
+def _div(a, b):
+    return a if _is(b, 1.0) or _is(a, 0.0) else ("/", a, b)
+
+
+def _pow(a, b):
+    return a if _is(b, 1.0) else ("^", a, b)
+
+
+def _derivative(node, var: str):
+    """Symbolic derivative of a parsed tree in ``var``, as a new tree."""
+    kind = node[0]
+    if kind in ("num", "var"):
+        return _ONE if node == ("var", var) else _ZERO
     if kind == "neg":
-        return -_eval(node[1], env)
+        return _neg(_derivative(node[1], var))
     if kind == "call":
-        return _FUNCTIONS[node[1]](_eval(node[2], env))
-    a = _eval(node[1], env)
-    b = _eval(node[2], env)
-    if kind == "+":
-        return a + b
-    if kind == "-":
-        return a - b
+        d = _derivative(node[2], var)
+        return _mul(node, d) if node[1] == "exp" else _div(d, node[2])
+    a, b = node[1], node[2]
+    da, db = _derivative(a, var), _derivative(b, var)
+    if kind in "+-":
+        return _add(da, db, 1.0 if kind == "+" else -1.0)
     if kind == "*":
-        return a * b
+        return _add(_mul(da, b), _mul(a, db))
     if kind == "/":
-        return a / b
-    if kind == "^":
-        return np.power(a, b)
-    raise AssertionError(f"unknown node {kind}")
+        return _div(_add(da, _mul(node, db), -1.0), b)  # (a' - (a/b)*b')/b
+    if _is(db, 0.0):  # a^c: c * a^(c-1) * a'
+        return _mul(_mul(b, _pow(a, _add(b, _ONE, -1.0))), da)
+    # a^b: a^b * (b' * log(a) + b * a'/a)
+    return _mul(node, _add(_mul(db, ("call", "log", a)), _mul(b, _div(da, a))))
 
 
 class _Parser:
@@ -97,12 +163,8 @@ class _Parser:
                     break
                 at = len(source) - len(stripped)
                 self._fail(at, f"unexpected character {source[at]!r}")
-            if m.group("num") is not None:
-                self.tokens.append(("num", m.group("num"), m.start("num")))
-            elif m.group("name") is not None:
-                self.tokens.append(("name", m.group("name"), m.start("name")))
-            else:
-                self.tokens.append(("op", m.group("op"), m.start("op")))
+            kind = m.lastgroup
+            self.tokens.append((kind, m.group(kind), m.start(kind)))
             pos = m.end()
         self.i = 0
         self.variables: set[str] = set()
@@ -124,12 +186,18 @@ class _Parser:
         self.i += 1
         return tok
 
-    def _expect_op(self, op: str):
+    def _accept(self, ops: str) -> str | None:
+        """Consume the next token if it is one of the operators ``ops``."""
         tok = self._peek()
-        if tok is None or tok[0] != "op" or tok[1] != op:
-            pos = tok[2] if tok else len(self.source)
-            self._fail(pos, f"expected {op!r}")
-        self.i += 1
+        if tok and tok[0] == "op" and tok[1] in ops:
+            self.i += 1
+            return tok[1]
+        return None
+
+    def _expect_op(self, op: str):
+        if not self._accept(op):
+            tok = self._peek()
+            self._fail(tok[2] if tok else len(self.source), f"expected {op!r}")
 
     def parse(self):
         node = self._expr()
@@ -138,56 +206,37 @@ class _Parser:
             self._fail(tok[2], f"trailing input starting with {tok[1]!r}")
         return node
 
+    def _chain(self, ops: str, operand):
+        node = operand()
+        while op := self._accept(ops):
+            node = (op, node, operand())
+        return node
+
     def _expr(self):
-        node = self._term()
-        while True:
-            tok = self._peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.i += 1
-                node = (tok[1], node, self._term())
-            else:
-                return node
+        return self._chain("+-", self._term)
 
     def _term(self):
-        node = self._unary()
-        while True:
-            tok = self._peek()
-            if tok and tok[0] == "op" and tok[1] in "*/":
-                self.i += 1
-                node = (tok[1], node, self._unary())
-            else:
-                return node
+        return self._chain("*/", self._unary)
 
     def _unary(self):
-        tok = self._peek()
-        if tok and tok[0] == "op" and tok[1] == "-":
-            self.i += 1
-            return ("neg", self._unary())
-        return self._power()
+        return ("neg", self._unary()) if self._accept("-") else self._power()
 
     def _power(self):
         base = self._atom()
-        tok = self._peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self.i += 1
-            return ("^", base, self._unary())
-        return base
+        return ("^", base, self._unary()) if self._accept("^") else base
 
     def _atom(self):
-        tok = self._next()
-        kind, text, pos = tok
+        kind, text, pos = self._next()
         if kind == "num":
             return ("num", float(text))
         if kind == "name":
-            nxt = self._peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "(":
+            if self._accept("("):
                 if text not in _FUNCTIONS:
                     self._fail(
                         pos,
                         f"unknown function {text!r} (only "
                         f"{sorted(_FUNCTIONS)} are available)",
                     )
-                self.i += 1
                 arg = self._expr()
                 self._expect_op(")")
                 return ("call", text, arg)
@@ -205,53 +254,65 @@ def parse_expression(source: str) -> Expression:
     if not isinstance(source, str) or not source.strip():
         raise SpecificationError("expression must be a nonempty string")
     parser = _Parser(source)
-    ast = parser.parse()
-    return Expression(source, ast, frozenset(parser.variables))
+    return Expression(source, parser.parse(), frozenset(parser.variables))
 
 
 # ---------------------------------------------------------------------------
 # Expression-defined families
 # ---------------------------------------------------------------------------
 
-_REQUIRED_KEYS = {"name", "support", "log_norm", "mean"}
-_OPTIONAL_KEYS = {"mean_deriv", "stat", "mean_range", "jeffreys_shift"}
+_REQUIRED_KEYS = {"name", "support", "log_norm"}
+_OPTIONAL_KEYS = {"mean", "mean_deriv", "stat", "mean_range", "jeffreys_shift"}
+_INFINITIES = {"inf": math.inf, "+inf": math.inf, "infinity": math.inf,
+               "-inf": -math.inf}
 
 
-def _endpoint(v, side: str) -> float:
+def _pair(value, key: str):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise SpecificationError(f"{key} must be a two-element list")
+    return value
+
+
+def _endpoint(v, unbounded: float) -> float:
     if v is None:
-        return -math.inf if side == "lo" else math.inf
+        return unbounded
     if isinstance(v, str):
-        s = v.strip().lower()
-        if s in ("inf", "+inf", "infinity"):
-            return math.inf
-        if s == "-inf":
-            return -math.inf
-        raise SpecificationError(f"bad support endpoint {v!r}")
+        if v.strip().lower() not in _INFINITIES:
+            raise SpecificationError(f"bad support endpoint {v!r}")
+        return _INFINITIES[v.strip().lower()]
     return float(v)
 
 
-def _theta_fn(expr: Expression, label: str):
-    extra = expr.variables - {"theta"}
+def _interval(value, key: str) -> tuple[float, float]:
+    lo, hi = _pair(value, key)
+    return _endpoint(lo, -math.inf), _endpoint(hi, math.inf)
+
+
+def _mapping(source, label: str, var: str = "theta",
+             antiderivative=None) -> Expression:
+    """Parse a mapping of ``var``; with no source, differentiate the antiderivative."""
+    if source is None and antiderivative is not None:
+        tree = _derivative(antiderivative._ast, var)
+        return Expression(f"d/d{var}({antiderivative.source})", tree,
+                          antiderivative.variables)
+    expr = parse_expression(source)
+    extra = expr.variables - {var}
     if extra:
         raise SpecificationError(
-            f"{label} may only use the variable 'theta'; found {sorted(extra)}"
+            f"{label} may only use the variable {var!r}; found {sorted(extra)}"
         )
-
-    def fn(th):
-        return expr(theta=th)
-
-    return fn
+    return expr
 
 
 def family_from_config(cfg: dict) -> FamilySpec:
     """Build and validate a family from a config mapping.
 
     Required keys: ``name``, ``support`` (two endpoints, ``null`` for
-    infinite), ``log_norm`` and ``mean`` (expressions in ``theta``).
-    Optional: ``mean_deriv`` (finite-differenced with a warning when
-    omitted), ``stat`` (expression in ``x``, default ``"x"``),
-    ``mean_range``, ``jeffreys_shift``.  The constructed family is
-    spot-checked; violations are reported as configuration errors.
+    infinite) and ``log_norm`` (an expression in ``theta``).  Optional:
+    ``mean`` and ``mean_deriv`` (the exact derivatives of ``log_norm``
+    and ``mean`` when omitted), ``stat`` (expression in ``x``, default
+    ``"x"``), ``mean_range``, ``jeffreys_shift``.  The constructed family
+    is spot-checked; violations are reported as configuration errors.
     """
     if not isinstance(cfg, dict):
         raise SpecificationError("family config must be a mapping")
@@ -265,61 +326,23 @@ def family_from_config(cfg: dict) -> FamilySpec:
     if missing:
         raise SpecificationError(f"family config missing key(s) {sorted(missing)}")
 
-    support_raw = cfg["support"]
-    if not isinstance(support_raw, (list, tuple)) or len(support_raw) != 2:
-        raise SpecificationError("support must be a two-element list")
-    support = (_endpoint(support_raw[0], "lo"), _endpoint(support_raw[1], "hi"))
+    support = _interval(cfg["support"], "support")
+    log_norm = _mapping(cfg["log_norm"], "log_norm")
+    mean = _mapping(cfg.get("mean"), "mean", antiderivative=log_norm)
+    mean_deriv = _mapping(cfg.get("mean_deriv"), "mean_deriv", antiderivative=mean)
+    stat = _mapping(cfg.get("stat") or "x", "stat", "x")
 
-    log_norm = _theta_fn(parse_expression(cfg["log_norm"]), "log_norm")
-    mean = _theta_fn(parse_expression(cfg["mean"]), "mean")
-
-    if "mean_deriv" in cfg and cfg["mean_deriv"] is not None:
-        mean_deriv = _theta_fn(parse_expression(cfg["mean_deriv"]), "mean_deriv")
-    else:
-        warnings.warn(
-            f"family {cfg['name']!r}: mean_deriv not supplied; using a "
-            "central finite difference of mean",
-            stacklevel=2,
-        )
-
-        def mean_deriv(th):
-            th = np.asarray(th, dtype=float)
-            h = 1e-6 * np.maximum(1.0, np.abs(th))
-            # keep both probe points strictly inside the support
-            if math.isfinite(support[0]):
-                h = np.minimum(h, 0.5 * (th - support[0]))
-            if math.isfinite(support[1]):
-                h = np.minimum(h, 0.5 * (support[1] - th))
-            return (np.asarray(mean(th + h)) - np.asarray(mean(th - h))) / (2 * h)
-
-    stat_expr = parse_expression(cfg.get("stat") or "x")
-    extra = stat_expr.variables - {"x"}
-    if extra:
-        raise SpecificationError(
-            f"stat may only use the variable 'x'; found {sorted(extra)}"
-        )
-
-    mean_range = None
-    if cfg.get("mean_range") is not None:
-        mr = cfg["mean_range"]
-        if not isinstance(mr, (list, tuple)) or len(mr) != 2:
-            raise SpecificationError("mean_range must be a two-element list")
-        mean_range = (_endpoint(mr[0], "lo"), _endpoint(mr[1], "hi"))
-
-    shift = None
-    if cfg.get("jeffreys_shift") is not None:
-        js = cfg["jeffreys_shift"]
-        if not isinstance(js, (list, tuple)) or len(js) != 2:
-            raise SpecificationError("jeffreys_shift must be a two-element list")
-        shift = (float(js[0]), float(js[1]))
+    mr, js = cfg.get("mean_range"), cfg.get("jeffreys_shift")
+    mean_range = None if mr is None else _interval(mr, "mean_range")
+    shift = None if js is None else tuple(map(float, _pair(js, "jeffreys_shift")))
 
     fam = FamilySpec(
         name=str(cfg["name"]),
         support=support,
-        log_norm=log_norm,
-        mean=mean,
-        mean_deriv=mean_deriv,
-        stat=lambda x: stat_expr(x=x),
+        log_norm=lambda th: log_norm(theta=th),
+        mean=lambda th: mean(theta=th),
+        mean_deriv=lambda th: mean_deriv(theta=th),
+        stat=lambda x: stat(x=x),
         mean_range=mean_range,
         jeffreys_shift=shift,
     )

@@ -336,15 +336,12 @@ def validate_family(fam: FamilySpec, n: int = 201) -> list[str]:
     h = 1e-6 * np.maximum(1.0, np.abs(grid))
     inner = (grid - h > fam.support[0]) & (grid + h < fam.support[1])
     g, hh = grid[inner], h[inner]
-    fd = (np.asarray(fam.mean(g + hh)) - np.asarray(fam.mean(g - hh))) / (2 * hh)
-    scale = np.maximum(1.0, np.abs(deriv[inner]))
-    if not np.all(np.abs(fd - deriv[inner]) <= 1e-4 * scale):
-        problems.append("mean_deriv disagrees with a finite difference of mean")
-
-    fd_mean = (np.asarray(fam.log_norm(g + hh)) - np.asarray(fam.log_norm(g - hh))) / (2 * hh)
-    scale = np.maximum(1.0, np.abs(mean_vals[inner]))
-    if not np.all(np.abs(fd_mean - mean_vals[inner]) <= 1e-4 * scale):
-        problems.append("mean disagrees with a finite difference of log_norm")
+    for f, df, name, of in ((fam.mean, deriv, "mean_deriv", "mean"),
+                            (fam.log_norm, mean_vals, "mean", "log_norm")):
+        fd = (np.asarray(f(g + hh)) - np.asarray(f(g - hh))) / (2 * hh)
+        scale = np.maximum(1.0, np.abs(df[inner]))
+        if not np.all(np.abs(fd - df[inner]) <= 1e-4 * scale):
+            problems.append(f"{name} disagrees with a finite difference of {of}")
 
     if fam.mean_inv is not None:
         back = np.array([float(fam.mean_inv(v)) for v in mean_vals])

@@ -432,14 +432,19 @@ def predictive_mean_quadrature(fam: FamilySpec, prior: ConjugatePrior, x: float,
     return num / den
 
 
-def _log_prior_normalizer(fam: FamilySpec, prior: ConjugatePrior) -> float:
-    _, m, (z,) = _peak_integrals(_log_weight(fam, prior), *fam.support, None)
+def _component_integrals(fam: FamilySpec, prior: ConjugatePrior, x: float):
+    """``(mode, ∫ likelihood * p, ∫ mean * likelihood * p)`` for the
+    normalized prior density p; mode is the posterior integrand's peak."""
+    _, m_prior, (z,) = _peak_integrals(_log_weight(fam, prior), *fam.support, None)
     if z <= 0 or not math.isfinite(z):
         raise ProprietyError(
             f"prior (alpha={prior.alpha}, lam={prior.lam}, {prior.flavor}) has "
             f"no finite normalizer for {fam.name}"
         )
-    return m + math.log(z)
+    logf = _log_posterior_integrand(fam, prior, x)
+    mode, m, (den, num) = _peak_integrals(logf, *fam.support, None, fam.mean)
+    scale = math.exp(m - (m_prior + math.log(z)))
+    return mode, den * scale, num * scale
 
 
 def mixture_components(fam: FamilySpec, path: MixturePath, x: float):
@@ -450,14 +455,8 @@ def mixture_components(fam: FamilySpec, path: MixturePath, x: float):
     (both up to one common factor constant in i, which cancels in the
     mixture ratio).
     """
-    out = []
-    for p in (path.p0, path.p1):
-        log_z = _log_prior_normalizer(fam, p)
-        logf = _log_posterior_integrand(fam, p, x)
-        _, m, (den, num) = _peak_integrals(logf, *fam.support, None, fam.mean)
-        scale = math.exp(m - log_z)
-        out.append((num * scale, den * scale))
-    (a0, b0), (a1, b1) = out
+    (_, b0, a0), (_, b1, a1) = (_component_integrals(fam, p, x)
+                                for p in (path.p0, path.p1))
     return a0, b0, a1, b1
 
 

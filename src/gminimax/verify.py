@@ -79,33 +79,33 @@ def _draw_sorted(rng, lo: float, hi: float) -> tuple[float, float]:
     return (float(min(a, b)), float(max(a, b)))
 
 
-def _draw_instance(rng, flavor: str = "standard"):
-    """Family, box, observation triple with guaranteed propriety."""
-    kind = ["normal", "exponential", "binomial", "poisson"][rng.integers(0, 4)]
-    if kind == "normal":
-        fam = builtin_family("normal_mean_unitvar")
+def _draw_box(rng, fam, flavor: str = "standard"):
+    """Box and observation for a built-in family, with guaranteed propriety."""
+    if fam.name == "normal_mean_unitvar":
         a_lo, a_hi = _draw_sorted(rng, -0.5, 3.0)
         l_lo, l_hi = _draw_sorted(rng, -2.0, 2.0)
         x = float(rng.uniform(-3.0, 3.0))
-    elif kind == "exponential":
-        fam = builtin_family("exponential_rate")
-        lo = 0.3 if flavor == "jcp" else -0.5
-        a_lo, a_hi = _draw_sorted(rng, lo, 3.0)
+    elif fam.name == "exponential_rate":
+        a_lo, a_hi = _draw_sorted(rng, 0.3 if flavor == "jcp" else -0.5, 3.0)
         l_lo, l_hi = _draw_sorted(rng, 0.1, 3.0)
         x = float(rng.uniform(0.2, 5.0))
-    elif kind == "binomial":
-        fam = builtin_family("binomial_logit(5)")
+    elif fam.name == "binomial_logit(5)":
         l_lo, l_hi = _draw_sorted(rng, 0.2, 2.0)
         a_lo = l_hi + float(rng.uniform(0.1, 1.0))
         a_hi = a_lo + float(rng.uniform(0.1, 3.0))
         x = float(rng.integers(0, 6))
     else:
-        fam = builtin_family("poisson_neglograte")
         a_lo, a_hi = _draw_sorted(rng, -0.5, 3.0)
         l_lo, l_hi = _draw_sorted(rng, 0.1, 3.0)
         x = float(rng.integers(0, 13))
-    box = PriorBox(fam, a_lo, a_hi, l_lo, l_hi, flavor)
-    return fam, box, x
+    return PriorBox(fam, a_lo, a_hi, l_lo, l_hi, flavor), x
+
+
+def _draw_instance(rng):
+    """Family, standard box, observation triple with guaranteed propriety."""
+    fam = builtin_family(["normal_mean_unitvar", "exponential_rate",
+                          "binomial_logit(5)", "poisson_neglograte"][rng.integers(0, 4)])
+    return (fam, *_draw_box(rng, fam))
 
 
 def minimax_suite(seed: int, n_instances: int = 100,
@@ -169,16 +169,7 @@ def invariance_suite(seed: int, n_instances: int = 25) -> list[CheckRecord]:
         fam = builtin_family(fam_name)
         tr = make_transform(tr_name, fam)
         for _ in range(n_instances):
-            if fam_name.startswith("binomial"):
-                l_lo, l_hi = _draw_sorted(rng, 0.2, 2.0)
-                a_lo = l_hi + float(rng.uniform(0.1, 1.0))
-                a_hi = a_lo + float(rng.uniform(0.1, 3.0))
-                x = float(rng.integers(0, 6))
-            else:
-                a_lo, a_hi = _draw_sorted(rng, 0.3, 3.0)
-                l_lo, l_hi = _draw_sorted(rng, 0.1, 3.0)
-                x = float(rng.uniform(0.2, 5.0))
-            box = PriorBox(fam, a_lo, a_hi, l_lo, l_hi, "jcp")
+            box, x = _draw_box(rng, fam, "jcp")
             theta_report = iprgm_jcp_box(fam, box, x)
             pushed = transport(theta_report, tr)
             native = eta_scale_prgm(fam, box, x, tr).estimate
@@ -222,12 +213,11 @@ def bayesianity_suite(seed: int, n_instances: int = 30) -> list[CheckRecord]:
         fam_name = ["exponential_rate", "normal_mean_unitvar",
                     "poisson_neglograte"][rng.integers(0, 3)]
         fam = builtin_family(fam_name)
+        alphas = rng.uniform(0.3, 3.0, size=2)
         if fam_name == "normal_mean_unitvar":
-            alphas = rng.uniform(0.3, 3.0, size=2)
             lams = rng.uniform(-1.5, 1.5, size=2)
             x = float(rng.uniform(-3.0, 3.0))
         else:
-            alphas = rng.uniform(0.3, 3.0, size=2)
             lams = rng.uniform(0.3, 3.0, size=2)
             x = float(rng.uniform(0.3, 4.0)) if fam_name == "exponential_rate" \
                 else float(rng.integers(1, 10))

@@ -1,9 +1,12 @@
 """Expression language and expression-defined families."""
 
 import json
+import warnings
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from gminimax import (
     ConjugatePrior,
@@ -12,12 +15,15 @@ from gminimax import (
     bayes_estimate,
     family_from_config,
     fisher_info,
+    intrinsic_loss,
     kl_quadrature,
     parse_expression,
     prgm_conjugate_box,
     prgm_from_bounds,
 )
 from gminimax.cli import main
+from gminimax.expressions import Expression, _derivative
+from gminimax.families import support_grid
 
 
 def ev(source, **env):
@@ -146,12 +152,28 @@ class TestFamilyFromConfig:
         assert fisher_info(fam, np.ones((2, 2))).shape == (2, 2)
         assert fisher_info(fam, 1.5) == 1.0
 
-    def test_missing_mean_deriv_warns_and_differences(self):
-        cfg = dict(name="fd_exp", support=[0, None], log_norm="log(theta)",
+    def test_omitted_mean_deriv_is_exact(self):
+        cfg = dict(name="exact_exp", support=[0, None], log_norm="log(theta)",
                    mean="1/theta")
-        with pytest.warns(UserWarning, match="finite difference"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             fam = family_from_config(cfg)
-        assert float(fam.mean_deriv(2.0)) == pytest.approx(-0.25, rel=1e-6)
+        assert float(fam.mean_deriv(2.0)) == -0.25
+        # a central difference clamped to theta/2 read 1.333e16 here
+        assert fisher_info(fam, 1e-8) == 1e16
+
+    def test_readme_config_without_derivatives_matches_builtin(self, exponential):
+        cfg = {k: v for k, v in EXP_CLONE.items() if k not in ("mean", "mean_deriv")}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fam = family_from_config(cfg)  # jeffreys_shift [-1, 0] holds exactly
+        for theta, delta in ((1.0, 1.0 + 1e-7), (100.0, 100.0 * (1.0 + 1e-7))):
+            got = intrinsic_loss(fam, theta, delta)
+            want = intrinsic_loss(exponential, theta, delta)
+            assert abs(got - want) <= np.spacing(want)
+        got = prgm_from_bounds(fam, 1.0, 2.0).estimate
+        want = prgm_from_bounds(exponential, 1.0, 2.0).estimate
+        assert abs(got - want) <= np.spacing(want)
 
     def test_custom_stat(self):
         cfg = dict(EXP_CLONE, name="stat_exp", stat="2*x")
@@ -165,7 +187,7 @@ class TestFamilyFromConfig:
 
     def test_missing_required_key(self):
         cfg = dict(EXP_CLONE)
-        del cfg["mean"]
+        del cfg["log_norm"]
         with pytest.raises(SpecificationError, match="missing"):
             family_from_config(cfg)
 
@@ -211,3 +233,108 @@ class TestFamilyFromConfig:
         cfg = dict(EXP_CLONE, name="bad_shift", jeffreys_shift=[-1, 0.25])
         with pytest.raises(SpecificationError, match="failed validation"):
             family_from_config(cfg)
+
+
+# Expression twins of the built-ins, with hand-written derivatives.
+TWINS = {
+    "normal": dict(
+        name="normal_twin", support=[None, None], log_norm="-theta^2/2",
+        mean="-theta", mean_deriv="0*theta - 1", stat="-x",
+        mean_range=[None, None], jeffreys_shift=[0, 0]),
+    "exponential": dict(
+        name="exponential_twin", support=[0, None], log_norm="log(theta)",
+        mean="1/theta", mean_deriv="-1/theta^2", mean_range=[0, None],
+        jeffreys_shift=[-1, 0]),
+    "binomial_logit(5)": dict(
+        name="binomial5_twin", support=[None, None],
+        log_norm="-5*log(1 + exp(-theta))", mean="5/(1 + exp(theta))",
+        mean_deriv="-5*exp(theta)/(1 + exp(theta))^2", mean_range=[0, 5],
+        jeffreys_shift=[0.2, 0.5]),
+    "poisson": dict(
+        name="poisson_twin", support=[None, None], log_norm="-exp(-theta)",
+        mean="exp(-theta)", mean_deriv="-exp(-theta)", mean_range=[0, None],
+        jeffreys_shift=[0, 0.5]),
+}
+
+
+def dual(node, env):
+    """(value, d/dtheta) of a parsed tree by forward-mode dual numbers."""
+    kind = node[0]
+    if kind == "num":
+        return np.float64(node[1]), np.float64(0.0)
+    if kind == "var":
+        return env[node[1]], np.float64(node[1] == "theta")
+    if kind == "neg":
+        u, du = dual(node[1], env)
+        return -u, -du
+    if kind == "call":
+        u, du = dual(node[2], env)
+        if node[1] == "exp":
+            return np.exp(u), np.exp(u) * du
+        return np.log(u), du / u
+    (u, du), (v, dv) = dual(node[1], env), dual(node[2], env)
+    if kind == "+":
+        return u + v, du + dv
+    if kind == "-":
+        return u - v, du - dv
+    if kind == "*":
+        return u * v, du * v + u * dv
+    if kind == "/":
+        return u / v, (du - u / v * dv) / v
+    p = np.power(u, v)
+    if dv == 0.0:
+        return p, v * np.power(u, v - 1.0) * du
+    return p, p * (dv * np.log(u) + v * (du / u))
+
+
+def _trees():
+    leaves = st.sampled_from(
+        [("var", "theta"), ("var", "x")]
+        + [("num", v) for v in (0.0, 0.5, 1.0, 2.0, 3.0)])
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.tuples(st.sampled_from("+-*/^"), sub, sub),
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.just("call"), st.sampled_from(["exp", "log"]), sub),
+    ), max_leaves=10)
+
+
+class TestDerivatives:
+    @pytest.mark.parametrize("key", sorted(TWINS))
+    def test_twins_derive_their_hand_written_derivatives(self, key):
+        cfg = TWINS[key]
+        derived_mean = family_from_config(
+            {k: v for k, v in cfg.items() if k != "mean"})
+        derived_deriv = family_from_config(
+            {k: v for k, v in cfg.items() if k != "mean_deriv"})
+        grid = support_grid(derived_mean)
+        for got, source in ((derived_mean.mean(grid), cfg["mean"]),
+                            (derived_deriv.mean_deriv(grid), cfg["mean_deriv"])):
+            want = parse_expression(source)(theta=grid)
+            got = np.broadcast_to(got, grid.shape)
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+
+    def test_constant_derivative_stays_a_literal(self):
+        tree = parse_expression("3*theta - 2")._ast
+        assert _derivative(tree, "theta") == ("num", 3.0)
+        assert _derivative(parse_expression("-theta^2/2")._ast, "theta") == (
+            "/", ("neg", ("*", ("num", 2.0), ("var", "theta"))), ("num", 2.0))
+
+    def test_zero_factor_never_meets_infinity(self):
+        # d/dtheta of 2*exp(theta) has no 0*inf term, even where exp overflows
+        tree = _derivative(parse_expression("2*exp(theta)")._ast, "theta")
+        with np.errstate(over="ignore"):
+            assert Expression("d", tree, frozenset({"theta"}))(theta=1000.0) == np.inf
+
+    @settings(max_examples=400, deadline=None)
+    @given(tree=_trees(), theta=st.floats(0.05, 4.0), x=st.floats(-2.0, 2.0))
+    def test_derivative_matches_dual_numbers(self, tree, theta, x):
+        env = {"theta": np.float64(theta), "x": np.float64(x)}
+        with np.errstate(all="ignore"):
+            want = dual(tree, env)[1]
+            try:
+                got = Expression("tree", _derivative(tree, "theta"),
+                                 frozenset(env))(**env)
+            except ZeroDivisionError:  # a literal-only subtree divides by zero
+                return
+        if np.isfinite(got) and np.isfinite(want):
+            assert abs(got - want) <= 1e-12 * max(abs(got), abs(want))
