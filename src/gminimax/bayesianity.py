@@ -291,10 +291,9 @@ def perturbation_bound_check(fam: FamilySpec, prior: ConjugatePrior, x: float,
     a, b = center - 8.0 * width, center + 8.0 * width
     a = max(a, lo) if math.isfinite(lo) else a
     b = min(b, hi) if math.isfinite(hi) else b
-    with np.errstate(over="ignore"):
-        d_r = _quad_split(lambda th: float(fam.mean(th)) * lik(th) * bump(th),
-                          a, b, center)
-        d_m = _quad_split(lambda th: lik(th) * bump(th), a, b, center)
+    d_r = _quad_split(lambda th: float(fam.mean(th)) * lik(th) * bump(th),
+                      a, b, center)
+    d_m = _quad_split(lambda th: lik(th) * bump(th), a, b, center)
     psi_pert = (r_base + eps * d_r) / (m_base + eps * d_m)
     observed = abs(psi_pert - psi)
     denom = m_base - eps * k2

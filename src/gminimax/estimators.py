@@ -376,9 +376,10 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
     theta_corners = _corner_bayes(fam, box, x, predictive)
     e_lo, e_hi = sorted(float(tr.forward(d)) for d in (min(theta_corners),
                                                        max(theta_corners)))
+    t_lo, t_hi = float(tr.inverse(e_lo)), float(tr.inverse(e_hi))
 
-    def regret_eta(m: float, d: float) -> float:
-        return posterior_regret(fam, float(tr.inverse(m)), float(tr.inverse(d)))
+    def regret_eta(t: float, d: float) -> float:
+        return posterior_regret(fam, t, float(tr.inverse(d)))
 
     scale = max(1.0, abs(e_lo), abs(e_hi))
     if e_hi - e_lo < DEGENERATE_REL_WIDTH * scale:
@@ -387,7 +388,7 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
                                "degenerate": True})
 
     def gap(d: float) -> float:
-        return regret_eta(e_hi, d) - regret_eta(e_lo, d)
+        return regret_eta(t_hi, d) - regret_eta(t_lo, d)
 
     if not gap(e_lo) >= 0 >= gap(e_hi):
         raise ConvergenceError(
@@ -395,8 +396,8 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
             "function may not be strictly decreasing"
         )
     est, _ = _bisect(lambda d: gap(d) > 0, e_lo, e_hi, width=1e-15 * scale)
-    r_lo = regret_eta(e_lo, est)
-    r_hi = regret_eta(e_hi, est)
+    r_lo = regret_eta(t_lo, est)
+    r_hi = regret_eta(t_hi, est)
     return EstimateReport(
         estimate=est,
         delta_lo=e_lo,

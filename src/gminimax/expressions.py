@@ -43,15 +43,20 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 class Expression:
     """Parsed expression: callable with keyword variables.
 
-    The tree is compiled once into nested closures; a call converts each
-    of its variables to a float array once and runs the closures.
+    The tree is compiled once into nested closures, with literal-only
+    subtrees folded to their values; a call converts each of its
+    variables to a float array once and runs the closures.
     """
 
     def __init__(self, source: str, ast, variables: frozenset[str]):
         self.source = source
-        self._ast = ast
+        try:
+            self._ast = _fold(ast)
+        except ZeroDivisionError:
+            raise SpecificationError(
+                f"expression {source!r} divides by zero in a literal term") from None
         self.variables = variables
-        self._run = _compile(ast)
+        self._run = _compile(self._ast)
 
     def __call__(self, **env):
         try:
@@ -83,6 +88,18 @@ def _compile(node):
         return lambda env: fn(arg(env))
     op, a, b = _BINARY[kind], _compile(node[1]), _compile(node[2])
     return lambda env: op(a(env), b(env))
+
+
+def _fold(node):
+    """The tree with each literal-only subtree replaced by its value."""
+    if node[0] in ("num", "var"):
+        return node
+    head = 2 if node[0] == "call" else 1
+    node = node[:head] + tuple(_fold(a) for a in node[head:])
+    if any(a[0] != "num" for a in node[head:]):
+        return node
+    with np.errstate(all="ignore"):  # inf and nan as a call would give
+        return ("num", float(_compile(node)({})))
 
 
 # Tree builders for derivatives.  They fold the literals 0 and 1, and

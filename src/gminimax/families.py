@@ -121,8 +121,12 @@ class FamilySpec:
 def require_in_support(fam: FamilySpec, theta: float, what: str = "theta") -> None:
     """Raise DomainError unless theta lies strictly inside the support."""
     lo, hi = fam.support
-    th = np.asarray(theta, dtype=float)
-    if not ((th > lo) & (th < hi)).all():  # nan and +-inf fail too
+    if isinstance(theta, float):
+        ok = lo < theta < hi  # nan and +-inf fail too
+    else:
+        th = np.asarray(theta, dtype=float)
+        ok = ((th > lo) & (th < hi)).all()
+    if not ok:
         raise DomainError(
             f"{what}={theta!r} is outside the open support ({lo}, {hi}) "
             f"of family {fam.name}"
@@ -425,8 +429,9 @@ def expit(t):
         return 1.0 / (1.0 + np.exp(-np.asarray(t, dtype=float)))
 
 
-# log Gamma, elementwise: the log factorials in the count carriers.
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
+def _lgamma(x):
+    """log Gamma, elementwise: the log factorials in the count carriers."""
+    return np.fromiter(map(math.lgamma, np.ravel(x).tolist()), float).reshape(np.shape(x))
 
 
 def _binomial_family(n: int) -> FamilySpec:

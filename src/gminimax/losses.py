@@ -16,6 +16,7 @@ linear-in-delta terms of the posterior risk cancel in the difference.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 import numpy as np
@@ -24,6 +25,8 @@ from .errors import DomainError
 from .families import FamilySpec, fisher_info, require_in_support
 
 __all__ = ["intrinsic_loss", "posterior_risk", "posterior_regret"]
+
+_EPS = float(np.finfo(float).eps)
 
 
 @cache
@@ -50,6 +53,16 @@ def intrinsic_loss(fam: FamilySpec, theta, delta):
     """
     require_in_support(fam, theta)
     require_in_support(fam, delta, what="delta")
+    if isinstance(theta, float) and isinstance(delta, float):
+        # Errors and near-diagonal pairs fall through to the array path.
+        th, de = float(theta), float(delta)
+        with np.errstate(all="ignore"):
+            psi_th, psi_de = float(fam.log_norm(th)), float(fam.log_norm(de))
+            lin = (de - th) * float(fam.mean(th))
+        val = psi_th - psi_de + lin
+        slack = 4.0 * _EPS * (abs(psi_th) + abs(psi_de) + abs(lin))
+        if -slack <= val < math.inf and not slack > 2.0 ** -38 * val:
+            return val
     th = np.asarray(theta, dtype=float)
     de = np.asarray(delta, dtype=float)
     with np.errstate(all="ignore"):
@@ -59,7 +72,7 @@ def intrinsic_loss(fam: FamilySpec, theta, delta):
         lin = dh * np.asarray(fam.mean(th))
         val = psi_th - psi_de + lin
         # Round-off bound of the sum; nan and +-inf fail the test too.
-        slack = 4.0 * np.finfo(float).eps * (abs(psi_th) + abs(psi_de) + abs(lin))
+        slack = 4.0 * _EPS * (abs(psi_th) + abs(psi_de) + abs(lin))
         ok = (val >= -slack) & (val < np.inf)
         if not ok.all():
             if not np.isfinite(val).all():

@@ -190,9 +190,11 @@ def sup_regret_corner_check(fam: FamilySpec, box: PriorBox, x: float,
 def _count_terms(logf, lo: int, hi: float):
     """The integers of [lo, hi] with their log terms.  An unbounded range
     is cut once the terms, past their peak, drop below e^-60 times it."""
+    ks = lv = np.empty(0)
     for n in 2 ** np.arange(6, 21):
-        ks = np.arange(lo, min(hi, lo + n - 1) + 1, dtype=float)
-        lv = np.asarray(logf(ks), dtype=float)
+        new = np.arange(lo + ks.size, min(hi, lo + n - 1) + 1, dtype=float)
+        ks = np.concatenate((ks, new))
+        lv = np.concatenate((lv, np.asarray(logf(new), dtype=float)))
         if ks[-1] == hi or lv[-1] < min(lv[-2], lv.max() - 60.0):
             return ks, lv
     raise DomainError(f"the sampling model needs more than {n} terms to sum")
@@ -205,7 +207,7 @@ def _log_partition(fam: FamilySpec, t: float, with_mean: bool = True):
     lo, hi, integers = fam.sample_space
 
     def logf(x):
-        return np.asarray(fam.log_carrier(x)) - t * np.asarray(fam.stat(x))
+        return fam.log_carrier(x) - t * fam.stat(x)
 
     if integers:
         ks, lv = _count_terms(logf, lo, hi)

@@ -288,7 +288,8 @@ def _quad_split(f, lo: float, hi: float, mid: float) -> float:
     mid = min(max(mid, lo), hi)
     total, err_total = 0.0, 0.0
     pieces = [(lo, mid), (mid, hi)] if lo < mid < hi else [(lo, hi)]
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore",
+                                                divide="ignore"):
         warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
         for a, b in pieces:
             val, err = integrate.quad(f, a, b, epsabs=QUAD_EPSABS,
@@ -313,16 +314,16 @@ _LOG_FLOOR = -745.0
 
 
 def _weighted_integrand(logf, shift: float, factor=None):
-    """Scalar integrand exp(logf(th) - shift) * factor(th), tail-safe."""
+    """Scalar integrand exp(logf(th) - shift) * factor(th), tail-safe.
+    ``_quad_split`` holds the floating-point error state around its calls."""
 
     def f(th: float) -> float:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            lv = float(logf(th)) - shift
-            if not lv > _LOG_FLOOR:  # nan, -inf, or deep underflow
-                return 0.0
-            v = math.exp(lv)
-            if factor is not None:
-                v *= float(factor(th))
+        lv = float(logf(th)) - shift
+        if not lv > _LOG_FLOOR:  # nan, -inf, or deep underflow
+            return 0.0
+        v = math.exp(lv)
+        if factor is not None:
+            v *= float(factor(th))
         return v
 
     return f
@@ -332,11 +333,10 @@ def _log_weight(fam: FamilySpec, prior: ConjugatePrior):
     """Log unnormalized prior density, vectorized over theta."""
 
     def logw(th):
-        th = np.asarray(th, dtype=float)
-        v = prior.alpha * np.asarray(fam.log_prior_base(th)) - prior.lam * th
+        th = th if isinstance(th, float) else np.asarray(th, dtype=float)
+        v = prior.alpha * fam.log_prior_base(th) - prior.lam * th
         if prior.flavor == "jcp":
-            info = -np.asarray(fam.mean_deriv(th), dtype=float)
-            v = v + 0.5 * np.log(info)
+            v = v + 0.5 * np.log(-fam.mean_deriv(th))
         return v
 
     return logw
@@ -349,8 +349,8 @@ def _log_posterior_integrand(fam: FamilySpec, prior: ConjugatePrior, x: float):
     logw = _log_weight(fam, prior)
 
     def logf(th):
-        th = np.asarray(th, dtype=float)
-        return np.asarray(fam.log_norm(th)) - th * r + logw(th)
+        th = th if isinstance(th, float) else np.asarray(th, dtype=float)
+        return fam.log_norm(th) - th * r + logw(th)
 
     return logf
 
@@ -412,7 +412,7 @@ def predictive_mean_quadrature(fam: FamilySpec, prior: ConjugatePrior, x: float,
         logf = base_logf
     else:
         def logf(th):
-            return np.asarray(base_logf(th)) + np.asarray(extra_log_weight(th))
+            return base_logf(th) + extra_log_weight(th)
     for end, inward in zip(fam.support, (1.0, -1.0)):
         if math.isfinite(end):
             th = end + inward * np.array([1e-12, 1e-9]) * max(1.0, abs(end))

@@ -417,6 +417,17 @@ class TestFamilyFile:
         ])
         assert payload["estimate"] == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
 
+    def test_literal_division_by_zero_is_a_configuration_error(self, capsys, tmp_path):
+        cfg = dict(name="z", support=[0, None], log_norm="log(theta) + 1/(1-1)")
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        rc, out, err = run_cli(capsys, [
+            "prgm", "--family-file", str(path), "--bounds", "0.5:1.5",
+        ])
+        assert (rc, out) == (2, "")
+        assert err == ("gminimax: configuration error: expression "
+                       "'log(theta) + 1/(1-1)' divides by zero in a literal term\n")
+
 
 def test_module_entry_point():
     proc = subprocess.run(

@@ -324,6 +324,17 @@ class TestTransformedScaleSolve:
         )
         assert rep_eta.diagnostics["scale"] == "eta"
 
+    @pytest.mark.parametrize("flavor,a_lo,bits", [
+        ("jcp", 1.0, "0x1.14ff58be0a23fp+1"),
+        ("standard", 1.5, "0x1.f10527d76504ap+1"),
+    ])
+    def test_estimate_bits_are_pinned(self, exponential, flavor, a_lo, bits):
+        # Pulling the extremes back once, scalar losses and the quadrature
+        # error state held per call must not move the bisection by an ulp.
+        box = prior_box(exponential, a_lo, 3.0, 1.0, 2.0, flavor)
+        tr = make_transform("reciprocal", exponential)
+        assert eta_scale_prgm(exponential, box, 2.0, tr).estimate.hex() == bits
+
     def test_affine_map_commutes_even_for_standard_boxes(self, normal):
         # Affine maps preserve the conjugate class itself, so even the
         # plain flavor must commute through them.

@@ -190,3 +190,31 @@ def test_require_in_support(exponential):
         require_in_support(exponential, -1.0)
     with pytest.raises(DomainError):
         require_in_support(exponential, float("nan"))
+
+
+def test_require_in_support_floats_and_arrays_agree(exponential):
+    # Floats take a comparison, everything else the array test; both
+    # accept and refuse the same values with the one message.
+    unit = dataclasses.replace(exponential, support=(0.0, 1.0))
+    for fam, bad in ((exponential, (math.nan, math.inf, -math.inf, 0.0, -2.0)),
+                     (unit, (math.nan, math.inf, -math.inf, 0.0, 1.0, 1.5))):
+        lo, hi = fam.support
+        for v in bad:
+            for theta in (v, np.float64(v), np.array(v), np.array([0.5, v])):
+                with pytest.raises(DomainError) as info:
+                    require_in_support(fam, theta, what="delta")
+                assert str(info.value) == (
+                    f"delta={theta!r} is outside the open support ({lo}, {hi}) "
+                    f"of family {fam.name}")
+        for theta in (0.5, np.float64(0.5), np.array(0.5), np.array([0.25, 0.75])):
+            require_in_support(fam, theta)
+
+
+def test_lgamma_is_elementwise_math_lgamma():
+    from gminimax.families import _lgamma
+
+    x = np.arange(1.0, 13.0).reshape(3, 4)
+    got = _lgamma(x)
+    assert got.shape == (3, 4)
+    assert got.tolist() == [[math.lgamma(v) for v in row] for row in x.tolist()]
+    assert np.shape(_lgamma(5.0)) == () and float(_lgamma(5.0)) == math.lgamma(5.0)

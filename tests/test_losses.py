@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import hypothesis.strategies as st
 import numpy as np
@@ -12,6 +13,7 @@ from scipy import integrate
 from gminimax import (
     DomainError,
     builtin_family,
+    family_from_config,
     intrinsic_loss,
     posterior_regret,
     posterior_risk,
@@ -140,7 +142,52 @@ def test_inconsistent_mean_is_still_refused(exponential):
     ("poisson", 1.0, -800.0), ("exponential", 1e-300, 1e300),
 ])
 def test_overflow_is_a_domain_error(name, theta, delta):
-    with pytest.raises(DomainError, match="overflows the float range"):
-        intrinsic_loss(builtin_family(name), theta, delta)
-    with pytest.raises(DomainError, match="overflows the float range"):
-        intrinsic_loss(builtin_family(name), theta, np.array([delta, theta]))
+    # Floats and arrays get the one message, from the one place that raises it.
+    fam = builtin_family(name)
+    for th, de in ((theta, delta), (np.array([theta]), np.array([delta])),
+                   (theta, np.array([delta, theta]))):
+        with pytest.raises(DomainError) as info:
+            intrinsic_loss(fam, th, de)
+        assert str(info.value) == (f"intrinsic loss for {fam.name} at theta={th!r}, "
+                                   f"delta={de!r} overflows the float range")
+
+
+# The float branch of intrinsic_loss must give the bits of the array path
+# on 0-d arrays, the path floats took before the branch existed.  (A
+# 1-element array is no reference: expit rounds scalars through math.exp,
+# so binomial_logit can differ from it in the last place on either path.)
+_BINOMIAL_TWIN = family_from_config({
+    "name": "binomial_twin", "support": [None, None],
+    "log_norm": "-5*log(1 + exp(-theta))", "mean": "5/(1 + exp(theta))",
+    "mean_deriv": "-5*exp(theta)/(1 + exp(theta))^2", "mean_range": [0, 5],
+})
+_FLOAT_PATH_CASES = [
+    (builtin_family("normal"), -1e3, 1e3),
+    (builtin_family("exponential"), 1e-3, 1e3),
+    (builtin_family("binomial_logit(5)"), -25.0, 25.0),
+    (builtin_family("poisson"), -6.0, 6.0),
+    (_BINOMIAL_TWIN, -25.0, 25.0),
+]
+
+
+@pytest.mark.parametrize("fam,lo,hi", _FLOAT_PATH_CASES,
+                         ids=[c[0].name for c in _FLOAT_PATH_CASES])
+@given(theta=st.floats(0.0, 1.0), step=st.one_of(
+    st.floats(-0.5, 0.5),                        # far from the diagonal
+    st.integers(-4096, 4096).map(lambda k: k * 2.0 ** -52),  # near it
+))
+@settings(max_examples=200, deadline=None)
+def test_float_path_matches_array_path(fam, lo, hi, theta, step):
+    theta = lo + theta * (hi - lo)
+    delta = theta + step * max(1.0, abs(theta))
+    if not lo <= delta <= hi:
+        delta = theta - step * max(1.0, abs(theta))
+    try:
+        want = float(intrinsic_loss(fam, np.array(theta), np.array(delta)))
+    except DomainError as exc:  # the float branch must fall through to it
+        with pytest.raises(DomainError, match=re.escape(str(exc).split(" at theta=")[0])):
+            intrinsic_loss(fam, theta, delta)
+        return
+    got = intrinsic_loss(fam, theta, delta)
+    assert type(got) is float
+    assert got.hex() == want.hex()

@@ -203,6 +203,14 @@ class TestKLQuadrature:
         assert "exceeds the tolerance" in message and "[-inf, inf]" in message
         assert "improper" not in message and "wild" not in message
 
+    def test_poisson_sum_over_several_doublings(self, poisson):
+        # A rate near 3000 needs 4096 terms: six doublings past the first
+        # 64, each evaluating only its new terms.  The bits are those of
+        # one pass over all the terms.
+        assert kl_quadrature(poisson, -8.0, -7.9) == float.fromhex("0x1.cd71c94be5f00p+3")
+        assert kl_quadrature(poisson, -8.0, -7.9) == pytest.approx(
+            intrinsic_loss(poisson, -8.0, -7.9), rel=1e-10)
+
     def test_zero_on_diagonal(self, poisson):
         assert kl_quadrature(poisson, 0.8, 0.8) == 0.0
 
