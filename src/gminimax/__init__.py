@@ -14,7 +14,6 @@ from .bayesianity import (
     data_independent_alpha_exponential_jcp,
     data_independent_alpha_normal,
     mixture_witness,
-    perturbation_bound_check,
 )
 from .errors import (
     ConvergenceError,
@@ -45,26 +44,22 @@ from .families import (
     support_grid,
     validate_family,
 )
-from .losses import intrinsic_loss, posterior_regret, posterior_risk
+from .losses import intrinsic_loss, posterior_regret
 from .oracle import (
     GridSpec,
     OracleResult,
     grid_minimax,
     kl_quadrature,
     regret_curve,
-    sup_regret_corner_check,
 )
 from .priors import (
     ConjugatePrior,
     MixturePath,
     PriorBox,
     conjugate_prior,
-    mixture_predictive_mean,
-    posterior,
     posterior_predictive_mean,
     predictive_mean_quadrature,
     prior_box,
-    prior_is_proper,
     to_standard,
 )
 from .verify import CheckRecord, run_suite
@@ -106,22 +101,16 @@ __all__ = [
     "kl_quadrature",
     "make_transform",
     "mean_inverse",
-    "mixture_predictive_mean",
     "mixture_witness",
     "parse_expression",
-    "perturbation_bound_check",
-    "posterior",
     "posterior_predictive_mean",
     "posterior_regret",
-    "posterior_risk",
     "predictive_mean_quadrature",
     "prgm_conjugate_box",
     "prgm_from_bounds",
     "prior_box",
-    "prior_is_proper",
     "regret_curve",
     "run_suite",
-    "sup_regret_corner_check",
     "support_grid",
     "to_standard",
     "transport",

@@ -24,8 +24,8 @@ constancy spread.
 
 The path witness takes its corner Bayes actions from the estimators'
 own corner sweep (``estimators._corner_bayes``), a jcp box is shifted
-only by ``priors.to_standard``, and every integral, the perturbation
-check's included, goes through the one quadrature routine in ``priors``.
+only by ``priors.to_standard``, and every integral goes through the one
+quadrature routine in ``priors``.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ from .priors import (
     ConjugatePrior,
     MixturePath,
     PriorBox,
-    _component_integrals,
-    _quad_split,
-    _weighted_integrand,
     mixture_components,
 )
 
@@ -61,7 +58,6 @@ __all__ = [
     "data_independent_alpha_normal",
     "data_independent_alpha_exponential",
     "data_independent_alpha_exponential_jcp",
-    "perturbation_bound_check",
 ]
 
 BOUNDARY_TOL = 1e-12
@@ -239,67 +235,3 @@ def data_independent_alpha_exponential_jcp(a1: float, a2: float) -> float:
     if a1 == a2:
         return a1
     return (a1 * a2 / (a1 - a2)) * math.log(a1 / a2)
-
-
-# ---------------------------------------------------------------------------
-# Sup-norm continuity of the posterior functional
-# ---------------------------------------------------------------------------
-
-
-def perturbation_bound_check(fam: FamilySpec, prior: ConjugatePrior, x: float,
-                             eps: float, center: float, width: float):
-    """Perturb a proper prior density by a bounded bump and compare the
-    observed change in the posterior mean functional with its bound.
-
-    With likelihood shape f(theta) (carrier dropped, it cancels), write
-    r = ∫ mean*f*pi and m = ∫ f*pi.  A density perturbation bounded by
-    eps in sup norm moves r by at most eps*K1 with K1 = ∫|mean|*f and m
-    by at most eps*K2 with K2 = ∫ f, hence
-
-        |Δ(r/m)| <= (eps*K1 + |r/m|*eps*K2) / (m - eps*K2).
-
-    Returns ``(observed, bound)`` using the bump
-    eps * sin(3u) * exp(-u^2), u = (theta - center)/width, whose sup
-    norm is below eps.
-    """
-    if eps <= 0 or width <= 0:
-        raise SpecificationError("eps and width must be positive")
-    lo, hi = fam.support
-    mode, m_base, r_base = _component_integrals(fam, prior, x)
-    psi = r_base / m_base
-
-    # Likelihood-only integrals for the bound constants.
-    r_stat = float(fam.stat(x))
-
-    def log_lik(th):
-        return np.asarray(fam.log_norm(th)) - np.asarray(th) * r_stat
-
-    lik = _weighted_integrand(log_lik, 0.0)
-    lik_mode = mean_inverse(fam, r_stat) if (
-        fam.mean_range is None or
-        fam.mean_range[0] < r_stat < fam.mean_range[1]
-    ) else mode
-    k1 = _quad_split(
-        _weighted_integrand(log_lik, 0.0, lambda th: abs(float(fam.mean(th)))),
-        lo, hi, lik_mode)
-    k2 = _quad_split(lik, lo, hi, lik_mode)
-
-    def bump(th: float) -> float:
-        u = (th - center) / width
-        return math.sin(3.0 * u) * math.exp(-u * u)
-
-    a, b = center - 8.0 * width, center + 8.0 * width
-    a = max(a, lo) if math.isfinite(lo) else a
-    b = min(b, hi) if math.isfinite(hi) else b
-    d_r = _quad_split(lambda th: float(fam.mean(th)) * lik(th) * bump(th),
-                      a, b, center)
-    d_m = _quad_split(lambda th: lik(th) * bump(th), a, b, center)
-    psi_pert = (r_base + eps * d_r) / (m_base + eps * d_m)
-    observed = abs(psi_pert - psi)
-    denom = m_base - eps * k2
-    if denom <= 0:
-        raise DomainError(
-            "perturbation too large: the bound denominator is not positive"
-        )
-    bound = (eps * k1 + abs(psi) * eps * k2) / denom
-    return observed, bound

@@ -40,7 +40,7 @@ from .expressions import family_from_config
 from .families import FamilySpec, builtin_family
 from .losses import intrinsic_loss
 from .oracle import GridSpec, regret_curve
-from .priors import PriorBox, conjugate_prior, prior_box
+from .priors import conjugate_prior, prior_box
 from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main", "build_parser", "DEFAULT_SEED"]
@@ -149,6 +149,12 @@ def _load_family(args) -> FamilySpec:
     return builtin_family(args.family)
 
 
+def _need_x(args, what: str) -> float:
+    if args.x is None:
+        raise SpecificationError(f"{what} needs --x")
+    return float(args.x)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -185,7 +191,7 @@ def cmd_prgm(args) -> int:
     elif args.box is not None:
         a_lo, a_hi, l_lo, l_hi = parse_box(args.box)
         box = prior_box(fam, a_lo, a_hi, l_lo, l_hi, "standard")
-        report = prgm_conjugate_box(fam, box, args.x_required("prgm --box"))
+        report = prgm_conjugate_box(fam, box, _need_x(args, "prgm --box"))
     else:
         raise SpecificationError("prgm needs --box (or --bounds)")
     _emit(_json_line(report.to_json_dict()), args.out)
@@ -196,7 +202,7 @@ def cmd_iprgm(args) -> int:
     fam = _load_family(args)
     a_lo, a_hi, l_lo, l_hi = parse_box(args.box)
     box = prior_box(fam, a_lo, a_hi, l_lo, l_hi, "jcp")
-    report = iprgm_jcp_box(fam, box, args.x_required("iprgm"))
+    report = iprgm_jcp_box(fam, box, args.x)
     payload = report.to_json_dict()
     if args.transform:
         tr = make_transform(args.transform, fam)
@@ -211,7 +217,7 @@ def cmd_certify(args) -> int:
     a_lo, a_hi, l_lo, l_hi = parse_box(args.box)
     box = prior_box(fam, a_lo, a_hi, l_lo, l_hi, args.flavor)
     if args.kind == "path":
-        x = args.x_required("certify --kind path")
+        x = _need_x(args, "certify --kind path")
         if box.flavor == "jcp":
             report = iprgm_jcp_box(fam, box, x)
         else:
@@ -259,7 +265,7 @@ def cmd_regret_curve(args) -> int:
     fam = _load_family(args)
     a_lo, a_hi, l_lo, l_hi = parse_box(args.box)
     box = prior_box(fam, a_lo, a_hi, l_lo, l_hi, args.flavor)
-    x = args.x_required("regret-curve")
+    x = args.x
     grid = GridSpec(n_delta=args.grid_n)
     if args.format == "csv":
         _emit(_curve_csv(fam, box, x, grid), args.out)
@@ -333,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True, help="observation")
     p.add_argument("--prior", required=True, help="hyper-parameters, a=2,l=1")
     p.add_argument("--flavor", choices=["standard", "jcp"], default="standard")
-    p.add_argument("--format", choices=["json"], default="json")
     _add_out_flag(p)
     p.set_defaults(func=cmd_bayes)
 
@@ -345,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "(a0=/l0= pin an edge)")
     p.add_argument("--bounds", help="skip the box: give the two extreme Bayes "
                    "actions directly as lo:hi")
-    p.add_argument("--format", choices=["json"], default="json")
     _add_out_flag(p)
     p.set_defaults(func=cmd_prgm)
 
@@ -358,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transform", help="also report the estimate pushed "
                    "through a catalog map: reciprocal, log, "
                    "neg_log_over_a(a), affine(a,b), logit_to_p")
-    p.add_argument("--format", choices=["json"], default="json")
     _add_out_flag(p)
     p.set_defaults(func=cmd_iprgm)
 
@@ -372,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="path")
     p.add_argument("--x-grid", help="lo:hi:n observation grid for "
                    "data_independent certificates")
-    p.add_argument("--format", choices=["json"], default="json")
     _add_out_flag(p)
     p.set_defaults(func=cmd_certify)
 
@@ -380,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--format", choices=["json"], default="json")
     _add_out_flag(p)
     p.set_defaults(func=cmd_loss)
 
@@ -414,14 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _x_required_factory(args):
-    def x_required(what: str) -> float:
-        if args.x is None:
-            raise SpecificationError(f"{what} needs --x")
-        return float(args.x)
-    return x_required
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -429,7 +422,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         code = exc.code
         return code if isinstance(code, int) else 2
-    args.x_required = _x_required_factory(args)
     try:
         return args.func(args)
     except (SpecificationError, ProprietyError, DomainError) as exc:

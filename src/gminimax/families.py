@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -74,7 +74,6 @@ class FamilySpec:
     prior_rule:      human-readable statement of that predicate.
     posterior_ok:    predicate on ``(alpha, lam, x)`` for a proper
                      posterior with a finite posterior mean of ``mean``.
-    meta:            family-specific extras (e.g. ``{"n": 5}``).
     log_carrier:     log of ``carrier(x)``, vectorized in x.
     sample_space:    ``(lo, hi, integers)``: observations lie in [lo, hi],
                      on its integers (lo finite) when ``integers`` is true.
@@ -98,7 +97,6 @@ class FamilySpec:
     prior_ok: Callable[[float, float], bool] | None = None
     prior_rule: str = ""
     posterior_ok: Callable[[float, float, float], bool] | None = None
-    meta: dict = field(default_factory=dict)
     log_carrier: Callable | None = None
     sample_space: tuple[float, float, bool] | None = None
     prior_proper: Callable[[float, float], bool] | None = None
@@ -250,8 +248,7 @@ def _bisect(above: Callable[[float], bool | None], a: float, b: float,
     return 0.5 * (a + b), steps
 
 
-def mean_inverse(fam: FamilySpec, t: float, rtol: float = INVERT_RTOL,
-                 atol: float = INVERT_ATOL) -> float:
+def mean_inverse(fam: FamilySpec, t: float) -> float:
     """Solve mean(theta) = t for theta.
 
     Uses the family's analytic inverse when present, otherwise bisection
@@ -274,7 +271,7 @@ def mean_inverse(fam: FamilySpec, t: float, rtol: float = INVERT_RTOL,
         return theta
 
     a, b = _expand_bracket(fam, t)
-    tol = rtol * abs(t) + atol
+    tol = INVERT_RTOL * abs(t) + INVERT_ATOL
     best, best_res = a, abs(float(fam.mean(a)) - t)
 
     def above(mid: float) -> bool | None:
@@ -463,7 +460,6 @@ def _binomial_family(n: int) -> FamilySpec:
             "success probability; strict propriety is checked per observation)"
         ),
         posterior_ok=lambda a, lam, x: lam + x > 0.0 and a + nf - lam - x > 0.0,
-        meta={"n": n},
         log_carrier=lambda x: (math.lgamma(nf + 1.0) - _lgamma(x + 1.0)
                                - _lgamma(nf - x + 1.0)),
         sample_space=(0, n, True),
@@ -579,11 +575,12 @@ def check_observation(fam: FamilySpec, x: float) -> None:
 
 def check_posterior_ok(fam: FamilySpec, alpha: float, lam: float, x: float) -> None:
     """Raise DomainError for an impossible observation, ProprietyError if
-    the posterior at x would be improper."""
+    the posterior at x would be improper.  Every family, a custom one
+    included, needs ``alpha + obs_units > 0``: the closed-form posterior
+    mean divides by it."""
     check_observation(fam, x)
-    if fam.posterior_ok is None:
-        return
-    if not fam.posterior_ok(alpha, lam, x):
+    ok = fam.posterior_ok is None or fam.posterior_ok(alpha, lam, x)
+    if not (ok and alpha + fam.obs_units > 0):
         raise ProprietyError(
             f"observation x={x} with (alpha={alpha}, lambda={lam}) gives an "
             f"improper posterior (or infinite posterior mean) for {fam.name}"

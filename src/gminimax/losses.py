@@ -1,4 +1,4 @@
-r"""Intrinsic (Kullback-Leibler) loss and its posterior quantities.
+r"""Intrinsic (Kullback-Leibler) loss and posterior regret.
 
 For the families in :mod:`gminimax.families` the KL divergence between
 the models labelled ``theta`` and ``delta`` collapses to
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError
 from .families import FamilySpec, fisher_info, require_in_support
 
-__all__ = ["intrinsic_loss", "posterior_risk", "posterior_regret"]
+__all__ = ["intrinsic_loss", "posterior_regret"]
 
 _EPS = float(np.finfo(float).eps)
 
@@ -87,28 +87,10 @@ def intrinsic_loss(fam: FamilySpec, theta, delta):
         # Integrate where rounding may have cost the closed form 38 bits.
         near = slack > 2.0 ** -38 * val
         if near.any():
+            near &= dh != 0  # a zero-width integral is the closed form's 0
             (u, w), val, h = _kl_rule(), np.array(val), dh[near]
             nodes = np.broadcast_to(th, dh.shape)[near, None] + h[:, None] * u
             val[near] = h * h * (fisher_info(fam, nodes) @ w)
-    if np.ndim(val) == 0:
-        return float(val)
-    return val
-
-
-def posterior_risk(fam: FamilySpec, delta, e_log_norm: float, e_mean: float,
-                   e_theta_mean: float):
-    """Expected intrinsic loss of action ``delta`` under a posterior.
-
-    The caller supplies the three posterior expectations it depends on:
-    ``E[log_norm(theta)]``, ``E[mean(theta)]`` and ``E[theta*mean(theta)]``.
-    Risk is then an affine function of ``(log_norm(delta), delta)``:
-
-        r(delta) = E[log_norm] - log_norm(delta) + delta*E[mean]
-                   - E[theta*mean].
-    """
-    require_in_support(fam, delta, what="delta")
-    de = np.asarray(delta, dtype=float)
-    val = e_log_norm - np.asarray(fam.log_norm(de)) + de * e_mean - e_theta_mean
     if np.ndim(val) == 0:
         return float(val)
     return val

@@ -30,7 +30,6 @@ __all__ = [
     "grid_minimax",
     "regret_curve",
     "kl_quadrature",
-    "sup_regret_corner_check",
 ]
 
 CORNER_TOL = 1e-12
@@ -161,26 +160,6 @@ def regret_curve(fam: FamilySpec, box: PriorBox, x: float,
         else:
             labels.append("interior")
     return deltas, sup, labels
-
-
-def sup_regret_corner_check(fam: FamilySpec, box: PriorBox, x: float,
-                            delta: float, n_corner: int = 9):
-    """Verify the worst case over a lattice sits at an extreme estimate.
-
-    Returns ``(which, violation)``: the extreme ("lo" or "hi") attaining
-    the supremum at ``delta`` and the amount by which any interior
-    lattice point exceeded it (nonpositive means dominance held).
-    """
-    require_in_support(fam, delta, what="delta")
-    lattice = _lattice_estimates(fam, box, x, n_corner)
-    regs = np.asarray(
-        [posterior_regret(fam, float(b), float(delta)) for b in lattice]
-    )
-    r_lo = regs[int(np.argmin(lattice))]
-    r_hi = regs[int(np.argmax(lattice))]
-    violation = float(np.max(regs) - max(r_lo, r_hi))
-    which = "lo" if r_lo >= r_hi else "hi"
-    return which, violation
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ProprietyError, SpecificationError
+from .errors import ConvergenceError, ProprietyError, SpecificationError
 from .families import (
     FamilySpec,
     check_observation,
@@ -45,12 +45,10 @@ __all__ = [
     "MixturePath",
     "conjugate_prior",
     "to_standard",
-    "posterior",
     "posterior_predictive_mean",
+    "prior_box",
     "predictive_mean_quadrature",
-    "mixture_predictive_mean",
     "mixture_components",
-    "prior_is_proper",
 ]
 
 FLAVORS = ("standard", "jcp")
@@ -121,30 +119,14 @@ def to_standard(prior: ConjugatePrior) -> ConjugatePrior:
                           prior.lam + shift[1], "standard")
 
 
-def posterior(fam: FamilySpec, prior: ConjugatePrior, x: float) -> ConjugatePrior:
-    """Conjugate update after observing ``x``.
-
-    Returns a standard-flavor prior with ``alpha + obs_units`` and
-    ``lambda + stat(x)``; jcp priors are first routed through
-    :func:`to_standard`.  Rejects updates whose posterior would be
-    improper or lack a finite posterior mean of the mean function.
-    """
-    std = to_standard(prior)
-    check_posterior_ok(fam, std.alpha, std.lam, float(x))
-    return ConjugatePrior(
-        fam,
-        std.alpha + fam.obs_units,
-        std.lam + float(fam.stat(x)),
-        "standard",
-    )
-
-
 def posterior_predictive_mean(fam: FamilySpec, prior: ConjugatePrior, x: float) -> float:
     """Closed-form posterior expectation of the mean function.
 
-    Equals the predictive expectation of the sufficient statistic of one
-    fresh observation, ``obs_units * (lambda + stat(x)) / (alpha + obs_units)``
-    in standard-flavor hyper-parameters.
+    The conjugate update takes the standard-flavor ``(alpha, lambda)`` to
+    ``(alpha + obs_units, lambda + stat(x))``; the result is the predictive
+    expectation of the sufficient statistic of one fresh observation,
+    ``obs_units * (lambda + stat(x)) / (alpha + obs_units)``.  Rejects
+    updates whose posterior would be improper.
     """
     std = to_standard(prior)
     r = float(fam.stat(x))
@@ -208,9 +190,6 @@ class PriorBox:
             ConjugatePrior(self.fam, self.alpha_hi, self.lam_hi, self.flavor))
         return PriorBox(self.fam, lo.alpha, hi.alpha, lo.lam, hi.lam, "standard")
 
-    def is_point(self) -> bool:
-        return self.alpha_lo == self.alpha_hi and self.lam_lo == self.lam_hi
-
 
 def prior_box(fam: FamilySpec, alpha_lo: float, alpha_hi: float,
               lam_lo: float, lam_hi: float, flavor: str = "standard") -> PriorBox:
@@ -226,23 +205,9 @@ def prior_box(fam: FamilySpec, alpha_lo: float, alpha_hi: float,
     return box
 
 
-__all__.append("prior_box")
-
-
 # ---------------------------------------------------------------------------
 # Mixtures of two priors
 # ---------------------------------------------------------------------------
-
-
-def prior_is_proper(fam: FamilySpec, alpha: float, lam: float) -> bool:
-    """Whether the standard-flavor prior itself (no data) is integrable.
-
-    Stricter than the usability predicate: a flat normal prior has
-    proper posteriors but is not itself a distribution, so it cannot be
-    a mixture component.  A family without ``prior_proper`` (a custom
-    one) has no proper prior here.
-    """
-    return fam.prior_proper is not None and bool(fam.prior_proper(alpha, lam))
 
 
 @dataclass(frozen=True)
@@ -250,7 +215,9 @@ class MixturePath:
     """Segment of two-point mixtures t*p0 + (1-t)*p1, t in [0, 1].
 
     Both components must be proper distributions over the same family,
-    otherwise the mixture weights are meaningless.
+    otherwise the mixture weights are meaningless.  A family without
+    ``prior_proper`` (a custom one) has no proper prior here; a flat
+    normal prior has proper posteriors but is not itself a distribution.
     """
 
     p0: ConjugatePrior
@@ -264,7 +231,8 @@ class MixturePath:
             )
         for tag, p in (("p0", self.p0), ("p1", self.p1)):
             std = to_standard(p)
-            if not prior_is_proper(p.fam, std.alpha, std.lam):
+            proper = p.fam.prior_proper
+            if proper is None or not proper(std.alpha, std.lam):
                 raise ProprietyError(
                     f"mixture component {tag} (alpha={p.alpha}, lam={p.lam}, "
                     f"flavor={p.flavor}) is not a proper distribution for "
@@ -432,46 +400,24 @@ def predictive_mean_quadrature(fam: FamilySpec, prior: ConjugatePrior, x: float,
     return num / den
 
 
-def _component_integrals(fam: FamilySpec, prior: ConjugatePrior, x: float):
-    """``(mode, ∫ likelihood * p, ∫ mean * likelihood * p)`` for the
-    normalized prior density p; mode is the posterior integrand's peak."""
-    _, m_prior, (z,) = _peak_integrals(_log_weight(fam, prior), *fam.support, None)
-    if z <= 0 or not math.isfinite(z):
-        raise ProprietyError(
-            f"prior (alpha={prior.alpha}, lam={prior.lam}, {prior.flavor}) has "
-            f"no finite normalizer for {fam.name}"
-        )
-    logf = _log_posterior_integrand(fam, prior, x)
-    mode, m, (den, num) = _peak_integrals(logf, *fam.support, None, fam.mean)
-    scale = math.exp(m - (m_prior + math.log(z)))
-    return mode, den * scale, num * scale
-
-
 def mixture_components(fam: FamilySpec, path: MixturePath, x: float):
     """Per-component integrals feeding the mixture posterior mean.
 
     For each normalized component density p_i returns
     ``A_i = ∫ mean * likelihood * p_i`` and ``B_i = ∫ likelihood * p_i``
     (both up to one common factor constant in i, which cancels in the
-    mixture ratio).
+    mixture ratio), as ``(A_0, B_0, A_1, B_1)``.
     """
-    (_, b0, a0), (_, b1, a1) = (_component_integrals(fam, p, x)
-                                for p in (path.p0, path.p1))
-    return a0, b0, a1, b1
-
-
-def mixture_predictive_mean(fam: FamilySpec, path: MixturePath, x: float,
-                            t: float) -> float:
-    """Posterior expectation of the mean function under t*p0 + (1-t)*p1.
-
-    At t=0 and t=1 this collapses to the single-component value; in
-    between it is a continuous rational function of t.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"mixture weight t={t} must lie in [0, 1]")
-    a0, b0, a1, b1 = mixture_components(fam, path, x)
-    num = t * a0 + (1.0 - t) * a1
-    den = t * b0 + (1.0 - t) * b1
-    if den <= 0 or not math.isfinite(den):
-        raise ConvergenceError("mixture marginal likelihood is not positive")
-    return num / den
+    out = []
+    for prior in (path.p0, path.p1):
+        _, m_prior, (z,) = _peak_integrals(_log_weight(fam, prior), *fam.support, None)
+        if z <= 0 or not math.isfinite(z):
+            raise ProprietyError(
+                f"prior (alpha={prior.alpha}, lam={prior.lam}, {prior.flavor}) has "
+                f"no finite normalizer for {fam.name}"
+            )
+        logf = _log_posterior_integrand(fam, prior, x)
+        _, m, (den, num) = _peak_integrals(logf, *fam.support, None, fam.mean)
+        scale = math.exp(m - (m_prior + math.log(z)))
+        out += [num * scale, den * scale]
+    return tuple(out)

@@ -36,7 +36,6 @@ from gminimax import (
     prgm_conjugate_box,
     prgm_from_bounds,
     prior_box,
-    sup_regret_corner_check,
     transport,
 )
 
@@ -195,7 +194,7 @@ def draw_box(rng, fam, flavor):
         l2 = l1 + rng.uniform(0.1, 2.0)
         x = float(rng.uniform(0.2, 5.0))
     elif name.startswith("binomial"):
-        n = int(fam.meta["n"])
+        n = int(fam.obs_units)
         l1 = rng.uniform(0.2, 1.5)
         l2 = l1 + rng.uniform(0.1, 1.0)
         a1 = l2 + rng.uniform(0.1, 1.0)
@@ -444,9 +443,6 @@ class TestCornerDominance:
             box, x = draw_box(rng, fam, "standard")
             res = grid_minimax(fam, box, x)
             assert res.corner_violation <= CORNER_TOL
-            which, violation = sup_regret_corner_check(fam, box, x, res.argmin)
-            assert which in ("lo", "hi")
-            assert violation <= CORNER_TOL
 
 
 RECORD_FIELDS = {"bound", "check", "index", "note", "passed", "suite", "value"}
@@ -472,6 +468,7 @@ class TestVerifyCommandContract:
         assert summary["n_failed"] == 0
         assert summary["passed"] is True
         assert summary["n_checks"] == len(records) - 1
+        assert summary["n_checks"] == 593  # a dropped or added record is named
         for rec in records[:-1]:
             assert set(rec) == RECORD_FIELDS
             assert isinstance(rec["passed"], bool) and rec["passed"]

@@ -19,7 +19,6 @@ from gminimax import (
     data_independent_alpha_normal,
     iprgm_jcp_box,
     mixture_witness,
-    perturbation_bound_check,
     prgm_conjugate_box,
     prior_box,
 )
@@ -214,42 +213,3 @@ class TestDataIndependentAlpha:
         box = prior_box(normal, 1.0, 3.0, 0.5, 0.5)
         with pytest.raises(DomainError, match="undetermined"):
             data_independent_alpha(normal, box, [0.5])
-
-
-class TestPerturbationBound:
-    @pytest.mark.parametrize(
-        "name,alpha,lam,x,center,width",
-        [
-            ("exponential_rate", 2.0, 1.0, 3.0, 0.75, 0.3),
-            ("normal_mean_unitvar", 1.0, 0.5, 0.3, -0.2, 0.5),
-        ],
-    )
-    def test_observed_change_within_bound(self, name, alpha, lam, x,
-                                          center, width):
-        from gminimax import builtin_family
-
-        fam = builtin_family(name)
-        prior = ConjugatePrior(fam, alpha, lam)
-        observed, bound = perturbation_bound_check(
-            fam, prior, x, eps=1e-4, center=center, width=width
-        )
-        assert observed <= bound
-        assert bound < 1.0  # small eps, small move
-
-    def test_bound_shrinks_with_eps(self, exponential):
-        prior = ConjugatePrior(exponential, 2.0, 1.0)
-        _, b_small = perturbation_bound_check(
-            exponential, prior, 3.0, eps=1e-6, center=0.75, width=0.3
-        )
-        _, b_large = perturbation_bound_check(
-            exponential, prior, 3.0, eps=1e-3, center=0.75, width=0.3
-        )
-        assert b_small < b_large
-
-    @pytest.mark.parametrize("eps,width", [(0.0, 0.3), (-1e-3, 0.3), (1e-4, 0.0)])
-    def test_rejects_degenerate_bump(self, exponential, eps, width):
-        prior = ConjugatePrior(exponential, 2.0, 1.0)
-        with pytest.raises(SpecificationError):
-            perturbation_bound_check(
-                exponential, prior, 3.0, eps=eps, center=0.75, width=width
-            )

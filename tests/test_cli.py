@@ -116,6 +116,13 @@ class TestEstimateCommands:
         ])
         assert payload["loss"] == 0.0
 
+    @pytest.mark.parametrize("value", ["1e300", "1e-300"])
+    def test_loss_on_the_diagonal_at_extreme_scale(self, capsys, value):
+        payload = run_json(capsys, [
+            "loss", "--family", "exponential", "--theta", value, "--delta", value,
+        ])
+        assert payload["loss"] == 0.0
+
     def test_output_is_deterministic(self, capsys):
         argv = ["prgm", "--family", "exponential", "--x", "2",
                 "--box", "a=1:3,l=1:2"]
@@ -416,6 +423,24 @@ class TestFamilyFile:
             "prgm", "--family-file", str(path), "--bounds", "1:2",
         ])
         assert payload["estimate"] == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", ["-1", "-1.5"])
+    def test_nonpositive_alpha_plus_obs_units_is_improper(self, capsys, tmp_path,
+                                                          alpha):
+        # The README's my_exp config; the posterior mean divides by alpha + 1.
+        cfg = dict(name="my_exp", support=[0, None], log_norm="log(theta)",
+                   mean_range=[0, None], jeffreys_shift=[-1, 0])
+        path = tmp_path / "my_exp.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        with pytest.warns(UserWarning, match="no propriety predicate"):
+            rc, out, err = run_cli(capsys, [
+                "bayes", "--family-file", str(path), "--x", "2",
+                "--prior", f"a={alpha},l=1",
+            ])
+        assert (rc, out) == (2, "")
+        assert err == (f"gminimax: configuration error: observation x=2.0 with "
+                       f"(alpha={float(alpha)}, lambda=1.0) gives an improper "
+                       "posterior (or infinite posterior mean) for my_exp\n")
 
     def test_literal_division_by_zero_is_a_configuration_error(self, capsys, tmp_path):
         cfg = dict(name="z", support=[0, None], log_norm="log(theta) + 1/(1-1)")

@@ -38,7 +38,6 @@ class TestBuiltinLookup:
             builtin_family("cauchy")
 
     def test_binomial_records_n(self, binomial5):
-        assert binomial5.meta["n"] == 5
         assert binomial5.obs_units == 5.0
 
 

@@ -16,7 +16,6 @@ from gminimax import (
     family_from_config,
     intrinsic_loss,
     posterior_regret,
-    posterior_risk,
 )
 
 
@@ -75,7 +74,9 @@ def test_posterior_risk_regret_difference(normal):
     e_mean = e(lambda th: float(normal.mean(th)))
     e_theta_mean = e(lambda th: th * float(normal.mean(th)))
 
-    risk_at = lambda d: posterior_risk(normal, d, e_log_norm, e_mean, e_theta_mean)
+    # E[L(theta, d)] = E[log_norm] - log_norm(d) + d*E[mean] - E[theta*mean]
+    risk_at = lambda d: (e_log_norm - float(normal.log_norm(d)) + d * e_mean
+                         - e_theta_mean)
     # Bayes action: invert the mean function at E[mean] = -m
     for d in (-0.4, 0.2, 0.8, 2.0):
         lhs = risk_at(d) - risk_at(m)
@@ -91,9 +92,22 @@ def test_risk_minimized_at_posterior_mean_inversion(normal):
     e_mean = -m
     e_theta_mean = -(m * m + v)
     grid = np.linspace(m - 2, m + 2, 801)
-    risks = [posterior_risk(normal, float(d), e_log_norm, e_mean, e_theta_mean)
+    risks = [e_log_norm - float(normal.log_norm(d)) + d * e_mean - e_theta_mean
              for d in grid]
     assert abs(float(grid[int(np.argmin(risks))]) - m) <= (grid[1] - grid[0])
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_diagonal_is_zero_at_extreme_scale(exponential, scale):
+    # 1/theta^2 under- or overflows there; a zero-width integral is 0.
+    assert intrinsic_loss(exponential, scale, scale) == 0.0
+    twin = family_from_config({"name": "exp_twin", "support": [0, None],
+                               "log_norm": "log(theta)"})
+    for fam in (exponential, twin):
+        got = intrinsic_loss(fam, np.array([scale, 1.0]),
+                             np.array([scale, 1.0 + 1e-9]))
+        assert got[0] == 0.0
+        assert got[1] == pytest.approx(0.5e-18, rel=1e-6)  # h^2/2 - h^3/3
 
 
 @given(st.floats(0.05, 40.0), st.floats(0.05, 40.0))

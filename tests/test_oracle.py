@@ -21,7 +21,6 @@ from gminimax import (
     prgm_conjugate_box,
     prior_box,
     regret_curve,
-    sup_regret_corner_check,
 )
 
 
@@ -128,23 +127,12 @@ class TestRegretCurve:
 class TestCornerCheck:
     def test_dominance_at_the_estimate(self, exponential):
         box = prior_box(exponential, 1.0, 3.0, 1.0, 2.0)
-        report = prgm_conjugate_box(exponential, box, 2.0)
-        which, violation = sup_regret_corner_check(
-            exponential, box, 2.0, report.estimate
-        )
-        assert which in ("lo", "hi")
-        assert violation <= 1e-12
+        assert grid_minimax(exponential, box, 2.0).corner_violation <= 1e-12
 
     def test_dominance_off_the_estimate(self, poisson):
+        # The violation is the worst over the whole padded action grid.
         box = prior_box(poisson, 0.5, 2.5, 0.5, 1.5)
-        for delta in (-0.4, 0.1, 0.9):
-            _, violation = sup_regret_corner_check(poisson, box, 2, delta)
-            assert violation <= 1e-12
-
-    def test_rejects_delta_outside_support(self, exponential):
-        box = prior_box(exponential, 1.0, 3.0, 1.0, 2.0)
-        with pytest.raises(DomainError):
-            sup_regret_corner_check(exponential, box, 2.0, -1.0)
+        assert grid_minimax(poisson, box, 2).corner_violation <= 1e-12
 
 
 class TestKLQuadrature:

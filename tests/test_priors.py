@@ -11,17 +11,13 @@ from gminimax import priors
 from gminimax import (
     ConjugatePrior,
     ConvergenceError,
-    DomainError,
     MixturePath,
     ProprietyError,
     SpecificationError,
     conjugate_prior,
-    mixture_predictive_mean,
-    posterior,
     posterior_predictive_mean,
     predictive_mean_quadrature,
     prior_box,
-    prior_is_proper,
     to_standard,
 )
 
@@ -56,24 +52,25 @@ class TestProprietyGate:
 
 
 class TestConjugateUpdate:
+    """The update (alpha + obs_units, lambda + stat(x)), read off the
+    posterior predictive mean obs_units * lambda' / alpha'."""
+
     def test_exponential_update(self, exponential):
-        post = posterior(exponential, conjugate_prior(exponential, 2.0, 1.0), 3.0)
-        assert (post.alpha, post.lam, post.flavor) == (3.0, 4.0, "standard")
+        # (2, 1) and x = 3 update to (3, 4)
+        p = conjugate_prior(exponential, 2.0, 1.0)
+        assert posterior_predictive_mean(exponential, p, 3.0) == 4.0 / 3.0
 
     def test_normal_flat_reproduces_observation(self, normal):
         p = conjugate_prior(normal, 0.0, 0.0)
-        # sufficient statistic is -x, so lambda becomes -5
-        post = posterior(normal, p, 5.0)
-        assert (post.alpha, post.lam) == (1.0, -5.0)
+        # sufficient statistic is -x, so (0, 0) updates to (1, -5)
         assert posterior_predictive_mean(normal, p, 5.0) == -5.0
 
     def test_binomial_update_counts_trials(self, binomial5):
         """One binomial(n) observation carries n per-trial units, so the
-        posterior exponent grows by n (and the linear term by x).  The
-        quadrature cross-check pins the convention independently."""
+        posterior exponent grows by n (and the linear term by x): (2, 1)
+        updates to (7, 3).  The quadrature cross-check pins the
+        convention independently."""
         p = conjugate_prior(binomial5, 2.0, 1.0)
-        post = posterior(binomial5, p, 2.0)
-        assert (post.alpha, post.lam) == (7.0, 3.0)
         cf = posterior_predictive_mean(binomial5, p, 2.0)
         assert cf == pytest.approx(5.0 * 3.0 / 7.0, rel=1e-15)
         quad = predictive_mean_quadrature(binomial5, p, 2.0)
@@ -83,8 +80,21 @@ class TestConjugateUpdate:
         # lambda + x = 0 puts all posterior mass at the boundary
         p = conjugate_prior(binomial5, 2.0, 0.0)
         with pytest.raises(ProprietyError):
-            posterior(binomial5, p, 0.0)
-        posterior(binomial5, p, 1.0)
+            posterior_predictive_mean(binomial5, p, 0.0)
+        posterior_predictive_mean(binomial5, p, 1.0)
+
+    @pytest.mark.parametrize("alpha", [-1.0, -1.5])
+    def test_nonpositive_alpha_plus_obs_units_is_improper(self, normal, alpha):
+        # The closed form divides by alpha + obs_units, whatever the family's
+        # own rule says: the normal accepts any x, a config has no rule.
+        from gminimax import family_from_config
+        my_exp = family_from_config({"name": "my_exp", "support": [0, None],
+                                     "log_norm": "log(theta)"})
+        for fam, lam in ((normal, 0.0), (my_exp, 1.0)):
+            with pytest.raises(ProprietyError, match="improper posterior"):
+                posterior_predictive_mean(fam, ConjugatePrior(fam, alpha, lam), 1.0)
+        assert posterior_predictive_mean(my_exp, ConjugatePrior(my_exp, -0.5, 1.0),
+                                         2.0) == 6.0
 
 
 class TestFlavors:
@@ -128,8 +138,7 @@ class TestPriorBox:
     def test_corners_and_point(self, exponential):
         box = prior_box(exponential, 1.0, 3.0, 1.0, 2.0)
         assert len(box.corners()) == 4
-        assert not box.is_point()
-        assert prior_box(exponential, 2.0, 2.0, 1.0, 1.0).is_point()
+        assert set(prior_box(exponential, 2.0, 2.0, 1.0, 1.0).corners()) == {(2.0, 1.0)}
 
     def test_bad_corner_rejected(self, exponential):
         with pytest.raises(ProprietyError):
@@ -180,24 +189,24 @@ def test_divergent_posterior_mean_is_improper(exponential):
 class TestMixtures:
     def test_components_must_be_proper(self, exponential):
         ok = conjugate_prior(exponential, 1.0, 1.0)
-        assert prior_is_proper(exponential, 1.0, 1.0)
-        assert not prior_is_proper(exponential, 1.0, 0.0)
-        # The rule travels with the family, not with its name.
-        renamed = dataclasses.replace(exponential, name="renamed_rate")
-        assert prior_is_proper(renamed, 1.0, 1.0)
-        assert not prior_is_proper(
-            dataclasses.replace(exponential, prior_proper=None), 1.0, 1.0)
         with pytest.raises(ProprietyError):
             MixturePath(ok, conjugate_prior(exponential, 1.0, 0.0))
+        # The rule travels with the family, not with its name.
+        renamed = dataclasses.replace(exponential, name="renamed_rate")
+        MixturePath(ConjugatePrior(renamed, 1.0, 1.0), ConjugatePrior(renamed, 3.0, 2.0))
+        with pytest.raises(ProprietyError, match="not a proper distribution"):
+            bare = dataclasses.replace(exponential, prior_proper=None)
+            MixturePath(ConjugatePrior(bare, 1.0, 1.0), ConjugatePrior(bare, 3.0, 2.0))
 
     def test_endpoints_collapse(self, exponential):
+        # t = 1 and t = 0 leave one component: a0/b0 and a1/b1.
         p0 = conjugate_prior(exponential, 1.0, 1.0)
         p1 = conjugate_prior(exponential, 3.0, 2.0)
-        path = MixturePath(p0, p1)
-        assert mixture_predictive_mean(exponential, path, 2.0, 1.0) == pytest.approx(
+        a0, b0, a1, b1 = priors.mixture_components(exponential, MixturePath(p0, p1), 2.0)
+        assert a0 / b0 == pytest.approx(
             posterior_predictive_mean(exponential, p0, 2.0), rel=1e-10
         )
-        assert mixture_predictive_mean(exponential, path, 2.0, 0.0) == pytest.approx(
+        assert a1 / b1 == pytest.approx(
             posterior_predictive_mean(exponential, p1, 2.0), rel=1e-10
         )
 
@@ -218,14 +227,8 @@ class TestMixtures:
 
         path = MixturePath(conjugate_prior(exponential, 1.0, 1.0),
                            conjugate_prior(exponential, 3.0, 2.0))
-        got = mixture_predictive_mean(exponential, path, 2.0, 0.5)
-        assert got == pytest.approx(want, rel=1e-6)
-
-    def test_weight_outside_unit_interval(self, exponential):
-        path = MixturePath(conjugate_prior(exponential, 1.0, 1.0),
-                           conjugate_prior(exponential, 3.0, 2.0))
-        with pytest.raises(DomainError):
-            mixture_predictive_mean(exponential, path, 2.0, 1.5)
+        got_a0, got_b0, got_a1, got_b1 = priors.mixture_components(exponential, path, 2.0)
+        assert (got_a0 + got_a1) / (got_b0 + got_b1) == pytest.approx(want, rel=1e-6)
 
     def test_mixing_families_rejected(self, exponential, normal):
         with pytest.raises(SpecificationError):
