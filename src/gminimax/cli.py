@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -415,6 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"gminimax: warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -422,6 +427,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         code = exc.code
         return code if isinstance(code, int) else 2
+    # Warnings print as one line, like errors; filters still apply.
+    saved, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.func(args)
     except (SpecificationError, ProprietyError, DomainError) as exc:
@@ -436,6 +443,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"gminimax: i/o error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        warnings.formatwarning = saved
 
 
 if __name__ == "__main__":

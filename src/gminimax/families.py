@@ -542,13 +542,14 @@ def check_prior_ok(fam: FamilySpec, alpha: float, lam: float) -> None:
     """Raise ProprietyError if (alpha, lam) violates the family predicate.
 
     Families without a predicate (user-defined ones) are accepted with a
-    warning: propriety is then the caller's responsibility.
+    warning: propriety is then the caller's responsibility.  The warning
+    names the line that called the prior's constructor.
     """
     if fam.prior_ok is None:
         warnings.warn(
             f"family {fam.name} has no propriety predicate; accepting "
             f"(alpha={alpha}, lambda={lam}) unchecked",
-            stacklevel=2,
+            stacklevel=3,
         )
         return
     if not fam.prior_ok(alpha, lam):

@@ -2,25 +2,39 @@
 
 Nothing in this module trusts the estimator formulas.  The minimax
 oracle enumerates Bayes estimates over a hyper-parameter lattice and
-sweeps a padded action grid; the KL oracle sums or integrates the
+sweeps a padded action grid.  The posterior regret against a lattice
+Bayes action b is ``psi(b) - psi(d) + (d - b)*mean(b)``: a line in the
+action d, ``A_b + B_b*d`` with ``A_b = psi(b) - b*mean(b)`` and
+``B_b = mean(b)``, minus the ``psi(d)`` that every lattice point shares.
+So the lattice supremum is the upper envelope of those lines less one
+``psi`` pass over the grid, taken as a running maximum over every
+lattice point.  Where the lines nearly cancel ``psi(d)`` (a lattice that
+is nearly a point, say) the envelope is guarded: any action whose value
+keeps fewer than 38 bits over its rounding bound is recomputed from the
+exact ``posterior_regret`` of every lattice point.
+
+The corner check verifies, rather than assumes, that worst-case regret
+sits at an extreme Bayes estimate: it compares the best line of all with
+the better of the two extreme lines, in the same arithmetic, so it reads
+exactly 0 wherever an extreme wins.  The KL oracle sums or integrates the
 family's sampling model (carrier, statistic and sample space) and
-normalizes it itself, never calling ``log_norm`` or ``mean``; the corner
-check verifies, rather than assumes, that worst-case regret sits at an
-extreme Bayes estimate.  Padding and full-lattice suprema exist
-precisely so a wrong closed form gets caught instead of reproduced.
-A family without a sampling model is refused by the KL oracle.
+normalizes it itself, never calling ``log_norm`` or ``mean``.  Padding
+and full-lattice suprema exist precisely so a wrong closed form gets
+caught instead of reproduced.  A family without a sampling model is
+refused by the KL oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, SpecificationError
 from .families import FamilySpec, interior_clamp, mean_inverse, require_in_support
-from .losses import posterior_regret
+from .losses import _EPS, posterior_regret
 from .priors import (ConjugatePrior, PriorBox, _peak_integrals,
                      posterior_predictive_mean)
 
@@ -83,8 +97,29 @@ def _lattice_estimates(fam: FamilySpec, box: PriorBox, x: float,
     return np.unique(np.asarray(ests, dtype=float))
 
 
-def _sweep(fam: FamilySpec, lattice: np.ndarray, grid: GridSpec):
-    d_min, d_max = float(lattice.min()), float(lattice.max())
+class _Envelope(NamedTuple):
+    """One sweep of the action grid against every lattice point."""
+
+    deltas: np.ndarray
+    sup: np.ndarray       # worst lattice regret at each action
+    arg: np.ndarray       # lattice index attaining it (first on ties)
+    excess: np.ndarray    # sup minus the worse of the two extremes' regrets
+    guarded: np.ndarray   # actions recomputed with exact regrets
+
+
+def _sweep(fam: FamilySpec, lattice: np.ndarray, grid: GridSpec) -> _Envelope:
+    """Worst regret over ``lattice`` at every action of a padded grid.
+
+    Regret against the Bayes action b is ``A_b + B_b*d - psi(d)`` with
+    ``A_b = psi(b) - b*mean(b)`` and ``B_b = mean(b)``: every lattice
+    point is a line in d, so one running maximum of the lines and one
+    ``psi`` pass of the grid give the supremum.  Where that difference
+    keeps fewer than 38 bits over its rounding bound
+    ``4*eps*(max_b(|psi(b)| + |b*mean(b)|) + max_b|mean(b)|*|d| + |psi(d)|)``,
+    or is not finite, the action is recomputed from the exact
+    ``posterior_regret`` of every lattice point.
+    """
+    d_min, d_max = float(lattice[0]), float(lattice[-1])
     width = d_max - d_min
     if width > 0:
         pad = grid.padding * width
@@ -94,29 +129,57 @@ def _sweep(fam: FamilySpec, lattice: np.ndarray, grid: GridSpec):
     hi = interior_clamp(fam, d_max + pad)
     deltas = np.linspace(lo, hi, grid.n_delta)
 
-    sup = np.full(grid.n_delta, -np.inf)
-    arg = np.zeros(grid.n_delta, dtype=int)
-    for i, b in enumerate(lattice):
-        reg = np.asarray(posterior_regret(fam, float(b), deltas), dtype=float)
-        better = reg > sup
-        sup = np.where(better, reg, sup)
-        arg = np.where(better, i, arg)
-    return deltas, sup, arg, d_min, d_max
+    last = len(lattice) - 1
+    with np.errstate(all="ignore"):
+        slopes = np.asarray(fam.mean(lattice), dtype=float)
+        psi_b = np.asarray(fam.log_norm(lattice), dtype=float)
+        b_slopes = lattice * slopes
+        offsets = psi_b - b_slopes
+        psi_d = np.asarray(fam.log_norm(deltas), dtype=float)
 
+        env = np.multiply(deltas, slopes[0])
+        env += offsets[0]
+        arg = np.zeros(grid.n_delta, dtype=np.intp)
+        line = np.empty(grid.n_delta)
+        win = np.empty(grid.n_delta, dtype=bool)
+        for i in range(1, last + 1):
+            np.multiply(deltas, slopes[i], out=line)
+            line += offsets[i]
+            np.greater(line, env, out=win)
+            np.copyto(env, line, where=win)
+            np.copyto(arg, i, where=win)
+        # line holds the last point's line unless the lattice is one point.
+        extremes = np.multiply(deltas, slopes[0])
+        extremes += offsets[0]
+        np.maximum(extremes, line if last else extremes, out=extremes)
+        excess = env - extremes
 
-def _corner_violation(lattice: np.ndarray, sup: np.ndarray,
-                      fam: FamilySpec, deltas: np.ndarray) -> float:
-    """How far the full-lattice supremum exceeds the two-extreme supremum."""
-    lo_reg = np.asarray(posterior_regret(fam, float(lattice.min()), deltas))
-    hi_reg = np.asarray(posterior_regret(fam, float(lattice.max()), deltas))
-    return float(np.max(sup - np.maximum(lo_reg, hi_reg)))
+        sup = env - psi_d
+        slack = np.abs(deltas) * np.max(np.abs(slopes))
+        slack += np.max(np.abs(psi_b) + np.abs(b_slopes))
+        slack += np.abs(psi_d)
+        slack *= 4.0 * _EPS
+        guarded = ~((2.0 ** -38 * sup >= slack) & (sup < np.inf))
+
+    if guarded.any():
+        d = deltas[guarded]
+        for i, b in enumerate(lattice):
+            reg = np.asarray(posterior_regret(fam, float(b), d), dtype=float)
+            if i == 0:
+                g_sup, g_arg, reg_lo = reg.copy(), np.zeros(d.size, np.intp), reg
+            else:
+                win = reg > g_sup
+                g_sup[win], g_arg[win] = reg[win], i
+        sup[guarded], arg[guarded] = g_sup, g_arg
+        excess[guarded] = g_sup - np.maximum(reg_lo, reg)
+    return _Envelope(deltas, sup, arg, excess, guarded)
 
 
 def grid_minimax(fam: FamilySpec, box: PriorBox, x: float,
                  grid: GridSpec = GridSpec()) -> OracleResult:
     """Minimize the lattice-supremum posterior regret over a padded grid."""
     lattice = _lattice_estimates(fam, box, x, grid.n_corner)
-    deltas, sup, _, _, _ = _sweep(fam, lattice, grid)
+    deltas, sup, _, excess, _ = _sweep(fam, lattice, grid)
     k = int(np.argmin(sup))
     spacing = float(deltas[1] - deltas[0]) if len(deltas) > 1 else 0.0
 
@@ -127,13 +190,12 @@ def grid_minimax(fam: FamilySpec, box: PriorBox, x: float,
         slope = max(1.0, left, right)
     bound = 4.0 * spacing * slope if spacing > 0 else 1e-12
 
-    violation = _corner_violation(lattice, sup, fam, deltas)
     return OracleResult(
         argmin=float(deltas[k]),
         minimax_value=float(sup[k]),
         resolution_bound=bound,
         spacing=spacing,
-        corner_violation=violation,
+        corner_violation=float(np.max(excess)),
         n_lattice=len(lattice),
         n_delta=grid.n_delta,
     )
@@ -144,22 +206,15 @@ def regret_curve(fam: FamilySpec, box: PriorBox, x: float,
     """Sampled worst-case regret curve for export.
 
     Returns ``(deltas, sup_regret, labels)`` where each label names the
-    extreme Bayes estimate attaining the supremum at that action ("lo",
-    "hi", or "interior" if corner dominance ever failed there).
+    lattice Bayes estimate attaining the supremum at that action: "lo"
+    (the smallest), "hi" (the largest), or "interior" where corner
+    dominance failed there.
     """
     lattice = _lattice_estimates(fam, box, x, grid.n_corner)
-    deltas, sup, arg, d_min, d_max = _sweep(fam, lattice, grid)
-    labels = []
-    tol = 1e-9 * max(1.0, abs(d_min), abs(d_max))
-    for i in arg:
-        b = lattice[int(i)]
-        if abs(b - d_min) <= tol:
-            labels.append("lo")
-        elif abs(b - d_max) <= tol:
-            labels.append("hi")
-        else:
-            labels.append("interior")
-    return deltas, sup, labels
+    deltas, sup, arg, _, _ = _sweep(fam, lattice, grid)
+    names = ["interior"] * len(lattice)
+    names[-1], names[0] = "hi", "lo"
+    return deltas, sup, [names[i] for i in arg.tolist()]
 
 
 # ---------------------------------------------------------------------------

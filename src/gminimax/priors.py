@@ -194,11 +194,17 @@ class PriorBox:
 def prior_box(fam: FamilySpec, alpha_lo: float, alpha_hi: float,
               lam_lo: float, lam_hi: float, flavor: str = "standard") -> PriorBox:
     """Construct a box after validating every corner's propriety on its
-    standard-flavor equivalent."""
+    standard-flavor equivalent.  A box that cannot be pre-checked (no
+    predicate, or a jcp box without a Jeffreys shift) gets one warning."""
     box = PriorBox(fam, float(alpha_lo), float(alpha_hi), float(lam_lo),
                    float(lam_hi), flavor)
     if flavor == "jcp" and fam.jeffreys_shift is None:
-        conjugate_prior(fam, alpha_lo, lam_lo, flavor)  # warns: no pre-check
+        warnings.warn(f"family {fam.name} declares no Jeffreys shift; jcp box "
+                      "propriety cannot be pre-checked", stacklevel=2)
+    elif fam.prior_ok is None:
+        warnings.warn(f"family {fam.name} has no propriety predicate; accepting "
+                      f"the box alpha [{box.alpha_lo}, {box.alpha_hi}], lambda "
+                      f"[{box.lam_lo}, {box.lam_hi}] unchecked", stacklevel=2)
     else:
         for a, l in box.to_standard().corners():
             check_prior_ok(fam, a, l)

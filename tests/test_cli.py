@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -441,6 +442,32 @@ class TestFamilyFile:
         assert err == (f"gminimax: configuration error: observation x=2.0 with "
                        f"(alpha={float(alpha)}, lambda=1.0) gives an improper "
                        "posterior (or infinite posterior mean) for my_exp\n")
+
+    @pytest.mark.parametrize("argv,warning", [
+        (["bayes", "--x", "2", "--prior", "a=1,l=1"],
+         "accepting (alpha=1.0, lambda=1.0) unchecked"),
+        (["prgm", "--x", "2", "--box", "a=1:3,l=1:2"],
+         "accepting the box alpha [1.0, 3.0], lambda [1.0, 2.0] unchecked"),
+    ])
+    def test_unchecked_prior_warns_in_one_stderr_line(self, tmp_path, argv, warning):
+        # The README's my_exp config has no propriety predicate.  A fresh
+        # process, so stderr is what a shell sees: no path, no source line.
+        cfg = dict(name="my_exp", support=[0, None], log_norm="log(theta)",
+                   mean_range=[0, None], jeffreys_shift=[-1, 0])
+        path = tmp_path / "my_exp.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gminimax", argv[0], "--family-file", str(path),
+             *argv[1:]], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"gminimax: warning: family my_exp has no propriety predicate; {warning}"]
+        assert json.loads(proc.stdout)["estimate"] > 0
+
+    def test_warning_format_is_restored(self, capsys, tmp_path):
+        formatter = warnings.formatwarning
+        run_cli(capsys, ["loss", "--family", "normal", "--theta", "0", "--delta", "1"])
+        assert warnings.formatwarning is formatter
 
     def test_literal_division_by_zero_is_a_configuration_error(self, capsys, tmp_path):
         cfg = dict(name="z", support=[0, None], log_norm="log(theta) + 1/(1-1)")

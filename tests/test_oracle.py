@@ -3,10 +3,12 @@
 import dataclasses
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from gminimax import priors
+from gminimax import oracle, priors
 from gminimax import (
     ConjugatePrior,
     ConvergenceError,
@@ -18,8 +20,11 @@ from gminimax import (
     intrinsic_loss,
     kl_quadrature,
     builtin_family,
+    family_from_config,
+    posterior_regret,
     prgm_conjugate_box,
     prior_box,
+    PriorBox,
     regret_curve,
 )
 
@@ -124,6 +129,28 @@ class TestRegretCurve:
         assert "interior" not in labels
 
 
+    @pytest.mark.parametrize("name,a_lo,a_hi,l_lo,l_hi,x", [
+        ("exponential", 1.0, 3.0, 1.0, 2.0, 2.0),
+        ("normal", 0.5, 2.0, -1.0, 1.0, 0.3),
+    ])
+    def test_labels_match_exact_regrets(self, name, a_lo, a_hi, l_lo, l_hi, x):
+        fam = builtin_family(name)
+        box = prior_box(fam, a_lo, a_hi, l_lo, l_hi)
+        deltas, _, labels = regret_curve(fam, box, x)
+        lattice = oracle._lattice_estimates(fam, box, x, GridSpec().n_corner)
+        winner = np.argmax([posterior_regret(fam, float(b), deltas) for b in lattice],
+                           axis=0)
+        names = {0: "lo", len(lattice) - 1: "hi"}
+        assert labels == [names.get(int(i), "interior") for i in winner]
+
+    def test_near_point_box_labels_every_row(self, exponential):
+        box = prior_box(exponential, 2.0, 2.0 + 1e-9, 1.0, 1.0 + 1e-9)
+        deltas, sup, labels = regret_curve(exponential, box, 3.0)
+        assert len(labels) == len(deltas) == 2000
+        assert set(labels) <= {"lo", "hi", "interior"}
+        assert np.all(sup >= 0)
+
+
 class TestCornerCheck:
     def test_dominance_at_the_estimate(self, exponential):
         box = prior_box(exponential, 1.0, 3.0, 1.0, 2.0)
@@ -133,6 +160,106 @@ class TestCornerCheck:
         # The violation is the worst over the whole padded action grid.
         box = prior_box(poisson, 0.5, 2.5, 0.5, 1.5)
         assert grid_minimax(poisson, box, 2).corner_violation <= 1e-12
+
+
+# The exponential as a config family: expressions instead of lambdas.
+EXP_TWIN = dict(name="exponential_twin", support=[0, None], log_norm="log(theta)",
+                mean_range=[0, None], jeffreys_shift=[-1, 0])
+
+
+def _family(name):
+    return family_from_config(dict(EXP_TWIN)) if name == "twin" else builtin_family(name)
+
+
+def _brute_force(fam, lattice, deltas):
+    """Worst exact regret over the lattice, and its lattice index."""
+    regs = np.array([posterior_regret(fam, float(b), deltas) for b in lattice])
+    return regs.max(axis=0), regs.argmax(axis=0)
+
+
+def _rounding_bound(fam, lattice, deltas):
+    """Rounding bound of the line form of the lattice supremum."""
+    psi_b, m_b = fam.log_norm(lattice), fam.mean(lattice)
+    psi_d = fam.log_norm(deltas)
+    return 4.0 * np.finfo(float).eps * (np.max(np.abs(psi_b) + np.abs(lattice * m_b))
+                                        + np.max(np.abs(m_b)) * np.abs(deltas)
+                                        + np.abs(psi_d))
+
+
+@st.composite
+def _instances(draw):
+    """A family, a box drawn inside its propriety region, and an observation.
+
+    Box widths include 0 and relative widths of 1e-9 and 1e-6, whose
+    lattices are nearly a point."""
+    name = draw(st.sampled_from(["normal", "exponential", "binomial_logit(5)",
+                                 "poisson", "twin"]))
+    width = st.sampled_from([0.0, 1e-9, 1e-6]) | st.floats(0.01, 2.0)
+
+    def span(lo, hi):
+        start = draw(st.floats(lo, hi))
+        return start, start + draw(width) * max(1.0, abs(start))
+
+    if name == "binomial_logit(5)":
+        l_lo, l_hi = span(0.2, 2.0)
+        a_lo, a_hi = span(l_hi + 0.1, l_hi + 1.0)
+        x = float(draw(st.integers(0, 5)))
+    else:
+        a_lo, a_hi = span(-0.5, 3.0)
+        l_lo, l_hi = span(-2.0, 2.0) if name == "normal" else span(0.1, 3.0)
+        x = {"normal": draw(st.floats(-3.0, 3.0)),
+             "poisson": float(draw(st.integers(0, 12)))}.get(
+                 name, draw(st.floats(0.2, 5.0)))
+    fam = _family(name)
+    return fam, PriorBox(fam, a_lo, a_hi, l_lo, l_hi), x
+
+
+class TestEnvelope:
+    @settings(max_examples=60, deadline=None)
+    @given(_instances())
+    def test_supremum_and_argmin_match_brute_force(self, instance):
+        fam, box, x = instance
+        grid = GridSpec()
+        lattice = oracle._lattice_estimates(fam, box, x, grid.n_corner)
+        sweep = oracle._sweep(fam, lattice, grid)
+        brute, _ = _brute_force(fam, lattice, sweep.deltas)
+        bound = _rounding_bound(fam, lattice, sweep.deltas)
+        # Each side is within one rounding bound of the exact supremum.
+        assert np.all(np.abs(sweep.sup - brute) <= 2.0 * bound)
+        res = grid_minimax(fam, box, x, grid)
+        assert abs(res.argmin - sweep.deltas[np.argmin(brute)]) <= res.resolution_bound
+
+    @pytest.mark.parametrize("name", ["normal", "exponential", "binomial_logit(5)",
+                                      "poisson", "twin"])
+    def test_near_point_lattice_takes_the_guard(self, name):
+        # Regrets of order 1e-20 under log-normalizers of order 1: the
+        # lines cancel, so every action gets the exact regrets.
+        fam = _family(name)
+        box = PriorBox(fam, 2.0, 2.0 + 1e-9, 1.0, 1.0 + 1e-9)
+        lattice = oracle._lattice_estimates(fam, box, 2.0, GridSpec().n_corner)
+        sweep = oracle._sweep(fam, lattice, GridSpec())
+        assert sweep.guarded.all()
+        brute, winner = _brute_force(fam, lattice, sweep.deltas)
+        assert np.array_equal(sweep.sup, brute)
+        assert np.array_equal(sweep.arg, winner)
+        assert grid_minimax(fam, box, 2.0).corner_violation == 0.0
+
+    def test_exact_regrets_only_at_guarded_actions(self, exponential, monkeypatch):
+        evaluated = []
+
+        def counted(fam, b, deltas):
+            evaluated.append(np.size(deltas))
+            return posterior_regret(fam, b, deltas)
+
+        monkeypatch.setattr(oracle, "posterior_regret", counted)
+        box = prior_box(exponential, 1.0, 3.0, 1.0, 2.0)
+        res = grid_minimax(exponential, box, 2.0)
+        assert evaluated == []
+        near = prior_box(exponential, 2.0, 2.0 + 1e-9, 1.0, 1.0 + 1e-9)
+        lattice = oracle._lattice_estimates(exponential, near, 3.0, 9)
+        sweep = oracle._sweep(exponential, lattice, GridSpec())
+        assert evaluated == [int(sweep.guarded.sum())] * len(lattice)
+        assert res.corner_violation == 0.0
 
 
 class TestKLQuadrature:
