@@ -46,7 +46,6 @@ from .families import (
 )
 from .losses import intrinsic_loss, posterior_regret
 from .oracle import (
-    GridSpec,
     OracleResult,
     grid_minimax,
     kl_quadrature,
@@ -76,7 +75,6 @@ __all__ = [
     "Expression",
     "FamilySpec",
     "GMinimaxError",
-    "GridSpec",
     "MixturePath",
     "OracleResult",
     "PriorBox",

@@ -40,19 +40,13 @@ from .estimators import (
 from .expressions import family_from_config
 from .families import FamilySpec, builtin_family
 from .losses import intrinsic_loss
-from .oracle import GridSpec, regret_curve
+from .oracle import regret_curve
 from .priors import conjugate_prior, prior_box
 from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main", "build_parser", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 1729
-
-# Fixed instance whose worst-case regret curve accompanies verification
-# output when --curve-out is given.
-_CURVE_FAMILY = "exponential_rate"
-_CURVE_BOX = (1.0, 3.0, 1.0, 2.0)
-_CURVE_X = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -252,26 +246,19 @@ def cmd_loss(args) -> int:
     return 0
 
 
-def _curve_csv(fam, box, x, grid) -> str:
-    deltas, sup, labels = regret_curve(fam, box, x, grid)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["delta", "sup_regret", "argmax_corner"])
-    for d, s, lab in zip(deltas, sup, labels):
-        writer.writerow([repr(float(d)), repr(float(s)), lab])
-    return buf.getvalue()
-
-
 def cmd_regret_curve(args) -> int:
     fam = _load_family(args)
     a_lo, a_hi, l_lo, l_hi = parse_box(args.box)
     box = prior_box(fam, a_lo, a_hi, l_lo, l_hi, args.flavor)
-    x = args.x
-    grid = GridSpec(n_delta=args.grid_n)
+    deltas, sup, labels = regret_curve(fam, box, args.x, args.grid_n)
     if args.format == "csv":
-        _emit(_curve_csv(fam, box, x, grid), args.out)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["delta", "sup_regret", "argmax_corner"])
+        for d, s, lab in zip(deltas, sup, labels):
+            writer.writerow([repr(float(d)), repr(float(s)), lab])
+        _emit(buf.getvalue(), args.out)
     else:
-        deltas, sup, labels = regret_curve(fam, box, x, grid)
         payload = {
             "delta": [float(d) for d in deltas],
             "sup_regret": [float(s) for s in sup],
@@ -283,12 +270,11 @@ def cmd_regret_curve(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    grid = GridSpec(n_delta=args.grid_n)
     lines = []
     n_failed = 0
     n_checks = 0
     for name in suites:
-        for rec in run_suite(name, args.seed, grid, args.n_instances):
+        for rec in run_suite(name, args.seed, args.n_instances):
             n_checks += 1
             if not rec.passed:
                 n_failed += 1
@@ -301,11 +287,6 @@ def cmd_verify(args) -> int:
         "passed": n_failed == 0,
     }))
     _emit("".join(lines), args.out)
-    if args.curve_out:
-        fam = builtin_family(_CURVE_FAMILY)
-        box = prior_box(fam, *_CURVE_BOX, "standard")
-        with open(args.curve_out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_curve_csv(fam, box, _CURVE_X, grid))
     return 0 if n_failed == 0 else 1
 
 
@@ -404,12 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=list(SUITE_NAMES) + ["all"])
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help=f"RNG seed (default {DEFAULT_SEED})")
-    p.add_argument("--grid-n", type=int, default=2000)
     p.add_argument("--n-instances", type=int, default=None,
-                   help="override the per-suite instance count")
-    p.add_argument("--curve-out", help="also write the regret curve of a "
-                   "fixed reference instance (exponential box a=1:3,l=1:2, "
-                   "x=2) as CSV to this path")
+                   help="override the per-suite instance count (at least 1)")
     _add_out_flag(p)
     p.set_defaults(func=cmd_verify)
 

@@ -307,11 +307,9 @@ def _match_call(s: str, name: str, n_args: int):
         raise SpecificationError(f"bad numeric argument in {s!r}") from exc
 
 
-def validate_transform(tr: Reparameterization, fam: FamilySpec,
-                       grid: np.ndarray | None = None) -> list[str]:
-    """Round-trip and strict monotonicity checks on a working grid."""
-    if grid is None:
-        grid = support_grid(fam, n=201)
+def validate_transform(tr: Reparameterization, fam: FamilySpec) -> list[str]:
+    """Round-trip and strict monotonicity checks on the working grid."""
+    grid = support_grid(fam)
     problems = []
     fwd = np.asarray(tr.forward(grid), dtype=float)
     if not (np.all(np.diff(fwd) > 0) or np.all(np.diff(fwd) < 0)):

@@ -82,6 +82,10 @@ class FamilySpec:
 
     The last three default to ``None`` (user-defined families): then
     there is no KL oracle, no observation check and no mixture.
+
+    The mappings in theta, ``stat`` and ``log_carrier`` are called with a
+    float or a float ndarray and convert nothing themselves; callers
+    holding anything else convert it first.
     """
 
     name: str
@@ -144,17 +148,16 @@ def interior_clamp(fam: FamilySpec, theta: float) -> float:
     return t
 
 
-def support_grid(fam: FamilySpec, n: int = 201, cap: float = 12.0) -> np.ndarray:
+def support_grid(fam: FamilySpec, n: int = 201) -> np.ndarray:
     """Evenly spaced interior points covering a working window of the support.
 
-    The window is where family invariants get spot-checked, not a claim
-    about where the family is defined.
+    The window, with infinite ends cut at +-12, is where family invariants
+    get spot-checked, not a claim about where the family is defined.
     """
-    return interval_grid(*fam.support, n=n, cap=cap)
+    return interval_grid(*fam.support, n, 12.0)
 
 
-def interval_grid(lo: float, hi: float, n: int = 201,
-                  cap: float = 12.0) -> np.ndarray:
+def interval_grid(lo: float, hi: float, n: int, cap: float) -> np.ndarray:
     """Evenly spaced points of (lo, hi), infinite ends cut at +-cap and
     finite ones inset by the interior margin."""
     a = lo if math.isfinite(lo) else -cap
@@ -172,7 +175,8 @@ def interval_grid(lo: float, hi: float, n: int = 201,
 def fisher_info(fam: FamilySpec, theta):
     """Fisher information: the negated derivative of the mean function."""
     require_in_support(fam, theta)
-    info = -np.asarray(fam.mean_deriv(theta), dtype=float)
+    th = theta if isinstance(theta, float) else np.asarray(theta, dtype=float)
+    info = -np.asarray(fam.mean_deriv(th), dtype=float)
     if not ((info > 0.0) & (info < np.inf)).all():
         raise SpecificationError(
             f"family {fam.name} reports non-positive Fisher information at "
@@ -293,17 +297,17 @@ def mean_inverse(fam: FamilySpec, t: float) -> float:
     )
 
 
-def jeffreys_shift_residual(fam: FamilySpec, n: int = 101) -> float:
+def jeffreys_shift_residual(fam: FamilySpec) -> float:
     """Spread of the quantity that must be constant for the declared shift.
 
     If sqrt(Fisher) ∝ base^a * exp(-b*theta) then
     0.5*log(Fisher) - a*log_prior_base + b*theta is constant in theta.
-    Returns its standard deviation over a working grid (0 means exact).
+    Returns its standard deviation over the working grid (0 means exact).
     """
     if fam.jeffreys_shift is None:
         raise SpecificationError(f"family {fam.name} declares no Jeffreys shift")
     a, b = fam.jeffreys_shift
-    grid = support_grid(fam, n=n)
+    grid = support_grid(fam)
     info = -np.asarray(fam.mean_deriv(grid), dtype=float)
     if np.any(info <= 0):
         raise SpecificationError(
@@ -313,8 +317,8 @@ def jeffreys_shift_residual(fam: FamilySpec, n: int = 101) -> float:
     return float(np.std(g))
 
 
-def validate_family(fam: FamilySpec, n: int = 201) -> list[str]:
-    """Spot-check the structural requirements on a working grid.
+def validate_family(fam: FamilySpec) -> list[str]:
+    """Spot-check the structural requirements on the working grid.
 
     Returns a list of human-readable violations (empty when everything
     holds).  Checks: mean strictly decreasing, mean_deriv negative and
@@ -323,7 +327,7 @@ def validate_family(fam: FamilySpec, n: int = 201) -> list[str]:
     Jeffreys shift.
     """
     problems: list[str] = []
-    grid = support_grid(fam, n=n)
+    grid = support_grid(fam)
     mean_vals = np.asarray(fam.mean(grid), dtype=float)
     if not np.all(np.diff(mean_vals) < 0):
         problems.append("mean function is not strictly decreasing on the working grid")
@@ -351,7 +355,7 @@ def validate_family(fam: FamilySpec, n: int = 201) -> list[str]:
 
     if fam.jeffreys_shift is not None:
         try:
-            sd = jeffreys_shift_residual(fam, n=n)
+            sd = jeffreys_shift_residual(fam)
         except SpecificationError as exc:
             problems.append(str(exc))
         else:
@@ -372,9 +376,9 @@ def _normal_family() -> FamilySpec:
         name="normal_mean_unitvar",
         support=(-math.inf, math.inf),
         log_norm=lambda th: -0.5 * np.square(th),
-        mean=lambda th: -np.asarray(th, dtype=float),
-        mean_deriv=lambda th: np.full_like(np.asarray(th, dtype=float), -1.0),
-        stat=lambda x: -np.asarray(x, dtype=float),
+        mean=lambda th: -th,
+        mean_deriv=lambda th: np.full_like(th, -1.0),
+        stat=lambda x: -x,
         mean_inv=lambda t: -t,
         mean_range=(-math.inf, math.inf),
         jeffreys_shift=(0.0, 0.0),
@@ -393,16 +397,16 @@ def _exponential_family() -> FamilySpec:
         name="exponential_rate",
         support=(0.0, math.inf),
         log_norm=lambda th: np.log(th),
-        mean=lambda th: 1.0 / np.asarray(th, dtype=float),
-        mean_deriv=lambda th: -1.0 / np.square(np.asarray(th, dtype=float)),
-        stat=lambda x: np.asarray(x, dtype=float),
+        mean=lambda th: 1.0 / th,
+        mean_deriv=lambda th: -1.0 / np.square(th),
+        stat=lambda x: x,
         mean_inv=lambda t: 1.0 / t,
         mean_range=(0.0, math.inf),
         jeffreys_shift=(-1.0, 0.0),
         prior_ok=lambda a, lam: a > -1.0 and lam >= 0.0,
         prior_rule="alpha > -1 and lambda >= 0 (proper posterior for x > 0)",
         posterior_ok=lambda a, lam, x: a > -1.0 and lam + x > 0.0,
-        log_carrier=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        log_carrier=lambda x: np.zeros_like(x),
         sample_space=(0.0, math.inf, False),
         prior_proper=lambda a, lam: a > -1.0 and lam > 0.0,
     )
@@ -446,10 +450,10 @@ def _binomial_family(n: int) -> FamilySpec:
     return FamilySpec(
         name=f"binomial_logit({n})",
         support=(-math.inf, math.inf),
-        log_norm=lambda th: -nf * np.logaddexp(0.0, -np.asarray(th, dtype=float)),
-        mean=lambda th: nf * expit(-np.asarray(th, dtype=float)),
-        mean_deriv=lambda th: -nf * expit(th) * expit(-np.asarray(th, dtype=float)),
-        stat=lambda x: np.asarray(x, dtype=float),
+        log_norm=lambda th: -nf * np.logaddexp(0.0, -th),
+        mean=lambda th: nf * expit(-th),
+        mean_deriv=lambda th: -nf * expit(th) * expit(-th),
+        stat=lambda x: x,
         mean_inv=lambda t: math.log(nf / t - 1.0),
         mean_range=(0.0, nf),
         jeffreys_shift=(1.0, 0.5),
@@ -479,10 +483,10 @@ def _poisson_family() -> FamilySpec:
     return FamilySpec(
         name="poisson_neglograte",
         support=(-math.inf, math.inf),
-        log_norm=lambda th: -np.exp(-np.asarray(th, dtype=float)),
-        mean=lambda th: np.exp(-np.asarray(th, dtype=float)),
-        mean_deriv=lambda th: -np.exp(-np.asarray(th, dtype=float)),
-        stat=lambda x: np.asarray(x, dtype=float),
+        log_norm=lambda th: -np.exp(-th),
+        mean=lambda th: np.exp(-th),
+        mean_deriv=lambda th: -np.exp(-th),
+        stat=lambda x: x,
         mean_inv=lambda t: -math.log(t),
         mean_range=(0.0, math.inf),
         jeffreys_shift=(0.0, 0.5),

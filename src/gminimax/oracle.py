@@ -39,7 +39,6 @@ from .priors import (ConjugatePrior, PriorBox, _peak_integrals,
                      posterior_predictive_mean)
 
 __all__ = [
-    "GridSpec",
     "OracleResult",
     "grid_minimax",
     "regret_curve",
@@ -48,20 +47,10 @@ __all__ = [
 
 CORNER_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Resolution of the brute-force sweep."""
-
-    n_delta: int = 2000
-    n_corner: int = 9
-    padding: float = 0.1
-
-    def __post_init__(self):
-        if self.n_delta < 3 or self.n_corner < 2:
-            raise SpecificationError("grid needs n_delta >= 3 and n_corner >= 2")
-        if self.padding < 0:
-            raise SpecificationError("padding must be nonnegative")
+# The lattice has N_CORNER evenly spaced values on each edge of the box,
+# and the action grid reaches PADDING times the lattice's width past it.
+N_CORNER = 9
+PADDING = 0.1
 
 
 @dataclass(frozen=True)
@@ -81,13 +70,11 @@ class OracleResult:
     spacing: float
     corner_violation: float
     n_lattice: int
-    n_delta: int
 
 
-def _lattice_estimates(fam: FamilySpec, box: PriorBox, x: float,
-                       n_corner: int) -> np.ndarray:
-    alphas = np.linspace(box.alpha_lo, box.alpha_hi, n_corner)
-    lams = np.linspace(box.lam_lo, box.lam_hi, n_corner)
+def _lattice_estimates(fam: FamilySpec, box: PriorBox, x: float) -> np.ndarray:
+    alphas = np.linspace(box.alpha_lo, box.alpha_hi, N_CORNER)
+    lams = np.linspace(box.lam_lo, box.lam_hi, N_CORNER)
     ests = []
     for a in alphas:
         for l in lams:
@@ -107,8 +94,9 @@ class _Envelope(NamedTuple):
     guarded: np.ndarray   # actions recomputed with exact regrets
 
 
-def _sweep(fam: FamilySpec, lattice: np.ndarray, grid: GridSpec) -> _Envelope:
-    """Worst regret over ``lattice`` at every action of a padded grid.
+def _sweep(fam: FamilySpec, lattice: np.ndarray, n_delta: int) -> _Envelope:
+    """Worst regret over ``lattice`` at each of ``n_delta`` actions of a
+    padded grid.
 
     Regret against the Bayes action b is ``A_b + B_b*d - psi(d)`` with
     ``A_b = psi(b) - b*mean(b)`` and ``B_b = mean(b)``: every lattice
@@ -119,15 +107,18 @@ def _sweep(fam: FamilySpec, lattice: np.ndarray, grid: GridSpec) -> _Envelope:
     or is not finite, the action is recomputed from the exact
     ``posterior_regret`` of every lattice point.
     """
+    if n_delta < 3:
+        raise SpecificationError(
+            f"the action grid needs at least 3 points, got n_delta={n_delta}")
     d_min, d_max = float(lattice[0]), float(lattice[-1])
     width = d_max - d_min
     if width > 0:
-        pad = grid.padding * width
+        pad = PADDING * width
     else:
         pad = max(1e-6, 1e-6 * abs(d_min))
     lo = interior_clamp(fam, d_min - pad)
     hi = interior_clamp(fam, d_max + pad)
-    deltas = np.linspace(lo, hi, grid.n_delta)
+    deltas = np.linspace(lo, hi, n_delta)
 
     last = len(lattice) - 1
     with np.errstate(all="ignore"):
@@ -139,9 +130,9 @@ def _sweep(fam: FamilySpec, lattice: np.ndarray, grid: GridSpec) -> _Envelope:
 
         env = np.multiply(deltas, slopes[0])
         env += offsets[0]
-        arg = np.zeros(grid.n_delta, dtype=np.intp)
-        line = np.empty(grid.n_delta)
-        win = np.empty(grid.n_delta, dtype=bool)
+        arg = np.zeros(n_delta, dtype=np.intp)
+        line = np.empty(n_delta)
+        win = np.empty(n_delta, dtype=bool)
         for i in range(1, last + 1):
             np.multiply(deltas, slopes[i], out=line)
             line += offsets[i]
@@ -176,12 +167,13 @@ def _sweep(fam: FamilySpec, lattice: np.ndarray, grid: GridSpec) -> _Envelope:
 
 
 def grid_minimax(fam: FamilySpec, box: PriorBox, x: float,
-                 grid: GridSpec = GridSpec()) -> OracleResult:
-    """Minimize the lattice-supremum posterior regret over a padded grid."""
-    lattice = _lattice_estimates(fam, box, x, grid.n_corner)
-    deltas, sup, _, excess, _ = _sweep(fam, lattice, grid)
+                 n_delta: int = 2000) -> OracleResult:
+    """Minimize the lattice-supremum posterior regret over a padded grid
+    of ``n_delta`` actions."""
+    lattice = _lattice_estimates(fam, box, x)
+    deltas, sup, _, excess, _ = _sweep(fam, lattice, n_delta)
     k = int(np.argmin(sup))
-    spacing = float(deltas[1] - deltas[0]) if len(deltas) > 1 else 0.0
+    spacing = float(deltas[1] - deltas[0])
 
     slope = 1.0
     if 0 < k < len(deltas) - 1 and spacing > 0:
@@ -197,21 +189,19 @@ def grid_minimax(fam: FamilySpec, box: PriorBox, x: float,
         spacing=spacing,
         corner_violation=float(np.max(excess)),
         n_lattice=len(lattice),
-        n_delta=grid.n_delta,
     )
 
 
-def regret_curve(fam: FamilySpec, box: PriorBox, x: float,
-                 grid: GridSpec = GridSpec()):
-    """Sampled worst-case regret curve for export.
+def regret_curve(fam: FamilySpec, box: PriorBox, x: float, n_delta: int = 2000):
+    """Worst-case regret curve sampled at ``n_delta`` actions, for export.
 
     Returns ``(deltas, sup_regret, labels)`` where each label names the
     lattice Bayes estimate attaining the supremum at that action: "lo"
     (the smallest), "hi" (the largest), or "interior" where corner
     dominance failed there.
     """
-    lattice = _lattice_estimates(fam, box, x, grid.n_corner)
-    deltas, sup, arg, _, _ = _sweep(fam, lattice, grid)
+    lattice = _lattice_estimates(fam, box, x)
+    deltas, sup, arg, _, _ = _sweep(fam, lattice, n_delta)
     names = ["interior"] * len(lattice)
     names[-1], names[0] = "hi", "lo"
     return deltas, sup, [names[i] for i in arg.tolist()]

@@ -307,7 +307,6 @@ def _log_weight(fam: FamilySpec, prior: ConjugatePrior):
     """Log unnormalized prior density, vectorized over theta."""
 
     def logw(th):
-        th = th if isinstance(th, float) else np.asarray(th, dtype=float)
         v = prior.alpha * fam.log_prior_base(th) - prior.lam * th
         if prior.flavor == "jcp":
             v = v + 0.5 * np.log(-fam.mean_deriv(th))
@@ -323,7 +322,6 @@ def _log_posterior_integrand(fam: FamilySpec, prior: ConjugatePrior, x: float):
     logw = _log_weight(fam, prior)
 
     def logf(th):
-        th = th if isinstance(th, float) else np.asarray(th, dtype=float)
         return fam.log_norm(th) - th * r + logw(th)
 
     return logf

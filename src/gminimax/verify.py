@@ -39,12 +39,10 @@ from .estimators import (
 )
 from .families import builtin_family
 from .losses import intrinsic_loss
-from .oracle import CORNER_TOL, GridSpec, grid_minimax, kl_quadrature
+from .oracle import CORNER_TOL, grid_minimax, kl_quadrature
 from .priors import MixturePath, PriorBox, conjugate_prior
 
 __all__ = ["CheckRecord", "run_suite", "SUITE_NAMES"]
-
-SUITE_NAMES = ("minimax", "invariance", "bayesianity")
 
 INVARIANCE_TOL = 1e-9
 CONTROL_GAP = 1e-3
@@ -108,15 +106,14 @@ def _draw_instance(rng):
     return (fam, *_draw_box(rng, fam))
 
 
-def minimax_suite(seed: int, n_instances: int = 100,
-                  grid: GridSpec = GridSpec()) -> list[CheckRecord]:
+def minimax_suite(seed: int, n_instances: int) -> list[CheckRecord]:
     """Closed-form box minimax against the brute-force sweep."""
     rng = np.random.default_rng(seed)
     records = []
     for i in range(n_instances):
         fam, box, x = _draw_instance(rng)
         report = prgm_conjugate_box(fam, box, x)
-        oracle = grid_minimax(fam, box, x, grid)
+        oracle = grid_minimax(fam, box, x)
         gap = abs(oracle.argmin - report.estimate)
         records.append(CheckRecord(
             suite="minimax", check="oracle_argmin", index=i,
@@ -159,7 +156,7 @@ _INVARIANCE_COMBOS = (
 )
 
 
-def invariance_suite(seed: int, n_instances: int = 25) -> list[CheckRecord]:
+def invariance_suite(seed: int, n_instances: int) -> list[CheckRecord]:
     """Transport of the invariant estimate vs a native transformed-scale
     solve, plus the plain-conjugate control that must disagree."""
     rng = np.random.default_rng(seed)
@@ -204,7 +201,7 @@ def invariance_suite(seed: int, n_instances: int = 25) -> list[CheckRecord]:
     return records
 
 
-def bayesianity_suite(seed: int, n_instances: int = 30) -> list[CheckRecord]:
+def bayesianity_suite(seed: int, n_instances: int) -> list[CheckRecord]:
     """Witness constructions for box-minimax actions."""
     rng = np.random.default_rng(seed)
     records = []
@@ -268,12 +265,24 @@ def bayesianity_suite(seed: int, n_instances: int = 30) -> list[CheckRecord]:
     return records
 
 
-def run_suite(name: str, seed: int, grid: GridSpec = GridSpec(),
+# Each suite with its default instance count.
+_SUITES = {
+    "minimax": (minimax_suite, 100),
+    "invariance": (invariance_suite, 25),
+    "bayesianity": (bayesianity_suite, 30),
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
+def run_suite(name: str, seed: int,
               n_instances: int | None = None) -> list[CheckRecord]:
-    if name == "minimax":
-        return minimax_suite(seed, n_instances or 100, grid)
-    if name == "invariance":
-        return invariance_suite(seed, n_instances or 25)
-    if name == "bayesianity":
-        return bayesianity_suite(seed, n_instances or 30)
-    raise SpecificationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    """Run one suite with ``n_instances`` instances (``None``: its default)."""
+    if name not in _SUITES:
+        raise SpecificationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    suite, default = _SUITES[name]
+    if n_instances is None:
+        n_instances = default
+    elif n_instances < 1:
+        raise SpecificationError(
+            f"a suite needs at least 1 instance, got n_instances={n_instances}")
+    return suite(seed, n_instances)

@@ -16,7 +16,6 @@ from scipy.special import expit
 
 from gminimax import (
     ConjugatePrior,
-    GridSpec,
     MixturePath,
     bayes_estimate,
     builtin_family,

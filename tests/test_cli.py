@@ -216,6 +216,15 @@ class TestRegretCurve:
         assert [float(r[1]) for r in rows] == payload["sup_regret"]
         assert [r[2] for r in rows] == payload["argmax_corner"]
 
+    def test_action_grid_below_three_points(self, capsys):
+        rc, out, err = run_cli(capsys, [
+            "regret-curve", "--family", "exponential", "--x", "2",
+            "--box", "a=1:3,l=1:2", "--grid-n", "2",
+        ])
+        assert (rc, out) == (2, "")
+        assert err == ("gminimax: configuration error: the action grid needs "
+                       "at least 3 points, got n_delta=2\n")
+
     def test_json_format(self, capsys):
         payload = run_json(capsys, [
             "regret-curve", "--family", "normal", "--x", "0.3",
@@ -240,20 +249,25 @@ class TestVerifyCommand:
         assert summary["n_checks"] == len(records) - 1
         assert all(r["passed"] for r in records[:-1])
 
-    def test_curve_out(self, capsys, tmp_path):
-        target = tmp_path / "curve.csv"
-        rc, _, _ = run_cli(capsys, [
-            "verify", "minimax", "--seed", "7", "--n-instances", "2",
-            "--grid-n", "200", "--curve-out", str(target),
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_instance_count_below_one_is_a_configuration_error(self, capsys, count):
+        rc, out, err = run_cli(capsys, [
+            "verify", "minimax", "--seed", "7", "--n-instances", count,
         ])
-        assert rc == 0
-        first = target.read_text(encoding="utf-8").splitlines()[0]
-        assert first == "delta,sup_regret,argmax_corner"
+        assert (rc, out) == (2, "")
+        assert err == ("gminimax: configuration error: a suite needs at least "
+                       f"1 instance, got n_instances={count}\n")
+
+    @pytest.mark.parametrize("flag", [["--grid-n", "500"], ["--curve-out", "x.csv"]])
+    def test_removed_flags_are_usage_errors(self, capsys, flag):
+        rc, out, err = run_cli(capsys, ["verify", "minimax", *flag])
+        assert (rc, out) == (2, "")
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         from gminimax.verify import CheckRecord
 
-        def fake_suite(name, seed, grid, n_instances=None):
+        def fake_suite(name, seed, n_instances=None):
             yield CheckRecord(suite=name, check="equalized_regret", index=0,
                               passed=False, value=0.5, bound=1e-10)
 
@@ -484,7 +498,7 @@ class TestFamilyFile:
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "gminimax", "verify", "minimax",
-         "--seed", "5", "--n-instances", "2", "--grid-n", "500"],
+         "--seed", "5", "--n-instances", "2"],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

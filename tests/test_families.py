@@ -111,6 +111,16 @@ class TestFisherInformation:
         for th in support_grid(poisson, n=41):
             assert fisher_info(poisson, float(th)) > 0.0
 
+    @pytest.mark.parametrize("name", ["normal", "exponential", "binomial_logit(5)",
+                                      "poisson"])
+    def test_sequence_and_int_inputs(self, name):
+        # The family mappings take floats or float arrays only; the public
+        # function converts whatever else it is given.
+        fam = builtin_family(name)
+        np.testing.assert_array_equal(fisher_info(fam, [1.0, 2]),
+                                      fisher_info(fam, np.array([1.0, 2.0])))
+        assert fisher_info(fam, 2) == fisher_info(fam, 2.0)
+
 
 class TestExpit:
     """The local logistic sigmoid against the scipy function it replaces."""
@@ -179,8 +189,9 @@ def test_support_grid_stays_interior(exponential, normal):
     g = support_grid(exponential, n=101)
     assert g.shape == (101,)
     assert np.all(g > 0.0)
-    g2 = support_grid(normal, n=51, cap=8.0)
-    assert g2.min() >= -8.0 and g2.max() <= 8.0
+    # Infinite ends are cut at +-12.
+    g2 = support_grid(normal, n=51)
+    assert (g2[0], g2[-1]) == (-12.0, 12.0)
 
 
 def test_require_in_support(exponential):

@@ -13,7 +13,6 @@ from gminimax import (
     ConjugatePrior,
     ConvergenceError,
     DomainError,
-    GridSpec,
     SpecificationError,
     bayes_estimate,
     grid_minimax,
@@ -29,22 +28,6 @@ from gminimax import (
 )
 
 
-class TestGridSpec:
-    def test_defaults(self):
-        g = GridSpec()
-        assert g.n_delta == 2000
-        assert g.n_corner == 9
-        assert g.padding == 0.1
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(n_delta=2), dict(n_corner=1), dict(padding=-0.1)],
-    )
-    def test_rejects_unusable_grids(self, kwargs):
-        with pytest.raises(SpecificationError):
-            GridSpec(**kwargs)
-
-
 class TestGridMinimax:
     def test_exponential_box_localizes_closed_form(self, exponential):
         box = prior_box(exponential, 1.0, 3.0, 1.0, 2.0)
@@ -55,6 +38,17 @@ class TestGridMinimax:
         assert res.corner_violation <= 1e-12
         assert res.n_lattice <= 81
         assert res.spacing > 0
+
+    def test_full_box_lattice_is_nine_by_nine(self, normal):
+        # No two (alpha, lambda) of this box's lattice share a Bayes
+        # estimate, so none of the 9 x 9 points merge.
+        box = prior_box(normal, 0.7, 2.3, -1.1, 0.9)
+        assert grid_minimax(normal, box, 0.3).n_lattice == 81
+
+    def test_rejects_action_grid_below_three_points(self, exponential):
+        box = prior_box(exponential, 1.0, 3.0, 1.0, 2.0)
+        with pytest.raises(SpecificationError, match="action grid"):
+            grid_minimax(exponential, box, 2.0, n_delta=2)
 
     def test_normal_box_localizes_midpoint(self, normal):
         box = prior_box(normal, 0.5, 2.0, -1.0, 1.0)
@@ -85,8 +79,8 @@ class TestGridMinimax:
 
     def test_coarser_grid_widens_bound(self, exponential):
         box = prior_box(exponential, 1.0, 3.0, 1.0, 2.0)
-        fine = grid_minimax(exponential, box, 2.0, GridSpec(n_delta=4000))
-        coarse = grid_minimax(exponential, box, 2.0, GridSpec(n_delta=500))
+        fine = grid_minimax(exponential, box, 2.0, n_delta=4000)
+        coarse = grid_minimax(exponential, box, 2.0, n_delta=500)
         assert coarse.resolution_bound > fine.resolution_bound
         assert abs(coarse.argmin - fine.argmin) <= coarse.resolution_bound
 
@@ -137,7 +131,7 @@ class TestRegretCurve:
         fam = builtin_family(name)
         box = prior_box(fam, a_lo, a_hi, l_lo, l_hi)
         deltas, _, labels = regret_curve(fam, box, x)
-        lattice = oracle._lattice_estimates(fam, box, x, GridSpec().n_corner)
+        lattice = oracle._lattice_estimates(fam, box, x)
         winner = np.argmax([posterior_regret(fam, float(b), deltas) for b in lattice],
                            axis=0)
         names = {0: "lo", len(lattice) - 1: "hi"}
@@ -219,14 +213,13 @@ class TestEnvelope:
     @given(_instances())
     def test_supremum_and_argmin_match_brute_force(self, instance):
         fam, box, x = instance
-        grid = GridSpec()
-        lattice = oracle._lattice_estimates(fam, box, x, grid.n_corner)
-        sweep = oracle._sweep(fam, lattice, grid)
+        lattice = oracle._lattice_estimates(fam, box, x)
+        sweep = oracle._sweep(fam, lattice, 2000)
         brute, _ = _brute_force(fam, lattice, sweep.deltas)
         bound = _rounding_bound(fam, lattice, sweep.deltas)
         # Each side is within one rounding bound of the exact supremum.
         assert np.all(np.abs(sweep.sup - brute) <= 2.0 * bound)
-        res = grid_minimax(fam, box, x, grid)
+        res = grid_minimax(fam, box, x)
         assert abs(res.argmin - sweep.deltas[np.argmin(brute)]) <= res.resolution_bound
 
     @pytest.mark.parametrize("name", ["normal", "exponential", "binomial_logit(5)",
@@ -236,8 +229,8 @@ class TestEnvelope:
         # lines cancel, so every action gets the exact regrets.
         fam = _family(name)
         box = PriorBox(fam, 2.0, 2.0 + 1e-9, 1.0, 1.0 + 1e-9)
-        lattice = oracle._lattice_estimates(fam, box, 2.0, GridSpec().n_corner)
-        sweep = oracle._sweep(fam, lattice, GridSpec())
+        lattice = oracle._lattice_estimates(fam, box, 2.0)
+        sweep = oracle._sweep(fam, lattice, 2000)
         assert sweep.guarded.all()
         brute, winner = _brute_force(fam, lattice, sweep.deltas)
         assert np.array_equal(sweep.sup, brute)
@@ -256,8 +249,8 @@ class TestEnvelope:
         res = grid_minimax(exponential, box, 2.0)
         assert evaluated == []
         near = prior_box(exponential, 2.0, 2.0 + 1e-9, 1.0, 1.0 + 1e-9)
-        lattice = oracle._lattice_estimates(exponential, near, 3.0, 9)
-        sweep = oracle._sweep(exponential, lattice, GridSpec())
+        lattice = oracle._lattice_estimates(exponential, near, 3.0)
+        sweep = oracle._sweep(exponential, lattice, 2000)
         assert evaluated == [int(sweep.guarded.sum())] * len(lattice)
         assert res.corner_violation == 0.0
 
