@@ -70,18 +70,16 @@ class FamilySpec:
     jeffreys_shift:  ``(a, b)`` with sqrt(Fisher) ∝ base^a * exp(-b*theta),
                      or ``None`` when no such pair exists / is known.
     obs_units:       prior-base units one observation adds to ``alpha``.
-    prior_ok:        predicate on ``(alpha, lam)`` for usable priors.
-    prior_rule:      human-readable statement of that predicate.
-    posterior_ok:    predicate on ``(alpha, lam, x)`` for a proper
-                     posterior with a finite posterior mean of ``mean``.
     log_carrier:     log of ``carrier(x)``, vectorized in x.
     sample_space:    ``(lo, hi, integers)``: observations lie in [lo, hi],
                      on its integers (lo finite) when ``integers`` is true.
-    prior_proper:    predicate on standard ``(alpha, lam)`` for a prior
-                     that is itself a distribution (mixture components).
+    propriety:       rows ``(c_alpha, c_lam, c_0, strict)``: a standard prior
+                     is a distribution when each ``c_alpha*alpha + c_lam*lam
+                     + c_0`` is ``> 0`` (``>= 0`` if not strict).  They need
+                     ``sample_space``; ``check_*_ok`` derive the other rules.
 
-    The last three default to ``None`` (user-defined families): then
-    there is no KL oracle, no observation check and no mixture.
+    The last three default to ``None`` (user-defined families): then there
+    is no KL oracle, no observation or propriety check and no mixture.
 
     The mappings in theta, ``stat`` and ``log_carrier`` are called with a
     float or a float ndarray and convert nothing themselves; callers
@@ -98,12 +96,9 @@ class FamilySpec:
     mean_range: tuple[float, float] | None = None
     jeffreys_shift: tuple[float, float] | None = None
     obs_units: float = 1.0
-    prior_ok: Callable[[float, float], bool] | None = None
-    prior_rule: str = ""
-    posterior_ok: Callable[[float, float, float], bool] | None = None
     log_carrier: Callable | None = None
     sample_space: tuple[float, float, bool] | None = None
-    prior_proper: Callable[[float, float], bool] | None = None
+    propriety: tuple[tuple[float, float, float, bool], ...] | None = None
 
     def __post_init__(self):
         lo, hi = self.support
@@ -113,6 +108,8 @@ class FamilySpec:
             )
         if self.obs_units <= 0:
             raise SpecificationError("obs_units must be positive")
+        if self.propriety is not None and self.sample_space is None:
+            raise SpecificationError(f"{self.name}: propriety rows need a sample space")
 
     # Identical to log_norm except for the binomial, where one
     # observation carries obs_units = n base units.
@@ -148,13 +145,13 @@ def interior_clamp(fam: FamilySpec, theta: float) -> float:
     return t
 
 
-def support_grid(fam: FamilySpec, n: int = 201) -> np.ndarray:
-    """Evenly spaced interior points covering a working window of the support.
+def support_grid(fam: FamilySpec) -> np.ndarray:
+    """201 evenly spaced interior points of a working window of the support.
 
     The window, with infinite ends cut at +-12, is where family invariants
     get spot-checked, not a claim about where the family is defined.
     """
-    return interval_grid(*fam.support, n, 12.0)
+    return interval_grid(*fam.support, 201, 12.0)
 
 
 def interval_grid(lo: float, hi: float, n: int, cap: float) -> np.ndarray:
@@ -382,12 +379,9 @@ def _normal_family() -> FamilySpec:
         mean_inv=lambda t: -t,
         mean_range=(-math.inf, math.inf),
         jeffreys_shift=(0.0, 0.0),
-        prior_ok=lambda a, lam: a > -1.0,
-        prior_rule="alpha > -1 (posterior is then a proper normal for any x)",
-        posterior_ok=lambda a, lam, x: True,
         log_carrier=lambda x: -0.5 * np.square(x) - 0.5 * math.log(2.0 * math.pi),
         sample_space=(-math.inf, math.inf, False),
-        prior_proper=lambda a, lam: a > 0.0,
+        propriety=((1.0, 0.0, 0.0, True),),  # prior N(-lambda/alpha, 1/alpha)
     )
 
 
@@ -403,12 +397,10 @@ def _exponential_family() -> FamilySpec:
         mean_inv=lambda t: 1.0 / t,
         mean_range=(0.0, math.inf),
         jeffreys_shift=(-1.0, 0.0),
-        prior_ok=lambda a, lam: a > -1.0 and lam >= 0.0,
-        prior_rule="alpha > -1 and lambda >= 0 (proper posterior for x > 0)",
-        posterior_ok=lambda a, lam, x: a > -1.0 and lam + x > 0.0,
         log_carrier=lambda x: np.zeros_like(x),
         sample_space=(0.0, math.inf, False),
-        prior_proper=lambda a, lam: a > -1.0 and lam > 0.0,
+        # prior Gamma(alpha + 1, rate lambda)
+        propriety=((1.0, 0.0, 1.0, True), (0.0, 1.0, 0.0, True)),
     )
 
 
@@ -458,16 +450,10 @@ def _binomial_family(n: int) -> FamilySpec:
         mean_range=(0.0, nf),
         jeffreys_shift=(1.0, 0.5),
         obs_units=nf,
-        prior_ok=lambda a, lam: lam >= 0.0 and a >= lam,
-        prior_rule=(
-            "0 <= lambda <= alpha (Beta(lambda, alpha - lambda) on the "
-            "success probability; strict propriety is checked per observation)"
-        ),
-        posterior_ok=lambda a, lam, x: lam + x > 0.0 and a + nf - lam - x > 0.0,
         log_carrier=lambda x: (math.lgamma(nf + 1.0) - _lgamma(x + 1.0)
                                - _lgamma(nf - x + 1.0)),
         sample_space=(0, n, True),
-        prior_proper=lambda a, lam: 0.0 < lam < a,
+        propriety=((0.0, 1.0, 0.0, True), (1.0, -1.0, 0.0, True)),
     )
 
 
@@ -490,30 +476,21 @@ def _poisson_family() -> FamilySpec:
         mean_inv=lambda t: -math.log(t),
         mean_range=(0.0, math.inf),
         jeffreys_shift=(0.0, 0.5),
-        prior_ok=lambda a, lam: a > -1.0 and lam >= 0.0,
-        prior_rule="alpha > -1 and lambda >= 0 (proper posterior for x >= 1, "
-                   "or x = 0 with lambda > 0)",
-        posterior_ok=lambda a, lam, x: lam + x > 0.0,
         log_carrier=lambda x: -_lgamma(x + 1.0),
         sample_space=(0, math.inf, True),
-        prior_proper=lambda a, lam: a > 0.0 and lam > 0.0,
+        propriety=((1.0, 0.0, 0.0, True), (0.0, 1.0, 0.0, True)),
     )
 
 
 _BINOMIAL_RE = re.compile(r"^(?:binomial_logit|binomial)\(\s*(?:n\s*=\s*)?(\d+)\s*\)$")
 
-_ALIASES = {
-    "normal": "normal_mean_unitvar",
-    "normal_mean_unitvar": "normal_mean_unitvar",
-    "exponential": "exponential_rate",
-    "exponential_rate": "exponential_rate",
-    "poisson": "poisson_neglograte",
-    "poisson_neglograte": "poisson_neglograte",
-}
-
-FAMILIES: dict[str, Callable[[], FamilySpec]] = {
+# Every accepted spelling of a family without parameters.
+_BUILTINS: dict[str, Callable[[], FamilySpec]] = {
+    "normal": _normal_family,
     "normal_mean_unitvar": _normal_family,
+    "exponential": _exponential_family,
     "exponential_rate": _exponential_family,
+    "poisson": _poisson_family,
     "poisson_neglograte": _poisson_family,
 }
 
@@ -533,34 +510,55 @@ def builtin_family(name: str) -> FamilySpec:
         raise SpecificationError(
             "binomial family needs a trial count, e.g. binomial_logit(5)"
         )
-    canon = _ALIASES.get(key)
-    if canon is None:
+    make = _BUILTINS.get(key)
+    if make is None:
         raise SpecificationError(
             f"unknown family {name!r}; built-ins are normal_mean_unitvar, "
             "exponential_rate, binomial_logit(n), poisson_neglograte"
         )
-    return FAMILIES[canon]()
+    return make()
 
 
-def check_prior_ok(fam: FamilySpec, alpha: float, lam: float) -> None:
-    """Raise ProprietyError if (alpha, lam) violates the family predicate.
+def _broken(rows, alpha: float, lam: float):
+    """The first row that ``(alpha, lam)`` breaks, or None."""
+    for row in rows:
+        ca, cl, c0, strict = row
+        # zero terms are skipped: 0 * inf is nan once lam + stat(x) overflows
+        v = c0 + (ca * alpha if ca else 0.0) + (cl * lam if cl else 0.0)
+        if not (v > 0.0 if strict else v >= 0.0):
+            return row
+    return None
 
-    Families without a predicate (user-defined ones) are accepted with a
-    warning: propriety is then the caller's responsibility.  The warning
-    names the line that called the prior's constructor.
-    """
-    if fam.prior_ok is None:
-        warnings.warn(
-            f"family {fam.name} has no propriety predicate; accepting "
-            f"(alpha={alpha}, lambda={lam}) unchecked",
-            stacklevel=3,
-        )
-        return
-    if not fam.prior_ok(alpha, lam):
-        raise ProprietyError(
-            f"(alpha={alpha}, lambda={lam}) violates the propriety rule for "
-            f"{fam.name}: {fam.prior_rule}"
-        )
+
+def _inequality(row) -> str:
+    """A row as text, e.g. ``alpha - lambda >= 0``."""
+    text = ""
+    for c, name in zip(row[:3], ("*alpha", "*lambda", "")):
+        if c:
+            term = f"{abs(c):g}{name}".removeprefix("1*")
+            text += ((" - " if c < 0 else " + ") if text else "-" * (c < 0)) + term
+    return f"{text or '0'} {'>' if row[3] else '>='} 0"
+
+
+def check_prior_ok(fam: FamilySpec, points) -> None:
+    """Raise ProprietyError, naming the broken inequality, unless every
+    standard prior ``(alpha, lam)`` in ``points`` passes
+    ``check_posterior_ok`` at every x strictly inside the hull of the
+    sample space.  The family must have propriety rows."""
+    # alpha + u > 0 and each row at (alpha + u, lam + stat(x)); a row in lam holds
+    # for all such x iff it holds, not strictly, at the least c_lam*stat of the ends.
+    u, (lo, hi, _) = fam.obs_units, fam.sample_space
+    rows = [(1.0, 0.0, u, True)]
+    for ca, cl, c0, strict in fam.propriety:
+        if cl:
+            c0 += min(cl * float(fam.stat(float(lo))), cl * float(fam.stat(float(hi))))
+            strict = False
+        rows.append((ca, cl, c0 + ca * u, strict))
+    for alpha, lam in points:
+        row = _broken(rows, alpha, lam)
+        if row is not None:
+            raise ProprietyError(f"(alpha={alpha}, lambda={lam}) violates the "
+                                 f"propriety rule {_inequality(row)} of {fam.name}")
 
 
 def check_observation(fam: FamilySpec, x: float) -> None:
@@ -578,14 +576,15 @@ def check_observation(fam: FamilySpec, x: float) -> None:
         )
 
 
-def check_posterior_ok(fam: FamilySpec, alpha: float, lam: float, x: float) -> None:
+def check_posterior_ok(fam: FamilySpec, alpha: float, lam: float, x: float,
+                       r: float) -> None:
     """Raise DomainError for an impossible observation, ProprietyError if
-    the posterior at x would be improper.  Every family, a custom one
-    included, needs ``alpha + obs_units > 0``: the closed-form posterior
-    mean divides by it."""
+    the posterior at x (``r = stat(x)``) would be improper: every family
+    needs ``alpha + obs_units > 0``, since the closed-form posterior mean
+    divides by it, and every row must hold at ``(alpha + obs_units, lam + r)``."""
     check_observation(fam, x)
-    ok = fam.posterior_ok is None or fam.posterior_ok(alpha, lam, x)
-    if not (ok and alpha + fam.obs_units > 0):
+    a, rows = alpha + fam.obs_units, fam.propriety
+    if not (a > 0 and (rows is None or _broken(rows, a, lam + r) is None)):
         raise ProprietyError(
             f"observation x={x} with (alpha={alpha}, lambda={lam}) gives an "
             f"improper posterior (or infinite posterior mean) for {fam.name}"

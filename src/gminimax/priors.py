@@ -33,6 +33,7 @@ import numpy as np
 from .errors import ConvergenceError, ProprietyError, SpecificationError
 from .families import (
     FamilySpec,
+    _broken,
     check_observation,
     check_posterior_ok,
     check_prior_ok,
@@ -83,20 +84,21 @@ def conjugate_prior(fam: FamilySpec, alpha: float, lam: float,
                     flavor: str = "standard") -> ConjugatePrior:
     """Construct a prior, rejecting hyper-parameters that cannot work.
 
-    The propriety predicate is evaluated on the standard-flavor
-    equivalent; a ``jcp`` prior for a family with no declared shift is
-    accepted with a warning because only quadrature can handle it.
+    The propriety rule is checked on the standard-flavor equivalent.  A
+    prior that cannot be pre-checked (no propriety rows, or ``jcp`` with no
+    declared shift: only quadrature handles it) is accepted with a warning.
     """
     prior = ConjugatePrior(fam, float(alpha), float(lam), flavor)
     if flavor == "jcp" and fam.jeffreys_shift is None:
-        warnings.warn(
-            f"family {fam.name} declares no Jeffreys shift; jcp prior "
-            "propriety cannot be pre-checked",
-            stacklevel=2,
-        )
+        warnings.warn(f"family {fam.name} declares no Jeffreys shift; jcp prior "
+                      "propriety cannot be pre-checked", stacklevel=2)
+        return prior
+    std = to_standard(prior)
+    if fam.propriety is None:
+        warnings.warn(f"family {fam.name} has no propriety predicate; accepting "
+                      f"(alpha={std.alpha}, lambda={std.lam}) unchecked", stacklevel=2)
     else:
-        std = to_standard(prior)
-        check_prior_ok(fam, std.alpha, std.lam)
+        check_prior_ok(fam, [(std.alpha, std.lam)])
     return prior
 
 
@@ -130,7 +132,7 @@ def posterior_predictive_mean(fam: FamilySpec, prior: ConjugatePrior, x: float) 
     """
     std = to_standard(prior)
     r = float(fam.stat(x))
-    check_posterior_ok(fam, std.alpha, std.lam, x)
+    check_posterior_ok(fam, std.alpha, std.lam, x, r)
     return fam.obs_units * (std.lam + r) / (std.alpha + fam.obs_units)
 
 
@@ -195,19 +197,18 @@ def prior_box(fam: FamilySpec, alpha_lo: float, alpha_hi: float,
               lam_lo: float, lam_hi: float, flavor: str = "standard") -> PriorBox:
     """Construct a box after validating every corner's propriety on its
     standard-flavor equivalent.  A box that cannot be pre-checked (no
-    predicate, or a jcp box without a Jeffreys shift) gets one warning."""
+    propriety rows, or a jcp box without a Jeffreys shift) gets one warning."""
     box = PriorBox(fam, float(alpha_lo), float(alpha_hi), float(lam_lo),
                    float(lam_hi), flavor)
     if flavor == "jcp" and fam.jeffreys_shift is None:
         warnings.warn(f"family {fam.name} declares no Jeffreys shift; jcp box "
                       "propriety cannot be pre-checked", stacklevel=2)
-    elif fam.prior_ok is None:
+    elif fam.propriety is None:
         warnings.warn(f"family {fam.name} has no propriety predicate; accepting "
                       f"the box alpha [{box.alpha_lo}, {box.alpha_hi}], lambda "
                       f"[{box.lam_lo}, {box.lam_hi}] unchecked", stacklevel=2)
     else:
-        for a, l in box.to_standard().corners():
-            check_prior_ok(fam, a, l)
+        check_prior_ok(fam, box.to_standard().corners())
     return box
 
 
@@ -222,7 +223,7 @@ class MixturePath:
 
     Both components must be proper distributions over the same family,
     otherwise the mixture weights are meaningless.  A family without
-    ``prior_proper`` (a custom one) has no proper prior here; a flat
+    ``propriety`` rows (a custom one) has no proper prior here; a flat
     normal prior has proper posteriors but is not itself a distribution.
     """
 
@@ -236,9 +237,8 @@ class MixturePath:
                 f"{self.p0.fam.name} and {self.p1.fam.name}"
             )
         for tag, p in (("p0", self.p0), ("p1", self.p1)):
-            std = to_standard(p)
-            proper = p.fam.prior_proper
-            if proper is None or not proper(std.alpha, std.lam):
+            std, rows = to_standard(p), p.fam.propriety
+            if rows is None or _broken(rows, std.alpha, std.lam) is not None:
                 raise ProprietyError(
                     f"mixture component {tag} (alpha={p.alpha}, lam={p.lam}, "
                     f"flavor={p.flavor}) is not a proper distribution for "

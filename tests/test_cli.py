@@ -294,11 +294,15 @@ class TestExitCodes:
         assert "configuration error" in err
 
     def test_improper_prior(self, capsys):
-        rc, _, _ = run_cli(capsys, [
+        rc, _, err = run_cli(capsys, [
             "bayes", "--family", "exponential", "--x", "1",
             "--prior", "a=-2,l=1",
         ])
         assert rc == 2
+        # One line that names the broken inequality.
+        assert err == ("gminimax: configuration error: (alpha=-2.0, lambda=1.0) "
+                       "violates the propriety rule alpha + 1 > 0 of "
+                       "exponential_rate\n")
 
     def test_prgm_box_needs_x(self, capsys):
         rc, _, err = run_cli(capsys, [

@@ -211,8 +211,10 @@ class TestImpossibleObservation:
         bayes_estimate(fam, conjugate_prior(fam, 10.0, 1.0), x)
 
     def test_custom_family_observation_is_unchecked(self, exponential):
-        bare = dataclasses.replace(exponential, sample_space=None)
-        prior = conjugate_prior(bare, 2.0, 2.0)
+        # Propriety rows are stated relative to a sample space, so they go too.
+        bare = dataclasses.replace(exponential, sample_space=None, propriety=None)
+        with pytest.warns(UserWarning, match="no propriety predicate"):
+            prior = conjugate_prior(bare, 2.0, 2.0)
         assert bayes_estimate(bare, prior, -1.0).estimate == pytest.approx(3.0)
 
 

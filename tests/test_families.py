@@ -26,6 +26,8 @@ class TestBuiltinLookup:
         assert builtin_family("normal").name == "normal_mean_unitvar"
         assert builtin_family("exponential").name == "exponential_rate"
         assert builtin_family("poisson").name == "poisson_neglograte"
+        for canon in ("normal_mean_unitvar", "exponential_rate", "poisson_neglograte"):
+            assert builtin_family(canon).name == canon
         assert builtin_family("binomial(7)").name == "binomial_logit(7)"
         assert builtin_family("Binomial_Logit( n = 3 )").name == "binomial_logit(3)"
 
@@ -108,7 +110,7 @@ class TestFisherInformation:
         assert fisher_info(exponential, 2.0) == pytest.approx(fd, rel=1e-8)
 
     def test_positive_everywhere(self, poisson):
-        for th in support_grid(poisson, n=41):
+        for th in support_grid(poisson):
             assert fisher_info(poisson, float(th)) > 0.0
 
     @pytest.mark.parametrize("name", ["normal", "exponential", "binomial_logit(5)",
@@ -180,17 +182,21 @@ class TestValidation:
         problems = validate_family(broken)
         assert any("shift" in p for p in problems)
 
+    def test_propriety_needs_a_sample_space(self, exponential):
+        with pytest.raises(SpecificationError, match="sample space"):
+            dataclasses.replace(exponential, sample_space=None)
+
     def test_inconsistent_mean_is_detected(self, exponential):
         broken = dataclasses.replace(exponential, mean=lambda th: 1.0 / np.asarray(th) + 0.05)
         assert validate_family(broken) != []
 
 
 def test_support_grid_stays_interior(exponential, normal):
-    g = support_grid(exponential, n=101)
-    assert g.shape == (101,)
+    g = support_grid(exponential)
+    assert g.shape == (201,)
     assert np.all(g > 0.0)
     # Infinite ends are cut at +-12.
-    g2 = support_grid(normal, n=51)
+    g2 = support_grid(normal)
     assert (g2[0], g2[-1]) == (-12.0, 12.0)
 
 

@@ -327,7 +327,7 @@ class TestKLQuadrature:
         renamed = dataclasses.replace(exponential, name="renamed_rate")
         assert kl_quadrature(renamed, 1.0, 2.0) == kl_quadrature(exponential, 1.0, 2.0)
         stranger = dataclasses.replace(exponential, log_carrier=None,
-                                       sample_space=None)
+                                       sample_space=None, propriety=None)
         with pytest.raises(SpecificationError, match="sampling model"):
             kl_quadrature(stranger, 1.0, 2.0)
 

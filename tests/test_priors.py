@@ -14,12 +14,15 @@ from gminimax import (
     MixturePath,
     ProprietyError,
     SpecificationError,
+    builtin_family,
     conjugate_prior,
     posterior_predictive_mean,
     predictive_mean_quadrature,
     prior_box,
     to_standard,
 )
+from gminimax.families import check_posterior_ok, check_prior_ok
+from gminimax.verify import _draw_box
 
 
 class TestProprietyGate:
@@ -164,6 +167,91 @@ class TestPriorBox:
         assert box.flavor == "jcp"
 
 
+def _written_out(fam):
+    """The three predicates each built-in carried before its propriety
+    rows, written out as the reference: (usable prior, posterior at x,
+    proper prior).  The posterior check adds alpha + obs_units > 0."""
+    n = fam.obs_units
+    return {
+        "normal_mean_unitvar": (lambda a, l: a > -1.0,
+                                lambda a, l, x: True,
+                                lambda a, l: a > 0.0),
+        "exponential_rate": (lambda a, l: a > -1.0 and l >= 0.0,
+                             lambda a, l, x: a > -1.0 and l + x > 0.0,
+                             lambda a, l: a > -1.0 and l > 0.0),
+        "poisson_neglograte": (lambda a, l: a > -1.0 and l >= 0.0,
+                               lambda a, l, x: l + x > 0.0,
+                               lambda a, l: a > 0.0 and l > 0.0),
+    }.get(fam.name, (lambda a, l: l >= 0.0 and a >= l,
+                     lambda a, l, x: l + x > 0.0 and a + n - l - x > 0.0,
+                     lambda a, l: 0.0 < l < a))
+
+
+def _accepts(check, *args) -> bool:
+    try:
+        check(*args)
+    except ProprietyError:
+        return False
+    return True
+
+
+# Quarter steps on [-8, 8]: every boundary of every rule lies on them.
+QUARTERS = [k / 4 for k in range(-32, 33)]
+
+
+class TestProprietyRows:
+    @pytest.mark.parametrize("name", ["normal", "exponential", "binomial_logit(1)",
+                                      "binomial_logit(5)", "binomial_logit(7)",
+                                      "poisson"])
+    def test_rows_match_the_written_out_predicates(self, name):
+        fam = builtin_family(name)
+        usable, posterior, proper = _written_out(fam)
+        lo, hi, integers = fam.sample_space
+        xs = [x for x in QUARTERS if lo <= x <= hi and (not integers or x.is_integer())]
+        wrong = []
+        for a in QUARTERS:
+            for l in QUARTERS:
+                if _accepts(check_prior_ok, fam, [(a, l)]) != usable(a, l):
+                    wrong.append(("usable", a, l))
+                p = ConjugatePrior(fam, a, l)
+                if _accepts(MixturePath, p, p) != proper(a, l):
+                    wrong.append(("proper", a, l))
+                for x in xs:
+                    want = posterior(a, l, x) and a + fam.obs_units > 0
+                    r = float(fam.stat(x))
+                    if _accepts(check_posterior_ok, fam, a, l, x, r) != want:
+                        wrong.append(("posterior", a, l, x))
+        assert wrong == []
+
+    def test_broken_inequality_is_named(self, exponential, binomial5):
+        with pytest.raises(ProprietyError, match=r"rule alpha \+ 1 > 0 of exponential"):
+            conjugate_prior(exponential, -2.0, 1.0)
+        with pytest.raises(ProprietyError, match="rule lambda >= 0 of exponential"):
+            conjugate_prior(exponential, 1.0, -0.5)
+        with pytest.raises(ProprietyError, match=r"rule alpha - lambda >= 0 of binomial"):
+            prior_box(binomial5, 1.0, 3.0, 0.5, 1.5)
+
+    def test_overflowed_update_is_not_called_improper(self, exponential):
+        # lam + x overflows; the row in alpha alone must not read 0 * inf = nan.
+        prior = conjugate_prior(exponential, 1.0, 1e308)
+        assert posterior_predictive_mean(exponential, prior, 1e308) == math.inf
+
+    @pytest.mark.parametrize("name,flavor", [
+        ("normal", "standard"), ("exponential", "standard"),
+        ("binomial_logit(5)", "standard"), ("poisson", "standard"),
+        ("exponential", "jcp"), ("binomial_logit(5)", "jcp"),
+    ])
+    def test_verify_draws_are_proper(self, name, flavor):
+        # The "guaranteed propriety" of verify's seeded boxes, checked.
+        fam = builtin_family(name)
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            box, x = _draw_box(rng, fam, flavor)
+            prior_box(fam, box.alpha_lo, box.alpha_hi, box.lam_lo, box.lam_hi, flavor)
+            for a, l in box.to_standard().corners():
+                check_posterior_ok(fam, a, l, x, float(fam.stat(x)))
+
+
 def test_quadrature_failure_blames_no_prior(normal):
     # A proper prior; the error estimate is round-off at theta ~ 5e4.
     with pytest.raises(ConvergenceError, match="exceeds the tolerance") as info:
@@ -195,7 +283,7 @@ class TestMixtures:
         renamed = dataclasses.replace(exponential, name="renamed_rate")
         MixturePath(ConjugatePrior(renamed, 1.0, 1.0), ConjugatePrior(renamed, 3.0, 2.0))
         with pytest.raises(ProprietyError, match="not a proper distribution"):
-            bare = dataclasses.replace(exponential, prior_proper=None)
+            bare = dataclasses.replace(exponential, propriety=None)
             MixturePath(ConjugatePrior(bare, 1.0, 1.0), ConjugatePrior(bare, 3.0, 2.0))
 
     def test_endpoints_collapse(self, exponential):
