@@ -530,14 +530,17 @@ def _broken(rows, alpha: float, lam: float):
     return None
 
 
-def _inequality(row) -> str:
-    """A row as text, e.g. ``alpha - lambda >= 0``."""
+def _inequality(row, stat: str = "") -> str:
+    """A row as text, e.g. ``alpha - lambda >= 0``.  A ``stat`` name adds
+    the term ``c_lam*stat``, as the row reads at a conjugate update."""
+    ca, cl, c0, strict = row
     text = ""
-    for c, name in zip(row[:3], ("*alpha", "*lambda", "")):
+    for c, name in zip((ca, cl, cl if stat else 0.0, c0),
+                       ("*alpha", "*lambda", f"*{stat}", "")):
         if c:
             term = f"{abs(c):g}{name}".removeprefix("1*")
             text += ((" - " if c < 0 else " + ") if text else "-" * (c < 0)) + term
-    return f"{text or '0'} {'>' if row[3] else '>='} 0"
+    return f"{text or '0'} {'>' if strict else '>='} 0"
 
 
 def check_prior_ok(fam: FamilySpec, points) -> None:
@@ -583,9 +586,12 @@ def check_posterior_ok(fam: FamilySpec, alpha: float, lam: float, x: float,
     needs ``alpha + obs_units > 0``, since the closed-form posterior mean
     divides by it, and every row must hold at ``(alpha + obs_units, lam + r)``."""
     check_observation(fam, x)
-    a, rows = alpha + fam.obs_units, fam.propriety
-    if not (a > 0 and (rows is None or _broken(rows, a, lam + r) is None)):
+    u = fam.obs_units
+    row = _broken(((1.0, 0.0, 0.0, True),) + (fam.propriety or ()), alpha + u, lam + r)
+    if row is not None:
+        ca, cl, c0, strict = row
+        rule = _inequality((ca, cl, c0 + ca * u, strict), "x" if r == x else "stat(x)")
         raise ProprietyError(
             f"observation x={x} with (alpha={alpha}, lambda={lam}) gives an "
-            f"improper posterior (or infinite posterior mean) for {fam.name}"
+            f"improper posterior for {fam.name}: it violates {rule}"
         )

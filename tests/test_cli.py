@@ -304,6 +304,17 @@ class TestExitCodes:
                        "violates the propriety rule alpha + 1 > 0 of "
                        "exponential_rate\n")
 
+    def test_improper_posterior_names_the_broken_row(self, capsys):
+        # The prior passes (lambda >= 0 on the sample space); x = 0 leaves
+        # the posterior's lambda + x at 0.
+        rc, _, err = run_cli(capsys, [
+            "bayes", "--family", "poisson", "--x", "0", "--prior", "a=1,l=0",
+        ])
+        assert rc == 2
+        assert err == ("gminimax: configuration error: observation x=0.0 with "
+                       "(alpha=1.0, lambda=0.0) gives an improper posterior for "
+                       "poisson_neglograte: it violates lambda + x > 0\n")
+
     def test_prgm_box_needs_x(self, capsys):
         rc, _, err = run_cli(capsys, [
             "prgm", "--family", "exponential", "--box", "a=1:3,l=1:2",
@@ -459,7 +470,7 @@ class TestFamilyFile:
         assert (rc, out) == (2, "")
         assert err == (f"gminimax: configuration error: observation x=2.0 with "
                        f"(alpha={float(alpha)}, lambda=1.0) gives an improper "
-                       "posterior (or infinite posterior mean) for my_exp\n")
+                       "posterior for my_exp: it violates alpha + 1 > 0\n")
 
     @pytest.mark.parametrize("argv,warning", [
         (["bayes", "--x", "2", "--prior", "a=1,l=1"],
@@ -538,7 +549,7 @@ for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
 after_cli = scipy_modules()
-# integrated, since the closed form cancels; scipy (below) loads numpy.polynomial
+# integrated, since the closed form cancels, without loading numpy.polynomial
 gminimax.intrinsic_loss(gminimax.builtin_family("exponential"), 100.0, 100.00001)
 polynomial += polynomial_modules()
 
@@ -556,19 +567,12 @@ pm = predictive_mean_quadrature(fam, conjugate_prior(fam, 2.0, 1.0), 1.5)
 print(json.dumps(dict(after_import=after_import, polynomial=polynomial,
                       after_cli=after_cli, codes=codes,
                       after_sums=after_sums, after_kl=after_kl, kl=kl, pm=pm,
-                      scipy_loaded="scipy.integrate" in sys.modules)))
-"""
-
-_INTEGRATE_ONLY_SCRIPT = r"""
-import json, sys
-from scipy import integrate
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+                      scipy_loaded=bool(scipy_modules()))))
 """
 
 
-def test_closed_form_path_imports_no_scipy(tmp_path):
-    """numpy is the only scientific import until quadrature or an oracle runs;
-    the loss integrates near the diagonal without loading numpy.polynomial."""
+def _run_with_package(script, cwd):
+    """Run ``script`` in a fresh interpreter that imports this gminimax."""
     import os
     from pathlib import Path
 
@@ -578,29 +582,55 @@ def test_closed_form_path_imports_no_scipy(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _COLD_START_SCRIPT], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_closed_form_path_imports_no_scipy(tmp_path):
+    """numpy is the only scientific import, also once quadrature and the
+    oracles run; the loss integrates near the diagonal without loading
+    numpy.polynomial."""
+    proc = _run_with_package(_COLD_START_SCRIPT, tmp_path)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["after_import"] == []
     assert got["polynomial"] == []
     assert got["codes"] == [0] * 7
     assert got["after_cli"] == []
-    # The KL oracle sums the count families without scipy, and on
-    # intervals loads scipy.integrate only: no scipy.stats, and no
-    # scipy.special module beyond those scipy.integrate itself imports.
+    # The KL oracle sums the count families and integrates on intervals,
+    # and the posterior mean integrates, all without scipy.
     assert got["after_sums"] == []
-    assert not [m for m in got["after_kl"] if m.startswith("scipy.stats")]
-    proc = subprocess.run([sys.executable, "-c", _INTEGRATE_ONLY_SCRIPT],
-                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    integrate_only = set(json.loads(proc.stdout))
-    assert {m for m in got["after_kl"] if m.startswith("scipy.special")} <= (
-        integrate_only)
-    # The lazy imports still load scipy and give the same numbers.
-    assert got["scipy_loaded"] is True
+    assert got["after_kl"] == []
+    assert got["scipy_loaded"] is False
     want = {"normal": 0.3200000000000001, "exponential": 0.09453489189183553,
             "binomial_logit(5)": 0.7436361130460128, "poisson": 0.256878990467559}
     for name, value in want.items():
         assert got["kl"][name] == pytest.approx(value, rel=1e-12), name
     assert got["pm"] == pytest.approx(2.5 / 3.0, rel=1e-12)
+
+
+_NO_SCIPY_SCRIPT = r"""
+import json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"import of {name} refused")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from gminimax.verify import run_suite
+print(json.dumps({suite: [r.to_json_dict() for r in run_suite(suite, 7, n_instances=3)]
+                  for suite in ("minimax", "invariance", "bayesianity")}))
+"""
+
+
+def test_every_suite_runs_where_scipy_cannot_be_imported(tmp_path):
+    """A finder that refuses any scipy import leaves all three verify
+    suites, with their quadratures and oracles, running and passing."""
+    proc = _run_with_package(_NO_SCIPY_SCRIPT, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert all(got[suite] for suite in ("minimax", "invariance", "bayesianity"))
+    failed = [r for records in got.values() for r in records if not r["passed"]]
+    assert failed == []

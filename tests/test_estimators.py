@@ -328,7 +328,7 @@ class TestTransformedScaleSolve:
 
     @pytest.mark.parametrize("flavor,a_lo,bits", [
         ("jcp", 1.0, "0x1.14ff58be0a23fp+1"),
-        ("standard", 1.5, "0x1.f10527d76504ap+1"),
+        ("standard", 1.5, "0x1.f10527d76507ap+1"),
     ])
     def test_estimate_bits_are_pinned(self, exponential, flavor, a_lo, bits):
         # Pulling the extremes back once, scalar losses and the quadrature
@@ -336,6 +336,29 @@ class TestTransformedScaleSolve:
         box = prior_box(exponential, a_lo, 3.0, 1.0, 2.0, flavor)
         tr = make_transform("reciprocal", exponential)
         assert eta_scale_prgm(exponential, box, 2.0, tr).estimate.hex() == bits
+
+    @pytest.mark.parametrize("a_lo,lam,x", [
+        (1.5, (1.0, 2.0), 2.0), (1.5, (0.5, 0.5), 0.1), (1.5, (3.0, 7.0), 30.0),
+        (2.0, (1.0, 2.0), 30.0), (3.5, (0.5, 0.5), 2.0), (3.5, (3.0, 7.0), 0.1),
+    ])
+    def test_standard_reciprocal_is_the_shifted_closed_form(self, exponential,
+                                                             a_lo, lam, x):
+        # The Jacobian theta^-2 of eta = 1/theta turns the standard prior
+        # theta^alpha e^(-lambda theta) into the standard prior of alpha - 2,
+        # which is also the jcp prior of alpha - 1: the quadrature corners
+        # must match closed forms, and the equalizer the jcp box's.
+        tr = make_transform("reciprocal", exponential)
+        a_hi = a_lo + 1.5
+        rep = eta_scale_prgm(exponential, prior_box(exponential, a_lo, a_hi, *lam),
+                             x, tr)
+        corners = sorted(1.0 / bayes_estimate(
+            exponential, conjugate_prior(exponential, a - 2.0, l), x).estimate
+            for a in (a_lo, a_hi) for l in lam)
+        jcp = prior_box(exponential, a_lo - 1.0, a_hi - 1.0, *lam, "jcp")
+        closed = eta_scale_prgm(exponential, jcp, x, tr)
+        np.testing.assert_array_max_ulp(
+            np.array([rep.delta_lo, rep.delta_hi, rep.estimate]),
+            np.array([corners[0], corners[-1], closed.estimate]), maxulp=8)
 
     def test_affine_map_commutes_even_for_standard_boxes(self, normal):
         # Affine maps preserve the conjugate class itself, so even the

@@ -274,6 +274,61 @@ def test_divergent_posterior_mean_is_improper(exponential):
     assert got == pytest.approx(4.0, rel=1e-8)
 
 
+def _log_integral(logf, lo, hi):
+    """log of the integral of exp(logf) over (lo, hi) as every caller
+    integrates: scanned for its peak and split there."""
+    _, m, (z,) = priors._peak_integrals(logf, lo, hi, None)
+    return m + math.log(z)
+
+
+class TestQuadratureRule:
+    """The one quadrature rule against Gamma normalizers from math.lgamma,
+    on a finite piece, a half-line (either way) and the whole line."""
+
+    @pytest.mark.parametrize("a,b,lo,width", [
+        (1e4, 1e4, 0.0, 1.0),  # a narrow peak, width 0.004
+        (0.5, 3.0, 0.0, 1.0),  # u^-0.5 at the end 0
+        (2.0, 3.0, 0.0, 1.0),
+        (1e4, 1e4, 1.0, 1.5),  # ends that are not 0
+        (2.0, 3.0, -3.0, 2.0),
+    ])
+    def test_beta_on_a_finite_piece(self, a, b, lo, width):
+        def logf(th):
+            u = (th - lo) / width
+            return (a - 1.0) * np.log(u) + (b - 1.0) * np.log1p(-u)
+
+        want = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b) + math.log(width)
+        assert _log_integral(logf, lo, lo + width) == pytest.approx(
+            want, rel=1e-15, abs=1e-13)
+
+    @pytest.mark.parametrize("alpha", [1e4, 3.0, 1.0, 0.5])
+    def test_gamma_on_a_half_line(self, alpha):
+        # alpha = 1e4 peaks far from the end, 1% wide; 0.5 is singular at 0.
+        want = math.lgamma(alpha)
+        right = _log_integral(lambda t: (alpha - 1.0) * np.log(t) - t, 0.0, math.inf)
+        left = _log_integral(lambda t: (alpha - 1.0) * np.log(-t) + t, -math.inf, 0.0)
+        assert right == pytest.approx(want, rel=1e-15, abs=1e-13)
+        assert left == pytest.approx(want, rel=1e-15, abs=1e-13)
+
+    @pytest.mark.parametrize("alpha", [1e4, 1.0, 0.05])
+    def test_gamma_on_the_whole_line(self, alpha):
+        # In u = log t: a peak 0.01 wide at alpha = 1e4, and at 0.05 one
+        # whose left tail decays like e^(0.05 u).
+        got = _log_integral(lambda u: alpha * u - np.exp(u), -math.inf, math.inf)
+        assert got == pytest.approx(math.lgamma(alpha), rel=1e-15, abs=1e-13)
+
+    @pytest.mark.parametrize("logf,lo,hi", [
+        # t^-0.95 e^-t: nodes stop within 1e-61 of the width of 0, which
+        # leaves 4e-4 of Gamma(0.05) uncounted.
+        (lambda t: -0.95 * np.log(t) - t, 0.0, math.inf),
+        # (2 - t)^-0.7: nodes that round onto the end 2 are skipped.
+        (lambda t: -0.7 * np.log(t - 1.0) - 0.7 * np.log(2.0 - t), 1.0, 2.0),
+    ])
+    def test_mass_the_nodes_cannot_reach_is_refused(self, logf, lo, hi):
+        with pytest.raises(ConvergenceError, match="exceeds the tolerance"):
+            _log_integral(logf, lo, hi)
+
+
 class TestMixtures:
     def test_components_must_be_proper(self, exponential):
         ok = conjugate_prior(exponential, 1.0, 1.0)
