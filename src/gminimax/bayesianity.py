@@ -186,8 +186,7 @@ def data_independent_alpha(fam: FamilySpec, box: PriorBox,
     for x in x_grid:
         x = float(x)
         report = solve(fam, box, x)
-        lo, hi = report.delta_lo, report.delta_hi
-        if hi - lo <= 1e-11 * max(1.0, abs(lo), abs(hi)):
+        if report.diagnostics["degenerate"]:
             # Every prior in the box gives the same action at this x, so
             # any alpha is a witness; such observations carry no
             # constancy information and would poison the statistic.

@@ -22,13 +22,7 @@ import warnings
 import numpy as np
 
 from .bayesianity import connected_path_witness, data_independent_alpha
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    GMinimaxError,
-    ProprietyError,
-    SpecificationError,
-)
+from .errors import ConvergenceError, GMinimaxError, SpecificationError
 from .estimators import (
     bayes_estimate,
     iprgm_jcp_box,
@@ -54,16 +48,17 @@ DEFAULT_SEED = 1729
 # ---------------------------------------------------------------------------
 
 
-def _parse_range(text: str, what: str) -> tuple[float, float]:
-    """"lo:hi" or a single number (degenerate range)."""
+def _parse_range(text: str, what: str, single: bool = False) -> tuple[float, float]:
+    """"lo:hi" or a single number (degenerate range); only the latter
+    when ``single``."""
     try:
         ends = [float(part) for part in text.split(":")]
     except ValueError:
         ends = []
-    if 1 <= len(ends) <= 2:
+    if 1 <= len(ends) <= 2 - single:
         return ends[0], ends[-1]
-    raise SpecificationError(f"cannot parse {what} range {text!r}; "
-                             "expected 'lo:hi' or a single number")
+    expected = "a single number" if single else "'lo:hi' or a single number"
+    raise SpecificationError(f"cannot parse {what} {text!r}; expected {expected}")
 
 
 def _parse_pairs(text: str, what: str) -> dict[str, str]:
@@ -81,53 +76,32 @@ def _parse_pairs(text: str, what: str) -> dict[str, str]:
         out[key] = val.strip()
     return out
 
-_PRIOR_KEYS = {"a": "alpha", "alpha": "alpha", "l": "lam", "lam": "lam",
-               "lambda": "lam"}
+
+_BOX_KEYS = {"a": "alpha", "alpha": "alpha", "l": "lambda", "lam": "lambda",
+             "lambda": "lambda"}
+
+
+def parse_box(text: str, what: str = "--box",
+              single: bool = False) -> tuple[float, float, float, float]:
+    """"a=1:3,l=1:2" -> (1,3,1,2); a single number pins an edge, and
+    ``single`` allows nothing else."""
+    got: dict[str, tuple[float, float]] = {}
+    for key, val in _parse_pairs(text, what).items():
+        name = _BOX_KEYS.get(key)
+        if name is None:
+            raise SpecificationError(f"unknown {what} key {key!r}; use a= and l=")
+        if name in got:
+            raise SpecificationError(f"{name} is given twice in {what} {text!r}")
+        got[name] = _parse_range(val, name, single)
+    if len(got) != 2:
+        raise SpecificationError(f"{what} needs an alpha part and a lambda part")
+    return (*got["alpha"], *got["lambda"])
 
 
 def parse_prior(text: str) -> tuple[float, float]:
-    """"a=2,l=1" -> (2.0, 1.0)."""
-    pairs = _parse_pairs(text, "--prior")
-    got: dict[str, float] = {}
-    for key, val in pairs.items():
-        name = _PRIOR_KEYS.get(key)
-        if name is None:
-            raise SpecificationError(f"unknown prior key {key!r}; use a=, l=")
-        try:
-            got[name] = float(val)
-        except ValueError:
-            raise SpecificationError(f"bad number {val!r} for {key} in --prior")
-    if set(got) != {"alpha", "lam"}:
-        raise SpecificationError("--prior needs both a= and l=")
-    return got["alpha"], got["lam"]
-
-
-def parse_box(text: str) -> tuple[float, float, float, float]:
-    """"a=1:3,l=1:2" -> (1,3,1,2); a0=/l0= pin one edge to a point."""
-    pairs = _parse_pairs(text, "--box")
-    alpha = lam = None
-    for key, val in pairs.items():
-        if key in ("a", "alpha"):
-            alpha = _parse_range(val, "alpha")
-        elif key in ("a0", "alpha0"):
-            v = _parse_range(val, "alpha")
-            if v[0] != v[1]:
-                raise SpecificationError("a0= takes a single number")
-            alpha = v
-        elif key in ("l", "lam", "lambda"):
-            lam = _parse_range(val, "lambda")
-        elif key in ("l0", "lam0", "lambda0"):
-            v = _parse_range(val, "lambda")
-            if v[0] != v[1]:
-                raise SpecificationError("l0= takes a single number")
-            lam = v
-        else:
-            raise SpecificationError(
-                f"unknown box key {key!r}; use a=lo:hi, l=lo:hi, a0=, l0="
-            )
-    if alpha is None or lam is None:
-        raise SpecificationError("--box needs an alpha part and a lambda part")
-    return alpha[0], alpha[1], lam[0], lam[1]
+    """"a=2,l=1" -> (2.0, 1.0): a box whose edges are single numbers."""
+    alpha, _, lam, _ = parse_box(text, "--prior", single=True)
+    return alpha, lam
 
 
 def _load_family(args) -> FamilySpec:
@@ -329,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p)
     p.add_argument("--x", type=float, help="observation (required with --box)")
     p.add_argument("--box", help="hyper-parameter box, a=1:3,l=1:2 "
-                   "(a0=/l0= pin an edge)")
+                   "(a single number pins an edge)")
     p.add_argument("--bounds", help="skip the box: give the two extreme Bayes "
                    "actions directly as lo:hi")
     _add_out_flag(p)
@@ -339,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "sqrt-Fisher-corrected conjugate box")
     _add_family_flags(p)
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--box", required=True, help="a=1:3,l0=1 etc; flavor is "
+    p.add_argument("--box", required=True, help="a=1:3,l=1 etc; flavor is "
                    "always jcp for this command")
     p.add_argument("--transform", help="also report the estimate pushed "
                    "through a catalog map: reciprocal, log, "
@@ -408,14 +382,11 @@ def main(argv=None) -> int:
     saved, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.func(args)
-    except (SpecificationError, ProprietyError, DomainError) as exc:
-        print(f"gminimax: configuration error: {exc}", file=sys.stderr)
-        return 2
     except ConvergenceError as exc:
         print(f"gminimax: numeric error: {exc}", file=sys.stderr)
         return 3
-    except GMinimaxError as exc:
-        print(f"gminimax: error: {exc}", file=sys.stderr)
+    except GMinimaxError as exc:  # every other error is a configuration error
+        print(f"gminimax: configuration error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"gminimax: i/o error: {exc}", file=sys.stderr)

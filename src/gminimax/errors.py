@@ -6,6 +6,9 @@ quadratures that do not converge) because the command line maps them to
 different exit codes.
 """
 
+__all__ = ["GMinimaxError", "DomainError", "ProprietyError", "ConvergenceError",
+           "SpecificationError"]
+
 
 class GMinimaxError(Exception):
     """Base class for every error raised by this package."""

@@ -50,6 +50,7 @@ from .priors import (
     PriorBox,
     posterior_predictive_mean,
     predictive_mean_quadrature,
+    require_same_family,
 )
 
 __all__ = [
@@ -62,7 +63,6 @@ __all__ = [
     "transport",
     "eta_scale_prgm",
     "make_transform",
-    "validate_transform",
 ]
 
 METHOD_BAYES = "bayes"
@@ -130,7 +130,7 @@ def prgm_from_bounds(fam: FamilySpec, d_lo: float, d_hi: float) -> EstimateRepor
     scale = max(1.0, abs(d_lo), abs(d_hi))
     if d_hi - d_lo < DEGENERATE_REL_WIDTH * scale:
         return EstimateReport(0.5 * (d_lo + d_hi), d_lo, d_hi, 0.0, METHOD_CLOSED,
-                              {"degenerate": True, "residual": 0.0, "iterations": 0})
+                              {"degenerate": True, "residual": 0.0})
 
     down, up = posterior_regret(fam, [d_hi, d_lo], [d_lo, d_hi]).tolist()
     total = down + up
@@ -150,8 +150,7 @@ def prgm_from_bounds(fam: FamilySpec, d_lo: float, d_hi: float) -> EstimateRepor
             f"for {fam.name}: residual {residual:.3e}"
         )
     return EstimateReport(est, d_lo, d_hi, 0.5 * (r_lo + r_hi), METHOD_CLOSED,
-                          {"degenerate": False, "residual": residual,
-                           "iterations": 0})
+                          {"degenerate": False, "residual": residual})
 
 
 def _corner_bayes(fam: FamilySpec, box: PriorBox, x: float,
@@ -167,6 +166,7 @@ def _corner_bayes(fam: FamilySpec, box: PriorBox, x: float,
     means ``posterior_predictive_mean``, looked up at call time so that a
     wrapper installed on that module name (a profiler's) sees the calls.
     """
+    require_same_family(fam, box.fam, "box")
     predictive = predictive or posterior_predictive_mean
     corners = (ConjugatePrior(fam, a, l, box.flavor) for a, l in box.corners())
     return [mean_inverse(fam, predictive(fam, prior, x)) for prior in corners]
@@ -228,18 +228,16 @@ def _require_positive_support(fam: FamilySpec, label: str) -> None:
         )
 
 
-def make_transform(spec: str, fam: FamilySpec | None = None) -> Reparameterization:
+def make_transform(spec: str, fam: FamilySpec) -> Reparameterization:
     """Build a catalog transform from its textual form.
 
     Catalog: ``reciprocal``, ``log``, ``neg_log_over_a(a)``,
-    ``affine(a,b)``, ``logit_to_p``.  When a family is supplied, maps
-    that need a positive parameter are rejected for families whose
-    support is not contained in (0, inf).
+    ``affine(a,b)``, ``logit_to_p``.  Maps that need a positive parameter
+    are rejected for families whose support is not contained in (0, inf).
     """
     s = spec.strip().lower().replace(" ", "")
     if s == "reciprocal":
-        if fam is not None:
-            _require_positive_support(fam, s)
+        _require_positive_support(fam, s)
         return Reparameterization(
             "reciprocal",
             forward=lambda th: 1.0 / th,
@@ -247,8 +245,7 @@ def make_transform(spec: str, fam: FamilySpec | None = None) -> Reparameterizati
             log_abs_deriv=lambda th: -2.0 * np.log(th),
         )
     if s == "log":
-        if fam is not None:
-            _require_positive_support(fam, s)
+        _require_positive_support(fam, s)
         return Reparameterization(
             "log",
             forward=np.log,
@@ -260,8 +257,7 @@ def make_transform(spec: str, fam: FamilySpec | None = None) -> Reparameterizati
         (a,) = m
         if a == 0:
             raise SpecificationError("neg_log_over_a needs a != 0")
-        if fam is not None:
-            _require_positive_support(fam, s)
+        _require_positive_support(fam, s)
         return Reparameterization(
             f"neg_log_over_a({a:g})",
             forward=lambda th: -np.log(th) / a,
@@ -382,8 +378,7 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
     scale = max(1.0, abs(e_lo), abs(e_hi))
     if e_hi - e_lo < DEGENERATE_REL_WIDTH * scale:
         return EstimateReport(0.5 * (e_lo + e_hi), e_lo, e_hi, 0.0, METHOD_ROOT,
-                              {"scale": "eta", "transform": tr.label,
-                               "degenerate": True})
+                              {"transform": tr.label, "degenerate": True})
 
     def gap(d: float) -> float:
         return regret_eta(t_hi, d) - regret_eta(t_lo, d)
@@ -393,7 +388,7 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
             f"regret gap lost its sign change on [{e_lo}, {e_hi}]; the mean "
             "function may not be strictly decreasing"
         )
-    est, _ = _bisect(lambda d: gap(d) > 0, e_lo, e_hi, width=1e-15 * scale)
+    est = _bisect(lambda d: gap(d) > 0, e_lo, e_hi, width=1e-15 * scale)
     r_lo = regret_eta(t_lo, est)
     r_hi = regret_eta(t_hi, est)
     return EstimateReport(
@@ -402,6 +397,6 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
         delta_hi=e_hi,
         equalized_regret=0.5 * (r_lo + r_hi),
         method=METHOD_ROOT,
-        diagnostics={"scale": "eta", "transform": tr.label,
-                     "residual": abs(r_lo - r_hi), "degenerate": False},
+        diagnostics={"transform": tr.label, "residual": abs(r_lo - r_hi),
+                     "degenerate": False},
     )

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import SpecificationError
 from .families import FamilySpec, validate_family
 
-__all__ = ["parse_expression", "Expression", "family_from_config"]
+__all__ = ["Expression", "family_from_config"]
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"

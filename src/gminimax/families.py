@@ -43,6 +43,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, ProprietyError, SpecificationError
 
+__all__ = ["FamilySpec", "builtin_family", "fisher_info", "mean_inverse",
+           "validate_family"]
+
 INTERIOR_MARGIN = 1e-12
 
 # Numeric inversion of the mean function.
@@ -174,10 +177,13 @@ def fisher_info(fam: FamilySpec, theta):
     require_in_support(fam, theta)
     th = theta if isinstance(theta, float) else np.asarray(theta, dtype=float)
     info = -np.asarray(fam.mean_deriv(th), dtype=float)
-    if not ((info > 0.0) & (info < np.inf)).all():
+    ok = (info > 0.0) & (info < np.inf)
+    if not ok.all():
+        where, ok = np.broadcast_arrays(np.asarray(th, dtype=float), ok)
         raise SpecificationError(
             f"family {fam.name} reports non-positive Fisher information at "
-            f"theta={theta!r}; its mean function is not strictly decreasing there"
+            f"theta={float(where[~ok][0])!r}; its mean function is not "
+            "strictly decreasing there"
         )
     if np.ndim(theta) == 0:
         return float(info)
@@ -225,7 +231,7 @@ def _expand_bracket(fam: FamilySpec, target: float) -> tuple[float, float]:
 
 
 def _bisect(above: Callable[[float], bool | None], a: float, b: float,
-            width: float = 0.0, rel: float = 0.0) -> tuple[float, int]:
+            width: float = 0.0, rel: float = 0.0) -> float:
     """Halve the bracket between ``a`` and ``b`` onto a sign change.
 
     ``above(mid)`` is True when the root lies beyond ``mid`` as seen from
@@ -233,20 +239,20 @@ def _bisect(above: Callable[[float], bool | None], a: float, b: float,
     and None to accept ``mid`` as the root.  ``a`` may exceed ``b``.  The
     loop stops once ``|b - a| <= width + rel * max(1, |a|, |b|)`` or after
     BISECT_MAX_STEPS halvings, and returns the final midpoint (or the
-    accepted point) with the number of halvings made.
+    accepted point).
     """
-    for steps in range(1, BISECT_MAX_STEPS + 1):
+    for _ in range(BISECT_MAX_STEPS):
         mid = 0.5 * (a + b)
         side = above(mid)
         if side is None:
-            return mid, steps
+            return mid
         if side:
             a = mid
         else:
             b = mid
         if abs(b - a) <= width + rel * max(1.0, abs(a), abs(b)):
             break
-    return 0.5 * (a + b), steps
+    return 0.5 * (a + b)
 
 
 def mean_inverse(fam: FamilySpec, t: float) -> float:

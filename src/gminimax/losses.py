@@ -21,12 +21,13 @@ from functools import cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SpecificationError
 from .families import FamilySpec, fisher_info, require_in_support
 
 __all__ = ["intrinsic_loss", "posterior_regret"]
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @cache
@@ -49,7 +50,8 @@ def intrinsic_loss(fam: FamilySpec, theta, delta):
     Vectorized in both arguments.  Nonnegative, zero exactly on the
     diagonal, and strictly convex in ``delta`` for fixed ``theta``.
     Where the closed form cancels, a 16-point Gauss-Legendre rule gives
-    ``h^2 * integral_0^1 (1 - u) I(theta + h*u) du``, ``h = delta - theta``.
+    ``h^2 * integral_0^1 (1 - u) I(theta + h*u) du``, ``h = delta - theta``;
+    where ``I`` underflows to 0 there, a DomainError says so.
     """
     require_in_support(fam, theta)
     require_in_support(fam, delta, what="delta")
@@ -89,11 +91,36 @@ def intrinsic_loss(fam: FamilySpec, theta, delta):
         if near.any():
             near &= dh != 0  # a zero-width integral is the closed form's 0
             (u, w), val, h = _kl_rule(), np.array(val), dh[near]
-            nodes = np.broadcast_to(th, dh.shape)[near, None] + h[:, None] * u
-            val[near] = h * h * (fisher_info(fam, nodes) @ w)
+            th_near = np.broadcast_to(th, dh.shape)[near]
+            nodes = th_near[:, None] + h[:, None] * u
+            try:
+                info = fisher_info(fam, nodes)
+            except SpecificationError:
+                _refuse_underflow(fam, th_near, np.broadcast_to(de, dh.shape)[near],
+                                  nodes)
+                raise
+            val[near] = h * h * (info @ w)
     if np.ndim(val) == 0:
         return float(val)
     return val
+
+
+def _refuse_underflow(fam: FamilySpec, theta, delta, nodes) -> None:
+    """Raise DomainError for the first pair whose Fisher information is 0
+    at a node while the mean moves between theta and delta by less than
+    the smallest normal float times their distance: the information
+    underflowed there, and the family is not at fault."""
+    info = np.broadcast_to(np.asarray(fam.mean_deriv(nodes), dtype=float), nodes.shape)
+    moved = np.abs(np.asarray(fam.mean(delta)) - np.asarray(fam.mean(theta)))
+    lost = ((info == 0.0).any(axis=1) & (moved > 0.0)
+            & (moved < _TINY * np.abs(delta - theta)))
+    if lost.any():
+        i = int(np.argmax(lost))
+        raise DomainError(
+            f"the intrinsic loss of {fam.name} at theta={float(theta[i])!r}, "
+            f"delta={float(delta[i])!r} is below what the closed form resolves, "
+            "and the Fisher information that would resolve it underflows to 0 "
+            "between them") from None
 
 
 def posterior_regret(fam: FamilySpec, bayes_delta, delta):

@@ -36,7 +36,7 @@ from .errors import DomainError, SpecificationError
 from .families import FamilySpec, interior_clamp, mean_inverse, require_in_support
 from .losses import _EPS, posterior_regret
 from .priors import (ConjugatePrior, PriorBox, _peak_integrals,
-                     posterior_predictive_mean)
+                     posterior_predictive_mean, require_same_family)
 
 __all__ = [
     "OracleResult",
@@ -67,12 +67,12 @@ class OracleResult:
     argmin: float
     minimax_value: float
     resolution_bound: float
-    spacing: float
     corner_violation: float
     n_lattice: int
 
 
 def _lattice_estimates(fam: FamilySpec, box: PriorBox, x: float) -> np.ndarray:
+    require_same_family(fam, box.fam, "box")
     alphas = np.linspace(box.alpha_lo, box.alpha_hi, N_CORNER)
     lams = np.linspace(box.lam_lo, box.lam_hi, N_CORNER)
     ests = []
@@ -186,7 +186,6 @@ def grid_minimax(fam: FamilySpec, box: PriorBox, x: float,
         argmin=float(deltas[k]),
         minimax_value=float(sup[k]),
         resolution_bound=bound,
-        spacing=spacing,
         corner_violation=float(np.max(excess)),
         n_lattice=len(lattice),
     )
@@ -250,7 +249,7 @@ def _log_partition(fam: FamilySpec, t: float, with_mean: bool = True):
 
         lo, hi = -math.inf, math.inf
         f, stat = (lambda u: logf(x_of(u)) + u), (lambda u: fam.stat(x_of(u)))
-    _, m, (z, *s1) = _peak_integrals(f, lo, hi, None, *((stat,) if with_mean else ()))
+    m, (z, *s1) = _peak_integrals(f, lo, hi, None, *((stat,) if with_mean else ()))
     return m + math.log(z), s1[0] / z if s1 else None
 
 

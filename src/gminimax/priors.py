@@ -51,7 +51,6 @@ __all__ = [
     "posterior_predictive_mean",
     "prior_box",
     "predictive_mean_quadrature",
-    "mixture_components",
 ]
 
 FLAVORS = ("standard", "jcp")
@@ -128,6 +127,14 @@ def to_standard(prior: ConjugatePrior) -> ConjugatePrior:
                           prior.lam + shift[1], "standard")
 
 
+def require_same_family(fam: FamilySpec, other: FamilySpec, what: str) -> None:
+    """Raise SpecificationError unless a prior, box or path built for
+    ``other`` (``what`` names it) belongs to ``fam``, compared by name."""
+    if other.name != fam.name:
+        raise SpecificationError(
+            f"the {what} belongs to family {other.name}, not {fam.name}")
+
+
 def posterior_predictive_mean(fam: FamilySpec, prior: ConjugatePrior, x: float) -> float:
     """Closed-form posterior expectation of the mean function.
 
@@ -137,6 +144,7 @@ def posterior_predictive_mean(fam: FamilySpec, prior: ConjugatePrior, x: float) 
     ``obs_units * (lambda + stat(x)) / (alpha + obs_units)``.  Rejects
     updates whose posterior would be improper.
     """
+    require_same_family(fam, prior.fam, "prior")
     std = to_standard(prior)
     r = float(fam.stat(x))
     check_posterior_ok(fam, std.alpha, std.lam, x, r)
@@ -238,11 +246,7 @@ class MixturePath:
     p1: ConjugatePrior
 
     def __post_init__(self):
-        if self.p0.fam.name != self.p1.fam.name:
-            raise SpecificationError(
-                "mixture components must share one family, got "
-                f"{self.p0.fam.name} and {self.p1.fam.name}"
-            )
+        require_same_family(self.p0.fam, self.p1.fam, "mixture component p1")
         for tag, p in (("p0", self.p0), ("p1", self.p1)):
             std, rows = to_standard(p), p.fam.propriety
             if rows is None or _broken(rows, std.alpha, std.lam) is not None:
@@ -416,12 +420,12 @@ def _peak_integrals(logf, lo: float, hi: float, *factors):
 
     A factor of None integrates the plain density.  ``m`` is the scanned
     peak of logf, and each integral is split at the peak's location.
-    Returns ``(mode, m, values)``; m cancels in any ratio of the values.
+    Returns ``(m, values)``; m cancels in any ratio of the values.
     """
     mode, m = _peak(logf, lo, hi)
     values = [_quad_split(_weighted_integrand(logf, m, f), lo, hi, mode)
               for f in factors]
-    return mode, m, values
+    return m, values
 
 
 def predictive_mean_quadrature(fam: FamilySpec, prior: ConjugatePrior, x: float,
@@ -435,6 +439,7 @@ def predictive_mean_quadrature(fam: FamilySpec, prior: ConjugatePrior, x: float,
     re-elicited on a transformed scale.  An integrand that grows like
     distance^p, p <= -1, at a finite support end raises ProprietyError.
     """
+    require_same_family(fam, prior.fam, "prior")
     base_logf = _log_posterior_integrand(fam, prior, x)
     if extra_log_weight is None:
         logf = base_logf
@@ -452,7 +457,7 @@ def predictive_mean_quadrature(fam: FamilySpec, prior: ConjugatePrior, x: float,
                     f"the posterior mean of the mean function diverges for "
                     f"{fam.name} at x={x}: |mean| * density ~ distance^"
                     f"{slope:.4g} at the support end {end}")
-    _, _, (den, num) = _peak_integrals(logf, *fam.support, None, fam.mean)
+    _, (den, num) = _peak_integrals(logf, *fam.support, None, fam.mean)
     if den <= 0 or not math.isfinite(den):
         raise ConvergenceError(
             f"posterior normalizer failed for {fam.name} at x={x}"
@@ -468,16 +473,17 @@ def mixture_components(fam: FamilySpec, path: MixturePath, x: float):
     (both up to one common factor constant in i, which cancels in the
     mixture ratio), as ``(A_0, B_0, A_1, B_1)``.
     """
+    require_same_family(fam, path.p0.fam, "mixture path")
     out = []
     for prior in (path.p0, path.p1):
-        _, m_prior, (z,) = _peak_integrals(_log_weight(fam, prior), *fam.support, None)
+        m_prior, (z,) = _peak_integrals(_log_weight(fam, prior), *fam.support, None)
         if z <= 0 or not math.isfinite(z):
             raise ProprietyError(
                 f"prior (alpha={prior.alpha}, lam={prior.lam}, {prior.flavor}) has "
                 f"no finite normalizer for {fam.name}"
             )
         logf = _log_posterior_integrand(fam, prior, x)
-        _, m, (den, num) = _peak_integrals(logf, *fam.support, None, fam.mean)
+        m, (den, num) = _peak_integrals(logf, *fam.support, None, fam.mean)
         scale = math.exp(m - (m_prior + math.log(z)))
         out += [num * scale, den * scale]
     return tuple(out)

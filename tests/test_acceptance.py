@@ -477,3 +477,26 @@ class TestVerifyCommandContract:
             assert rec["value"] is None or isinstance(rec["value"], float)
             assert rec["bound"] is None or isinstance(rec["bound"], float)
             assert isinstance(rec["note"], str)
+
+
+class TestPublicSurface:
+    MODULES = ("bayesianity", "errors", "estimators", "expressions", "families",
+               "losses", "oracle", "priors", "verify")
+
+    def test_module_lists_are_the_export_list(self):
+        import gminimax
+
+        modules = [getattr(gminimax, name) for name in self.MODULES]
+        names = [name for module in modules for name in module.__all__]
+        assert gminimax.__all__ == names + ["__version__"]
+        assert len(set(gminimax.__all__)) == len(gminimax.__all__) == 45
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(gminimax, name) is getattr(module, name)
+
+    def test_import_loads_every_module(self):
+        probe = ("import sys, gminimax; print(' '.join(sorted(m for m in sys.modules "
+                 "if m.startswith('gminimax.'))))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              timeout=60, check=True)
+        assert proc.stdout.decode().split() == [f"gminimax.{m}" for m in self.MODULES]

@@ -46,9 +46,21 @@ class TestParseHelpers:
 
     def test_box_ranges(self):
         assert parse_box("a=1:3,l=1:2") == (1.0, 3.0, 1.0, 2.0)
-        assert parse_box("a=1:3,l0=1") == (1.0, 3.0, 1.0, 1.0)
-        assert parse_box("a0=2,l=1:2") == (2.0, 2.0, 1.0, 2.0)
+        assert parse_box("a=1:3,l=1") == (1.0, 3.0, 1.0, 1.0)
+        assert parse_box("a=2,l=1:2") == (2.0, 2.0, 1.0, 2.0)
         assert parse_box("l=2,a=1") == (1.0, 1.0, 2.0, 2.0)
+
+    @pytest.mark.parametrize("text", ["a=1:2,l=1", "a=2,l=0:1", "a=2:2,l=1"])
+    def test_prior_edges_are_single_numbers(self, text):
+        with pytest.raises(SpecificationError, match="expected a single number"):
+            parse_prior(text)
+
+    @pytest.mark.parametrize("parse", [parse_box, parse_prior])
+    def test_one_spelling_per_hyper_parameter(self, parse):
+        with pytest.raises(SpecificationError, match="alpha is given twice"):
+            parse("a=1,alpha=2,l=1")
+        with pytest.raises(SpecificationError, match="unknown"):
+            parse("a0=1,l=1")
 
     @pytest.mark.parametrize(
         "text", ["a=1:3", "l=1:2", "a=1:3,l=1:2:4", "a0=1:3,l=1", "q=1,l=2"]
@@ -91,7 +103,7 @@ class TestEstimateCommands:
     def test_iprgm_with_transform(self, capsys):
         payload = run_json(capsys, [
             "iprgm", "--family", "exponential", "--x", "2",
-            "--box", "a=1:3,l0=1", "--transform", "reciprocal",
+            "--box", "a=1:3,l=1", "--transform", "reciprocal",
         ])
         assert set(payload) == REPORT_FIELDS | {"transform", "eta_estimate"}
         assert payload["estimate"] == pytest.approx(0.5 * math.log(3.0), rel=1e-12)
@@ -124,6 +136,16 @@ class TestEstimateCommands:
         ])
         assert payload["loss"] == 0.0
 
+    def test_loss_below_what_the_information_resolves(self, capsys):
+        rc, out, err = run_cli(capsys, [
+            "loss", "--family", "exponential", "--theta", "1e200",
+            "--delta", "1.000000000000001e200",
+        ])
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "theta=1e+200, delta=1.000000000000001e+200" in err
+        assert "non-positive" not in err
+
     def test_output_is_deterministic(self, capsys):
         argv = ["prgm", "--family", "exponential", "--x", "2",
                 "--box", "a=1:3,l=1:2"]
@@ -146,7 +168,7 @@ class TestCertify:
     def test_path_certificate(self, capsys):
         payload = run_json(capsys, [
             "certify", "--family", "exponential", "--x", "2",
-            "--box", "a=1:3,l0=1",
+            "--box", "a=1:3,l=1",
         ])
         assert payload["kind"] == "path"
         assert payload["witness"]["alpha"] == pytest.approx(
@@ -156,7 +178,7 @@ class TestCertify:
 
     def test_data_independent_certificate(self, capsys):
         payload = run_json(capsys, [
-            "certify", "--family", "exponential", "--box", "a=1:3,l0=1",
+            "certify", "--family", "exponential", "--box", "a=1:3,l=1",
             "--kind", "data_independent", "--x-grid", "0.5:6:8",
         ])
         assert payload["kind"] == "data_independent"
@@ -164,7 +186,7 @@ class TestCertify:
 
     def test_data_independent_needs_grid(self, capsys):
         rc, _, err = run_cli(capsys, [
-            "certify", "--family", "exponential", "--box", "a=1:3,l0=1",
+            "certify", "--family", "exponential", "--box", "a=1:3,l=1",
             "--kind", "data_independent",
         ])
         assert rc == 2
@@ -173,7 +195,7 @@ class TestCertify:
     @pytest.mark.parametrize("grid", ["1:2", "2:1:5", "a:b:5", "1:2:1"])
     def test_malformed_grid(self, capsys, grid):
         rc, _, _ = run_cli(capsys, [
-            "certify", "--family", "exponential", "--box", "a=1:3,l0=1",
+            "certify", "--family", "exponential", "--box", "a=1:3,l=1",
             "--kind", "data_independent", "--x-grid", grid,
         ])
         assert rc == 2

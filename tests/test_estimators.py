@@ -8,25 +8,34 @@ import numpy as np
 import pytest
 
 from gminimax import (
+    ConjugatePrior,
     DomainError,
     FamilySpec,
+    MixturePath,
     PriorBox,
     ProprietyError,
     SpecificationError,
     bayes_estimate,
     builtin_family,
     conjugate_prior,
+    connected_path_witness,
+    data_independent_alpha,
     eta_scale_prgm,
+    grid_minimax,
     iprgm_jcp_box,
     make_transform,
+    mixture_witness,
+    posterior_predictive_mean,
     posterior_regret,
     predictive_mean_quadrature,
     prgm_conjugate_box,
     prgm_from_bounds,
     prior_box,
+    regret_curve,
     transport,
-    validate_transform,
 )
+from gminimax.estimators import validate_transform
+from gminimax.priors import mixture_components
 
 
 class TestBayesAction:
@@ -111,7 +120,6 @@ class TestWorstCaseBetweenBounds:
         rep = prgm_from_bounds(flat, 0.0, 1.0)
         assert rep.method == "prgm_closed_form"
         assert rep.estimate == 0.5
-        assert rep.diagnostics["iterations"] == 0
 
     def test_shallow_mean_gives_the_exact_midpoint(self):
         # The mean-difference quotient cancels here (mean ~ 1e3, slope
@@ -129,7 +137,6 @@ class TestWorstCaseBetweenBounds:
         rep = prgm_from_bounds(shallow, 1000.0, 2000.0)
         assert rep.method == "prgm_closed_form"
         assert rep.estimate == 1500.0
-        assert rep.diagnostics["iterations"] == 0
         assert rep.diagnostics["residual"] == 0.0
 
 
@@ -267,7 +274,7 @@ class TestInvariantBoxMinimax:
         with pytest.raises(SpecificationError, match="declares no Jeffreys shift"):
             iprgm_jcp_box(fam, box, 2.0)
         with pytest.raises(SpecificationError, match="declares no Jeffreys shift"):
-            eta_scale_prgm(fam, box, 2.0, make_transform("reciprocal"))
+            eta_scale_prgm(fam, box, 2.0, make_transform("reciprocal", fam))
 
 
 class TestTransformCatalog:
@@ -324,7 +331,7 @@ class TestTransformedScaleSolve:
         assert rep_eta.estimate == pytest.approx(
             transport(rep_theta, tr), rel=1e-11
         )
-        assert rep_eta.diagnostics["scale"] == "eta"
+        assert rep_eta.method == "prgm_root_find"
 
     @pytest.mark.parametrize("flavor,a_lo,bits", [
         ("jcp", 1.0, "0x1.14ff58be0a23fp+1"),
@@ -395,3 +402,55 @@ class TestTransformedScaleSolve:
         rep_theta = prgm_conjugate_box(exponential, box, 2.0)
         rep_eta = eta_scale_prgm(exponential, box, 2.0, tr)
         assert abs(rep_eta.estimate - 1.0 / rep_theta.estimate) > 1e-3
+
+
+class TestForeignFamily:
+    """A prior, box or mixture path built for one family and handed to an
+    entry point with another is refused, and the message names both."""
+
+    @staticmethod
+    def calls(exponential, poisson):
+        prior = ConjugatePrior(poisson, 2.0, 1.0, "jcp")
+        box = prior_box(poisson, 1.0, 3.0, 1.0, 2.0)
+        jcp_box = prior_box(poisson, 1.0, 3.0, 1.0, 2.0, "jcp")
+        alpha_only = prior_box(poisson, 1.0, 3.0, 1.0, 1.0)
+        path = MixturePath(conjugate_prior(poisson, 1.0, 1.0),
+                           conjugate_prior(poisson, 3.0, 2.0))
+        tr = make_transform("reciprocal", exponential)
+        return {
+            "bayes_estimate": lambda: bayes_estimate(exponential, prior, 2.0),
+            "posterior_predictive_mean":
+                lambda: posterior_predictive_mean(exponential, prior, 2.0),
+            "predictive_mean_quadrature":
+                lambda: predictive_mean_quadrature(exponential, prior, 2.0),
+            "prgm_conjugate_box": lambda: prgm_conjugate_box(exponential, box, 2.0),
+            "iprgm_jcp_box": lambda: iprgm_jcp_box(exponential, jcp_box, 2.0),
+            "eta_scale_prgm": lambda: eta_scale_prgm(exponential, jcp_box, 2.0, tr),
+            "grid_minimax": lambda: grid_minimax(exponential, box, 2.0),
+            "regret_curve": lambda: regret_curve(exponential, box, 2.0),
+            "connected_path_witness":
+                lambda: connected_path_witness(exponential, box, 2.0, 0.5),
+            "data_independent_alpha":
+                lambda: data_independent_alpha(exponential, alpha_only, [1.0, 2.0]),
+            "mixture_witness": lambda: mixture_witness(exponential, path, 2.0, 0.5),
+            "mixture_components": lambda: mixture_components(exponential, path, 2.0),
+        }
+
+    @pytest.mark.parametrize("entry", [
+        "bayes_estimate", "posterior_predictive_mean", "predictive_mean_quadrature",
+        "prgm_conjugate_box", "iprgm_jcp_box", "eta_scale_prgm", "grid_minimax",
+        "regret_curve", "connected_path_witness", "data_independent_alpha",
+        "mixture_witness", "mixture_components",
+    ])
+    def test_is_refused(self, exponential, poisson, entry):
+        with pytest.raises(SpecificationError) as info:
+            self.calls(exponential, poisson)[entry]()
+        assert "poisson_neglograte" in str(info.value)
+        assert "exponential_rate" in str(info.value)
+
+    def test_same_family_still_answers(self, exponential):
+        prior = ConjugatePrior(exponential, 2.0, 1.0, "jcp")
+        assert bayes_estimate(exponential, prior, 2.0).estimate == pytest.approx(2.0 / 3.0)
+        box = prior_box(exponential, 1.0, 3.0, 1.0, 2.0, "jcp")
+        assert iprgm_jcp_box(exponential, box, 2.0).estimate == pytest.approx(
+            0.4621, abs=1e-4)

@@ -17,12 +17,11 @@ from gminimax import (
     fisher_info,
     intrinsic_loss,
     kl_quadrature,
-    parse_expression,
     prgm_conjugate_box,
     prgm_from_bounds,
 )
 from gminimax.cli import main
-from gminimax.expressions import Expression, _derivative
+from gminimax.expressions import Expression, _derivative, parse_expression
 from gminimax.families import support_grid
 
 

@@ -13,12 +13,15 @@ from gminimax import (
     SpecificationError,
     builtin_family,
     fisher_info,
-    jeffreys_shift_residual,
     mean_inverse,
-    support_grid,
     validate_family,
 )
-from gminimax.families import expit, require_in_support
+from gminimax.families import (
+    expit,
+    jeffreys_shift_residual,
+    require_in_support,
+    support_grid,
+)
 
 
 class TestBuiltinLookup:
@@ -108,6 +111,14 @@ class TestFisherInformation:
         h = 1e-5
         fd = (float(exponential.mean(2.0 - h)) - float(exponential.mean(2.0 + h))) / (2 * h)
         assert fisher_info(exponential, 2.0) == pytest.approx(fd, rel=1e-8)
+
+    def test_a_refusal_names_one_theta(self, exponential):
+        flat = dataclasses.replace(exponential, mean_deriv=lambda th: 0.0 * th)
+        with pytest.raises(SpecificationError) as info:
+            fisher_info(flat, np.array([[1.5, 2.0], [3.0, 4.0]]))
+        assert str(info.value) == (
+            "family exponential_rate reports non-positive Fisher information at "
+            "theta=1.5; its mean function is not strictly decreasing there")
 
     def test_positive_everywhere(self, poisson):
         for th in support_grid(poisson):

@@ -12,10 +12,12 @@ from scipy import integrate
 
 from gminimax import (
     DomainError,
+    SpecificationError,
     builtin_family,
     family_from_config,
     intrinsic_loss,
     posterior_regret,
+    prgm_from_bounds,
 )
 
 
@@ -143,6 +145,34 @@ def test_nonnegative_poisson(theta, delta):
 def test_round_off_near_the_diagonal_is_not_blamed_on_the_family(name, theta, delta):
     # The three terms cancel to round-off here; the guard scales with them.
     assert float(intrinsic_loss(builtin_family(name), theta, delta)) >= 0.0
+
+
+@pytest.mark.parametrize("theta,delta", [
+    (1e200, 1.000000000000001e200), (1e160, 1.1e160),
+])
+def test_underflowed_information_is_a_domain_error(exponential, theta, delta):
+    # The closed form cancels and 1/theta^2 is 0 at every node; the true
+    # loss (5e-31 for the first pair) is in range, but nothing resolves it.
+    for th, de in ((theta, delta), (np.array([1.0, theta]), np.array([2.0, delta]))):
+        with pytest.raises(DomainError) as info:
+            intrinsic_loss(exponential, th, de)
+        assert str(info.value) == (
+            f"the intrinsic loss of exponential_rate at theta={theta!r}, "
+            f"delta={delta!r} is below what the closed form resolves, and the "
+            "Fisher information that would resolve it underflows to 0 between them")
+
+
+def test_underflowed_information_in_the_equalizer(exponential):
+    with pytest.raises(DomainError, match="underflows to 0"):
+        prgm_from_bounds(exponential, 1e300, 1e300 * (1 + 1e-9))
+
+
+def test_a_zero_information_is_still_blamed_on_the_family(exponential):
+    # The mean moves between theta and delta, so a zero information there
+    # is the family's fault, not underflow.
+    flat = dataclasses.replace(exponential, mean_deriv=lambda th: 0.0 * th)
+    with pytest.raises(SpecificationError, match="non-positive Fisher information"):
+        intrinsic_loss(flat, 1.0, 1.0 + 1e-9)
 
 
 def test_inconsistent_mean_is_still_refused(exponential):

@@ -277,7 +277,7 @@ def test_divergent_posterior_mean_is_improper(exponential):
 def _log_integral(logf, lo, hi):
     """log of the integral of exp(logf) over (lo, hi) as every caller
     integrates: scanned for its peak and split there."""
-    _, m, (z,) = priors._peak_integrals(logf, lo, hi, None)
+    m, (z,) = priors._peak_integrals(logf, lo, hi, None)
     return m + math.log(z)
 
 
