@@ -17,6 +17,7 @@ position.  Evaluation is vectorized: variables may be numpy arrays.
 
 from __future__ import annotations
 
+import ast
 import math
 import operator
 import re
@@ -28,12 +29,10 @@ from .families import FamilySpec, validate_family
 
 __all__ = ["Expression", "family_from_config"]
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-    r"|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
+_NUMBER = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
+# A character outside the grammar, or the second star of Python's ``**``.
+_OUTSIDE = re.compile(r"[^A-Za-z0-9_.+\-*/^()\s]|(?<=\*)\*")
+_BINARY_AST = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 _FUNCTIONS = {"exp": np.exp, "log": np.log}
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
@@ -167,111 +166,57 @@ def _derivative(node, var: str):
     return _mul(node, _add(_mul(db, ("call", "log", a)), _mul(b, _div(da, a))))
 
 
-class _Parser:
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(source):
-            m = _TOKEN_RE.match(source, pos)
-            if m is None or m.end() == pos:
-                stripped = source[pos:].lstrip()
-                if not stripped:
-                    break
-                at = len(source) - len(stripped)
-                self._fail(at, f"unexpected character {source[at]!r}")
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
-        self.i = 0
-        self.variables: set[str] = set()
-
-    def _fail(self, pos: int, message: str):
-        pointer = " " * pos + "^"
-        raise SpecificationError(
-            f"parse error at position {pos}: {message}\n"
-            f"    {self.source}\n    {pointer}"
-        )
-
-    def _peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def _next(self):
-        tok = self._peek()
-        if tok is None:
-            self._fail(len(self.source), "unexpected end of expression")
-        self.i += 1
-        return tok
-
-    def _accept(self, ops: str) -> str | None:
-        """Consume the next token if it is one of the operators ``ops``."""
-        tok = self._peek()
-        if tok and tok[0] == "op" and tok[1] in ops:
-            self.i += 1
-            return tok[1]
-        return None
-
-    def _expect_op(self, op: str):
-        if not self._accept(op):
-            tok = self._peek()
-            self._fail(tok[2] if tok else len(self.source), f"expected {op!r}")
-
-    def parse(self):
-        node = self._expr()
-        tok = self._peek()
-        if tok is not None:
-            self._fail(tok[2], f"trailing input starting with {tok[1]!r}")
-        return node
-
-    def _chain(self, ops: str, operand):
-        node = operand()
-        while op := self._accept(ops):
-            node = (op, node, operand())
-        return node
-
-    def _expr(self):
-        return self._chain("+-", self._term)
-
-    def _term(self):
-        return self._chain("*/", self._unary)
-
-    def _unary(self):
-        return ("neg", self._unary()) if self._accept("-") else self._power()
-
-    def _power(self):
-        base = self._atom()
-        return ("^", base, self._unary()) if self._accept("^") else base
-
-    def _atom(self):
-        kind, text, pos = self._next()
-        if kind == "num":
-            return ("num", float(text))
-        if kind == "name":
-            if self._accept("("):
-                if text not in _FUNCTIONS:
-                    self._fail(
-                        pos,
-                        f"unknown function {text!r} (only "
-                        f"{sorted(_FUNCTIONS)} are available)",
-                    )
-                arg = self._expr()
-                self._expect_op(")")
-                return ("call", text, arg)
-            self.variables.add(text)
-            return ("var", text)
-        if kind == "op" and text == "(":
-            node = self._expr()
-            self._expect_op(")")
-            return node
-        self._fail(pos, f"unexpected token {text!r}")
+def _fail(source: str, pos: int, message: str):
+    raise SpecificationError(f"parse error at position {pos}: {message}\n"
+                             f"    {source}\n    {' ' * pos}^")
 
 
 def parse_expression(source: str) -> Expression:
-    """Parse to a vectorized callable, or fail with a position marker."""
+    """Parse to a vectorized callable, or fail with a position marker.
+
+    CPython's parser reads the grammar once ``^`` is spelled ``**``: the
+    two agree on precedence, on right-associative powers and on
+    ``-a^b = -(a^b)``.  The walk of its tree admits only the grammar's
+    nodes, and numbers only as the grammar spells them.
+    """
     if not isinstance(source, str) or not source.strip():
         raise SpecificationError("expression must be a nonempty string")
-    parser = _Parser(source)
-    return Expression(source, parser.parse(), frozenset(parser.variables))
+    if bad := _OUTSIDE.search(source):
+        _fail(source, bad.start(), f"unexpected character {bad.group()!r}")
+    text = re.sub(r"\s", " ", source).lstrip()
+    python = text.replace("^", "**")
+    variables: set[str] = set()
+
+    def fail(k: int, message: str):  # k indexes python; origin maps it to text
+        origin = [j for j, ch in enumerate(text) for _ in range(1 + (ch == "^"))]
+        origin.append(len(text))
+        _fail(source, len(source) - len(text) + origin[min(k, len(python))], message)
+
+    def walk(node):
+        match node:
+            case ast.BinOp(left=a, op=op, right=b) if type(op) in _BINARY_AST:
+                return (_BINARY_AST[type(op)], walk(a), walk(b))
+            case ast.UnaryOp(op=ast.USub(), operand=a):
+                return ("neg", walk(a))
+            case ast.Name(id=name):
+                variables.add(name)
+                return ("var", name)
+            case ast.Constant() if _NUMBER.fullmatch(
+                    literal := python[node.col_offset:node.end_col_offset]):
+                return ("num", float(literal))
+            case ast.Call(func=ast.Name(id=name), args=[arg], keywords=[]) if (
+                    node.func.col_offset == node.col_offset):  # not (exp)(1)
+                if name not in _FUNCTIONS:
+                    fail(node.col_offset, f"unknown function {name!r} (only "
+                                          f"{sorted(_FUNCTIONS)} are available)")
+                return ("call", name, walk(arg))
+        fail(node.col_offset, "not in the grammar")
+
+    try:
+        body = ast.parse(python, mode="eval").body
+    except SyntaxError as exc:  # offset 0 or a later line: the end of the text
+        fail(exc.offset - 1 if exc.offset and exc.lineno == 1 else len(python), exc.msg)
+    return Expression(source, walk(body), frozenset(variables))
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +252,19 @@ def _interval(value, key: str) -> tuple[float, float]:
 
 def _mapping(source, label: str, var: str = "theta",
              antiderivative=None) -> Expression:
-    """Parse a mapping of ``var``; with no source, differentiate the antiderivative."""
-    if source is None and antiderivative is not None:
-        tree = _derivative(antiderivative._ast, var)
-        return Expression(f"d/d{var}({antiderivative.source})", tree,
-                          antiderivative.variables)
-    expr = parse_expression(source)
+    """Parse a mapping of ``var``; with no source, differentiate the antiderivative.
+
+    Parsing, differentiation and folding recurse once per level of the
+    tree, folding twice, so a tree that builds here also evaluates.
+    """
+    try:
+        if source is None and antiderivative is not None:
+            tree = _derivative(antiderivative._ast, var)
+            return Expression(f"d/d{var}({antiderivative.source})", tree,
+                              antiderivative.variables)
+        expr = parse_expression(source)
+    except (RecursionError, MemoryError):  # MemoryError: CPython's parser stack
+        raise SpecificationError(f"{label} expression nests too deeply") from None
     extra = expr.variables - {var}
     if extra:
         raise SpecificationError(

@@ -76,16 +76,17 @@ def intrinsic_loss(fam: FamilySpec, theta, delta):
         # Round-off bound of the sum; nan and +-inf fail the test too.
         slack = 4.0 * _EPS * (abs(psi_th) + abs(psi_de) + abs(lin))
         ok = (val >= -slack) & (val < np.inf)
-        if not ok.all():
-            if not np.isfinite(val).all():
-                raise DomainError(
-                    f"intrinsic loss for {fam.name} at theta={theta!r}, "
-                    f"delta={delta!r} overflows the float range"
-                )
+        if not ok.all():  # name the first offending pair
+            finite = np.isfinite(val)
+            i = int(np.argmax(~finite if not finite.all() else ~ok))
+            t, d = (float(np.broadcast_to(a, val.shape).flat[i]) for a in (th, de))
+            if not finite.all():
+                raise DomainError(f"intrinsic loss for {fam.name} at theta={t!r}, "
+                                  f"delta={d!r} overflows the float range")
             raise DomainError(
-                f"negative intrinsic loss for {fam.name}; the supplied mean "
-                "function is inconsistent with log_norm"
-            )
+                f"negative intrinsic loss for {fam.name} at theta={t!r}, "
+                f"delta={d!r}: the mean function is inconsistent with log_norm, "
+                "or log_norm loses precision there")
         # Integrate where rounding may have cost the closed form 38 bits.
         near = slack > 2.0 ** -38 * val
         if near.any():

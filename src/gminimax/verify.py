@@ -38,7 +38,7 @@ from .estimators import (
     transport,
 )
 from .families import builtin_family
-from .losses import intrinsic_loss
+from .losses import intrinsic_loss, posterior_regret
 from .oracle import CORNER_TOL, grid_minimax, kl_quadrature
 from .priors import MixturePath, PriorBox, conjugate_prior
 
@@ -121,7 +121,9 @@ def minimax_suite(seed: int, n_instances: int) -> list[CheckRecord]:
             value=gap, bound=oracle.resolution_bound,
             note=f"{fam.name} x={x:g}",
         ))
-        residual = float(report.diagnostics.get("residual", 0.0))
+        r_lo, r_hi = posterior_regret(
+            fam, [report.delta_lo, report.delta_hi], report.estimate).tolist()
+        residual = abs(r_lo - r_hi)
         tol = EQUALIZE_TOL * max(1.0, report.equalized_regret)
         records.append(CheckRecord(
             suite="minimax", check="equalized_regret", index=i,

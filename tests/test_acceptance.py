@@ -5,6 +5,7 @@ confronted with the brute-force oracles; nothing here trusts the
 library's own equalization bookkeeping.
 """
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -36,6 +37,7 @@ from gminimax import (
     prgm_from_bounds,
     prior_box,
     transport,
+    verify,
 )
 
 EQUALIZE_TOL = 1e-10
@@ -477,6 +479,20 @@ class TestVerifyCommandContract:
             assert rec["value"] is None or isinstance(rec["value"], float)
             assert rec["bound"] is None or isinstance(rec["bound"], float)
             assert isinstance(rec["note"], str)
+
+    def test_equalized_regret_is_recomputed(self, monkeypatch):
+        # An answer shifted off the equalizer, whose report still carries the
+        # estimator's own tiny residual, fails: verify recomputes the regrets.
+        real = verify.prgm_conjugate_box
+
+        def shifted(fam, box, x):
+            report = real(fam, box, x)
+            width = report.delta_hi - report.delta_lo
+            return dataclasses.replace(report, estimate=report.estimate + 1e-4 * width)
+
+        monkeypatch.setattr(verify, "prgm_conjugate_box", shifted)
+        records = [r for r in verify.minimax_suite(42, 3) if r.check == "equalized_regret"]
+        assert len(records) == 3 and not any(r.passed for r in records)
 
 
 class TestPublicSurface:

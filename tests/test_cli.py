@@ -531,6 +531,24 @@ class TestFamilyFile:
         assert err == ("gminimax: configuration error: expression "
                        "'log(theta) + 1/(1-1)' divides by zero in a literal term\n")
 
+    @pytest.mark.parametrize("log_norm,error", [
+        ("log(" + "(" * 200 + "theta" + ")" * 201, "too many nested parentheses"),
+        ("+".join(["theta"] * 3000), "log_norm expression nests too deeply"),
+        ("-" * 2000 + "theta", "log_norm expression nests too deeply"),
+        ("-" * 20000 + "theta", "log_norm expression nests too deeply"),
+    ], ids=["parentheses", "sum", "unary_minus", "parser_stack"])
+    def test_deep_expression_is_a_configuration_error(self, tmp_path, log_norm, error):
+        # A fresh process, so the stack depth and stderr are a shell's.
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(dict(name="deep", support=[0, None],
+                                        log_norm=log_norm)), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gminimax", "prgm", "--family-file", str(path),
+             "--bounds", "0.5:1.5"], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("gminimax: configuration error: ")
+        assert error in proc.stderr and "Traceback" not in proc.stderr
+
 
 def test_module_entry_point():
     proc = subprocess.run(

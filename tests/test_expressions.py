@@ -21,7 +21,7 @@ from gminimax import (
     prgm_from_bounds,
 )
 from gminimax.cli import main
-from gminimax.expressions import Expression, _derivative, parse_expression
+from gminimax.expressions import Expression, _derivative, _fold, parse_expression
 from gminimax.families import support_grid
 
 
@@ -90,16 +90,40 @@ class TestParser:
             parse_expression("theta $ 2")
 
     def test_trailing_input(self):
-        with pytest.raises(SpecificationError, match="trailing"):
+        with pytest.raises(SpecificationError,
+                           match="^parse error at position 2: invalid syntax"):
             parse_expression("1 2")
 
     def test_unbalanced_parenthesis(self):
-        with pytest.raises(SpecificationError, match="expected '\\)'"):
+        with pytest.raises(SpecificationError,
+                           match=r"^parse error at position 0: '\(' was never closed"):
             parse_expression("(1 + 2")
 
     def test_truncated_expression(self):
-        with pytest.raises(SpecificationError, match="unexpected end"):
+        with pytest.raises(SpecificationError,
+                           match="^parse error at position 3: invalid syntax"):
             parse_expression("1 +")
+
+    def test_position_counts_the_original_text(self):
+        # Leading whitespace is stripped and each ^ becomes two characters
+        # before Python parses; the caret still lands under the source.
+        with pytest.raises(SpecificationError, match="^parse error at position 8:"):
+            parse_expression("\t 2^3 ^ ^ 1")
+
+    @pytest.mark.parametrize("source,pos", [("2**3", 2), ("2 ** theta", 3)])
+    def test_python_power_spelling_is_refused(self, source, pos):
+        with pytest.raises(SpecificationError, match=(
+                f"^parse error at position {pos}: unexpected character '\\*'")):
+            parse_expression(source)
+
+    @pytest.mark.parametrize("source", [
+        "01", "1j", "0x1f", "1_000", "True", "+theta", "theta//2", "theta.real",
+        "theta if theta else 1", "not theta", "theta in x", "exp()", "exp(*theta)",
+        "(exp)(theta)", "2(3)",
+    ])
+    def test_python_only_syntax_is_refused(self, source):
+        with pytest.raises(SpecificationError, match="^parse error at position"):
+            parse_expression(source)
 
     def test_literal_subtrees_are_folded(self):
         expr = parse_expression("theta*(2*3) - -exp(0)")
@@ -347,3 +371,58 @@ class TestDerivatives:
                 return
         if np.isfinite(got) and np.isfinite(want):
             assert abs(got - want) <= 1e-12 * max(abs(got), abs(want))
+
+
+# Binding levels of the grammar: sum 1, term 2, unary 3, power 4, atom 5.
+# The operands each operator takes, as the least level printed bare.
+_OPERANDS = {"+": (1, 2), "-": (1, 2), "*": (2, 3), "/": (2, 3), "^": (5, 3)}
+
+
+def _show(node) -> tuple[str, int]:
+    """Source text of a tree with only the parentheses the grammar needs."""
+    kind = node[0]
+    if kind == "num":
+        v = node[1]
+        return (str(int(v)) if v.is_integer() and v < 1e15 else repr(v)), 5
+    if kind == "var":
+        return node[1], 5
+    if kind == "call":
+        return f"{node[1]}({_show(node[2])[0]})", 5
+    if kind == "neg":
+        return "-" + _operand(node[1], 3), 3
+    left, right = _OPERANDS[kind]
+    level = 4 if kind == "^" else left
+    return f"{_operand(node[1], left)} {kind} {_operand(node[2], right)}", level
+
+
+def _operand(node, least: int) -> str:
+    text, level = _show(node)
+    return text if level >= least else f"({text})"
+
+
+def _grammar_trees():
+    leaves = st.one_of(
+        st.just(("var", "theta")),
+        st.integers(0, 99).map(lambda k: ("num", float(k))),
+        st.floats(0.0, allow_infinity=False).map(lambda v: ("num", v)))
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.tuples(st.sampled_from("+-*/^"), sub, sub),
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.just("call"), st.sampled_from(["exp", "log"]), sub),
+    ), max_leaves=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tree=_grammar_trees())
+def test_printed_tree_parses_back(tree):
+    text = _show(tree)[0]
+    with np.errstate(all="ignore"):
+        try:
+            want = _fold(tree)
+        except ZeroDivisionError:
+            with pytest.raises(SpecificationError, match="divides by zero"):
+                parse_expression(text)
+            return
+        got = parse_expression(text)._ast
+    # repr, not ==: a folded nan equals no other nan, and -0.0 equals 0.0
+    assert repr(got) == repr(want), text

@@ -188,12 +188,14 @@ def test_inconsistent_mean_is_still_refused(exponential):
 def test_overflow_is_a_domain_error(name, theta, delta):
     # Floats and arrays get the one message, from the one place that raises it.
     fam = builtin_family(name)
+    # Each names the first offending pair as floats, on one line.
     for th, de in ((theta, delta), (np.array([theta]), np.array([delta])),
-                   (theta, np.array([delta, theta]))):
+                   (theta, np.array([delta, theta])),
+                   (np.full(8, theta), np.full(8, delta))):
         with pytest.raises(DomainError) as info:
             intrinsic_loss(fam, th, de)
-        assert str(info.value) == (f"intrinsic loss for {fam.name} at theta={th!r}, "
-                                   f"delta={de!r} overflows the float range")
+        assert str(info.value) == (f"intrinsic loss for {fam.name} at theta={theta!r}, "
+                                   f"delta={delta!r} overflows the float range")
 
 
 # The float branch of intrinsic_loss must give the bits of the array path
@@ -235,3 +237,15 @@ def test_float_path_matches_array_path(fam, lo, hi, theta, step):
     got = intrinsic_loss(fam, theta, delta)
     assert type(got) is float
     assert got.hex() == want.hex()
+
+
+def test_cancelling_log_norm_is_refused_at_a_named_pair():
+    # log(1 + exp(-theta)) cancels at theta = 25 although the twin's mean is
+    # consistent: the refusal names the pair and both possible causes.
+    for th, de in ((25.0, 24.9999), (np.array([1.0, 25.0]), np.array([1.5, 24.9999]))):
+        with pytest.raises(DomainError) as info:
+            intrinsic_loss(_BINOMIAL_TWIN, th, de)
+        assert str(info.value) == (
+            "negative intrinsic loss for binomial_twin at theta=25.0, delta=24.9999: "
+            "the mean function is inconsistent with log_norm, or log_norm loses "
+            "precision there")
