@@ -12,14 +12,13 @@ Grammar (whitespace-insensitive)::
 variable (``theta`` for parameter mappings, ``x`` for the statistic).
 Parsing either succeeds completely or raises a
 :class:`~gminimax.errors.SpecificationError` pointing at the offending
-position.  Evaluation is vectorized: variables may be numpy arrays.
+position.  A parsed expression is compiled once to Python bytecode.
 """
 
 from __future__ import annotations
 
 import ast
 import math
-import operator
 import re
 
 import numpy as np
@@ -35,58 +34,63 @@ _OUTSIDE = re.compile(r"[^A-Za-z0-9_.+\-*/^()\s]|(?<=\*)\*")
 _BINARY_AST = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 _FUNCTIONS = {"exp": np.exp, "log": np.log}
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv, "^": np.power}
+_OPERATORS = {symbol: op for op, symbol in _BINARY_AST.items() if symbol != "^"}
+# What compiled code calls, under names that no variable can take.
+_GLOBALS = {"__builtins__": {}, "np.power": np.power,
+            **{f"np.{name}": fn for name, fn in _FUNCTIONS.items()}}
 
 
 class Expression:
     """Parsed expression: callable with keyword variables.
 
-    The tree is compiled once into nested closures, with literal-only
-    subtrees folded to their values; a call converts each of its
-    variables to a float array once and runs the closures.
+    The tree, with literal-only subtrees folded to their values, is
+    compiled once to a function of the variables.  A call passes each as a
+    numpy float or float array, never a Python float: 1/theta at 0 is inf.
     """
 
-    def __init__(self, source: str, ast, variables: frozenset[str]):
+    def __init__(self, source: str, tree, variables: frozenset[str]):
         self.source = source
         try:
-            self._ast = _fold(ast)
+            self._ast = _fold(tree)
         except ZeroDivisionError:
             raise SpecificationError(
                 f"expression {source!r} divides by zero in a literal term") from None
         self.variables = variables
-        self._run = _compile(self._ast)
+        self._names = sorted(variables)
+        self._run = _compiled(self._ast, self._names)
 
-    def __call__(self, **env):
+    def __call__(self, /, **env):
         try:
-            for name in self.variables:
-                env[name] = np.asarray(env[name], dtype=float)
+            args = [np.asarray(env[name], dtype=float)[()] for name in self._names]
         except KeyError:
             raise SpecificationError(
                 f"expression {self.source!r} needs variable(s) "
-                f"{sorted(self.variables - env.keys())}; got {sorted(env)}"
-            ) from None
-        return self._run(env)
+                f"{sorted(self.variables - env.keys())}; got {sorted(env)}") from None
+        return self._run(*args)
 
     def __repr__(self):
         return f"Expression({self.source!r})"
 
 
-def _compile(node):
-    """Nested closures that compute the tree from a dict of float arrays."""
-    kind = node[0]
-    if kind == "num":
-        value = node[1]
-        return lambda env: value
-    if kind == "var":
-        name = node[1]
-        return lambda env: env[name]
-    if kind in ("neg", "call"):
-        fn = operator.neg if kind == "neg" else _FUNCTIONS[node[1]]
-        arg = _compile(node[-1])
-        return lambda env: fn(arg(env))
-    op, a, b = _BINARY[kind], _compile(node[1]), _compile(node[2])
-    return lambda env: op(a(env), b(env))
+def _python(node) -> ast.expr:
+    """The tree as a Python expression node; ``^`` calls ``np.power``."""
+    kind, *args = node
+    if kind in ("num", "var"):
+        return ast.Constant(*args) if kind == "num" else ast.Name(*args, ast.Load())
+    if kind == "neg":
+        return ast.UnaryOp(ast.USub(), _python(*args))
+    if kind in _OPERATORS:
+        return ast.BinOp(_python(args[0]), _OPERATORS[kind](), _python(args[1]))
+    fn = "np.power" if kind == "^" else "np." + args.pop(0)
+    return ast.Call(ast.Name(fn, ast.Load()), [_python(a) for a in args], [])
+
+
+def _compiled(tree, names):
+    """The tree compiled to a Python function of ``names``, in that order."""
+    params = ast.arguments(posonlyargs=[], args=[ast.arg(n) for n in names],
+                           kwonlyargs=[], kw_defaults=[], defaults=[])
+    code = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, _python(tree))))
+    return eval(compile(code, "<expression>", "eval"), _GLOBALS)
 
 
 def _fold(node):
@@ -97,8 +101,10 @@ def _fold(node):
     node = node[:head] + tuple(_fold(a) for a in node[head:])
     if any(a[0] != "num" for a in node[head:]):
         return node
-    with np.errstate(all="ignore"):  # inf and nan as a call would give
-        return ("num", float(_compile(node)({})))
+    # Compiled code on Python floats: inf and nan as a call would give, but a
+    # literal division by zero raises ZeroDivisionError.
+    with np.errstate(all="ignore"):
+        return ("num", float(_compiled(node, [])()))
 
 
 # Tree builders for derivatives.  They fold the literals 0 and 1, and
@@ -198,7 +204,7 @@ def parse_expression(source: str) -> Expression:
                 return (_BINARY_AST[type(op)], walk(a), walk(b))
             case ast.UnaryOp(op=ast.USub(), operand=a):
                 return ("neg", walk(a))
-            case ast.Name(id=name):
+            case ast.Name(id=name) if name != "__debug__":  # Python's constant
                 variables.add(name)
                 return ("var", name)
             case ast.Constant() if _NUMBER.fullmatch(
@@ -225,8 +231,7 @@ def parse_expression(source: str) -> Expression:
 
 _REQUIRED_KEYS = {"name", "support", "log_norm"}
 _OPTIONAL_KEYS = {"mean", "mean_deriv", "stat", "mean_range", "jeffreys_shift"}
-_INFINITIES = {"inf": math.inf, "+inf": math.inf, "infinity": math.inf,
-               "-inf": -math.inf}
+_INFINITIES = {"inf": math.inf, "+inf": math.inf, "infinity": math.inf, "-inf": -math.inf}
 
 
 def _pair(value, key: str):
@@ -238,11 +243,9 @@ def _pair(value, key: str):
 def _endpoint(v, unbounded: float) -> float:
     if v is None:
         return unbounded
-    if isinstance(v, str):
-        if v.strip().lower() not in _INFINITIES:
-            raise SpecificationError(f"bad support endpoint {v!r}")
-        return _INFINITIES[v.strip().lower()]
-    return float(v)
+    if isinstance(v, str) and v.strip().lower() not in _INFINITIES:
+        raise SpecificationError(f"bad support endpoint {v!r}")
+    return _INFINITIES[v.strip().lower()] if isinstance(v, str) else float(v)
 
 
 def _interval(value, key: str) -> tuple[float, float]:
@@ -254,8 +257,8 @@ def _mapping(source, label: str, var: str = "theta",
              antiderivative=None) -> Expression:
     """Parse a mapping of ``var``; with no source, differentiate the antiderivative.
 
-    Parsing, differentiation and folding recurse once per level of the
-    tree, folding twice, so a tree that builds here also evaluates.
+    Parsing, differentiation, folding and compiling recurse once per level
+    of the tree, so a tree that builds here also evaluates.
     """
     try:
         if source is None and antiderivative is not None:
@@ -265,11 +268,9 @@ def _mapping(source, label: str, var: str = "theta",
         expr = parse_expression(source)
     except (RecursionError, MemoryError):  # MemoryError: CPython's parser stack
         raise SpecificationError(f"{label} expression nests too deeply") from None
-    extra = expr.variables - {var}
-    if extra:
+    if extra := expr.variables - {var}:
         raise SpecificationError(
-            f"{label} may only use the variable {var!r}; found {sorted(extra)}"
-        )
+            f"{label} may only use the variable {var!r}; found {sorted(extra)}")
     return expr
 
 
@@ -285,14 +286,11 @@ def family_from_config(cfg: dict) -> FamilySpec:
     """
     if not isinstance(cfg, dict):
         raise SpecificationError("family config must be a mapping")
-    unknown = set(cfg) - _REQUIRED_KEYS - _OPTIONAL_KEYS
-    if unknown:
+    if unknown := set(cfg) - _REQUIRED_KEYS - _OPTIONAL_KEYS:
         raise SpecificationError(
             f"unknown family config key(s) {sorted(unknown)}; allowed: "
-            f"{sorted(_REQUIRED_KEYS | _OPTIONAL_KEYS)}"
-        )
-    missing = _REQUIRED_KEYS - set(cfg)
-    if missing:
+            f"{sorted(_REQUIRED_KEYS | _OPTIONAL_KEYS)}")
+    if missing := _REQUIRED_KEYS - set(cfg):
         raise SpecificationError(f"family config missing key(s) {sorted(missing)}")
 
     support = _interval(cfg["support"], "support")
@@ -318,6 +316,5 @@ def family_from_config(cfg: dict) -> FamilySpec:
     problems = validate_family(fam)
     if problems:
         raise SpecificationError(
-            f"family {fam.name!r} failed validation: " + "; ".join(problems)
-        )
+            f"family {fam.name!r} failed validation: " + "; ".join(problems))
     return fam

@@ -320,6 +320,7 @@ def jeffreys_shift_residual(fam: FamilySpec) -> float:
     return float(np.std(g))
 
 
+@np.errstate(all="ignore")  # a refusal lists its problems, with no numpy warnings
 def validate_family(fam: FamilySpec) -> list[str]:
     """Spot-check the structural requirements on the working grid.
 

@@ -536,7 +536,8 @@ class TestFamilyFile:
         ("+".join(["theta"] * 3000), "log_norm expression nests too deeply"),
         ("-" * 2000 + "theta", "log_norm expression nests too deeply"),
         ("-" * 20000 + "theta", "log_norm expression nests too deeply"),
-    ], ids=["parentheses", "sum", "unary_minus", "parser_stack"])
+        ("+".join(["log(theta)"] * 500), "log_norm expression nests too deeply"),
+    ], ids=["parentheses", "sum", "unary_minus", "parser_stack", "log_sum"])
     def test_deep_expression_is_a_configuration_error(self, tmp_path, log_norm, error):
         # A fresh process, so the stack depth and stderr are a shell's.
         path = tmp_path / "deep.json"
@@ -548,6 +549,31 @@ class TestFamilyFile:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith("gminimax: configuration error: ")
         assert error in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_deep_expression_within_the_limit_is_answered(self, tmp_path):
+        # 400 terms build, with mean and mean_deriv derived and compiled.
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(dict(name="deep", support=[0, None],
+                                        log_norm="+".join(["log(theta)"] * 400))),
+                        encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gminimax", "prgm", "--family-file", str(path),
+             "--bounds", "0.5:1.5"], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        assert 0.5 < json.loads(proc.stdout)["estimate"] < 1.5
+
+    def test_refused_config_prints_one_stderr_line(self, tmp_path):
+        # validate_family's grid overflows here; its numpy warnings stay quiet.
+        path = tmp_path / "ee.json"
+        path.write_text(json.dumps(dict(name="ee", support=[None, None],
+                                        log_norm="-exp(exp(theta))")), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gminimax", "prgm", "--family-file", str(path),
+             "--bounds", "0.5:1.5"], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith(
+            "gminimax: configuration error: family 'ee' failed validation: ")
 
 
 def test_module_entry_point():

@@ -1,6 +1,7 @@
 """Expression language and expression-defined families."""
 
 import json
+import operator
 import warnings
 
 import hypothesis.strategies as st
@@ -119,7 +120,7 @@ class TestParser:
     @pytest.mark.parametrize("source", [
         "01", "1j", "0x1f", "1_000", "True", "+theta", "theta//2", "theta.real",
         "theta if theta else 1", "not theta", "theta in x", "exp()", "exp(*theta)",
-        "(exp)(theta)", "2(3)",
+        "(exp)(theta)", "2(3)", "__debug__",
     ])
     def test_python_only_syntax_is_refused(self, source):
         with pytest.raises(SpecificationError, match="^parse error at position"):
@@ -129,6 +130,15 @@ class TestParser:
         expr = parse_expression("theta*(2*3) - -exp(0)")
         assert expr._ast == ("-", ("*", ("var", "theta"), ("num", 6.0)), ("num", -1.0))
         assert expr(theta=0.5) == 4.0
+
+    @pytest.mark.parametrize("source,env,want", [
+        ("exp*exp(theta)", dict(exp=2.0, theta=0.0), 2.0),
+        ("log*log(theta)", dict(log=2.0, theta=1.0), 0.0),
+        ("theta^power", dict(theta=2.0, power=3.0), 8.0),
+        ("self*exp(theta)", dict(self=2.0, theta=0.0), 2.0),
+    ])
+    def test_a_variable_shadows_nothing(self, source, env, want):
+        assert parse_expression(source)(**env) == want
 
     def test_literal_division_by_zero(self):
         with pytest.raises(SpecificationError,
@@ -371,6 +381,44 @@ class TestDerivatives:
                 return
         if np.isfinite(got) and np.isfinite(want):
             assert abs(got - want) <= 1e-12 * max(abs(got), abs(want))
+
+
+_REFERENCE = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "^": np.power, "neg": operator.neg,
+              "exp": np.exp, "log": np.log}
+
+
+def reference(node, env):
+    """Value of a parsed tree by a plain walk, numbers as ``np.float64``."""
+    kind = node[0]
+    if kind == "num":
+        return np.float64(node[1])
+    if kind == "var":
+        return env[node[1]]
+    if kind == "call":
+        return _REFERENCE[node[1]](reference(node[2], env))
+    return _REFERENCE[kind](*(reference(a, env) for a in node[1:]))
+
+
+_values = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tree=_trees(), theta=st.lists(_values, min_size=3, max_size=3),
+       x=st.lists(_values, min_size=3, max_size=3))
+def test_compiled_expression_matches_a_reference_walk(tree, theta, x):
+    # Bit for bit, nan payloads and signed zeros included, on numpy floats
+    # and on 3-element arrays.
+    try:
+        expr = Expression("tree", tree, frozenset({"theta", "x"}))
+    except SpecificationError:  # a literal-only subtree divides by zero
+        return
+    for env in ({"theta": np.float64(theta[0]), "x": np.float64(x[0])},
+                {"theta": np.array(theta), "x": np.array(x)}):
+        with np.errstate(all="ignore"):
+            got, want = expr(**env), reference(tree, env)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got, float).tobytes() == np.asarray(want, float).tobytes()
 
 
 # Binding levels of the grammar: sum 1, term 2, unary 3, power 4, atom 5.
