@@ -372,16 +372,14 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
                                                        max(theta_corners)))
     t_lo, t_hi = float(tr.inverse(e_lo)), float(tr.inverse(e_hi))
 
-    def regret_eta(t: float, d: float) -> float:
-        return posterior_regret(fam, t, float(tr.inverse(d)))
-
     scale = max(1.0, abs(e_lo), abs(e_hi))
     if e_hi - e_lo < DEGENERATE_REL_WIDTH * scale:
         return EstimateReport(0.5 * (e_lo + e_hi), e_lo, e_hi, 0.0, METHOD_ROOT,
                               {"transform": tr.label, "degenerate": True})
 
-    def gap(d: float) -> float:
-        return regret_eta(t_hi, d) - regret_eta(t_lo, d)
+    def gap(d: float) -> float:  # d is pulled back once
+        theta = float(tr.inverse(d))
+        return posterior_regret(fam, t_hi, theta) - posterior_regret(fam, t_lo, theta)
 
     if not gap(e_lo) >= 0 >= gap(e_hi):
         raise ConvergenceError(
@@ -389,8 +387,8 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
             "function may not be strictly decreasing"
         )
     est = _bisect(lambda d: gap(d) > 0, e_lo, e_hi, width=1e-15 * scale)
-    r_lo = regret_eta(t_lo, est)
-    r_hi = regret_eta(t_hi, est)
+    theta = float(tr.inverse(est))
+    r_lo, r_hi = posterior_regret(fam, t_lo, theta), posterior_regret(fam, t_hi, theta)
     return EstimateReport(
         estimate=est,
         delta_lo=e_lo,

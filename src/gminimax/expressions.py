@@ -263,14 +263,18 @@ def _mapping(source, label: str, var: str = "theta",
     try:
         if source is None and antiderivative is not None:
             tree = _derivative(antiderivative._ast, var)
-            return Expression(f"d/d{var}({antiderivative.source})", tree,
+            expr = Expression(f"d/d{var}({antiderivative.source})", tree,
                               antiderivative.variables)
-        expr = parse_expression(source)
+        else:
+            expr = parse_expression(source)
     except (RecursionError, MemoryError):  # MemoryError: CPython's parser stack
         raise SpecificationError(f"{label} expression nests too deeply") from None
     if extra := expr.variables - {var}:
         raise SpecificationError(
             f"{label} may only use the variable {var!r}; found {sorted(extra)}")
+    if expr._ast[0] == "num":  # c + 0*var returns c in its argument's shape
+        expr = Expression(expr.source, ("+", expr._ast, ("*", _ZERO, ("var", var))),
+                          frozenset({var}))
     return expr
 
 

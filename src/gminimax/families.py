@@ -64,7 +64,7 @@ class FamilySpec:
     name:            identifier, e.g. ``"binomial_logit(5)"``.
     support:         open interval of admissible natural parameters.
     log_norm:        log of the normalizing factor, vectorized in theta.
-    mean:            derivative of ``log_norm``; strictly decreasing.
+    mean:            derivative of ``log_norm``; strictly decreasing, never constant.
     mean_deriv:      derivative of ``mean``; strictly negative.
     stat:            sufficient statistic as a function of the data.
     mean_inv:        analytic inverse of ``mean`` when one is known; only
@@ -86,7 +86,9 @@ class FamilySpec:
 
     The mappings in theta, ``stat`` and ``log_carrier`` are called with a
     float or a float ndarray and convert nothing themselves; callers
-    holding anything else convert it first.
+    holding anything else convert it first.  Each returns its argument's
+    shape, constant or not (a config ``mean_deriv`` of ``"-1"`` works as
+    written): a scalar for a float, an array of that shape for an array.
     """
 
     name: str
@@ -179,16 +181,12 @@ def fisher_info(fam: FamilySpec, theta):
     info = -np.asarray(fam.mean_deriv(th), dtype=float)
     ok = (info > 0.0) & (info < np.inf)
     if not ok.all():
-        where, ok = np.broadcast_arrays(np.asarray(th, dtype=float), ok)
         raise SpecificationError(
             f"family {fam.name} reports non-positive Fisher information at "
-            f"theta={float(where[~ok][0])!r}; its mean function is not "
+            f"theta={float(np.asarray(th)[~ok][0])!r}; its mean function is not "
             "strictly decreasing there"
         )
-    if np.ndim(theta) == 0:
-        return float(info)
-    # A constant derivative expression evaluates to a 0-d array.
-    return np.broadcast_to(info, np.shape(theta)).copy()
+    return float(info) if np.ndim(theta) == 0 else info
 
 
 def _initial_point(fam: FamilySpec) -> float:
@@ -311,12 +309,8 @@ def jeffreys_shift_residual(fam: FamilySpec) -> float:
         raise SpecificationError(f"family {fam.name} declares no Jeffreys shift")
     a, b = fam.jeffreys_shift
     grid = support_grid(fam)
-    info = -np.asarray(fam.mean_deriv(grid), dtype=float)
-    if np.any(info <= 0):
-        raise SpecificationError(
-            f"non-positive Fisher information inside the working window of {fam.name}"
-        )
-    g = 0.5 * np.log(info) - a * np.asarray(fam.log_prior_base(grid)) + b * grid
+    g = (0.5 * np.log(fisher_info(fam, grid))
+         - a * np.asarray(fam.log_prior_base(grid)) + b * grid)
     return float(np.std(g))
 
 
@@ -325,20 +319,23 @@ def validate_family(fam: FamilySpec) -> list[str]:
     """Spot-check the structural requirements on the working grid.
 
     Returns a list of human-readable violations (empty when everything
-    holds).  Checks: mean strictly decreasing, mean_deriv negative and
-    consistent with a finite difference of mean, mean consistent with a
-    finite difference of log_norm, inverse round-trip, and the declared
-    Jeffreys shift.
+    holds).  A ``mean`` or ``mean_deriv`` not of the grid's shape is the
+    only violation then reported; a constant one such as ``"-1"`` from a
+    config has that shape.  Checks: mean strictly decreasing (a constant
+    mean is refused), mean_deriv negative and consistent with a finite
+    difference of mean, mean consistent with a finite difference of
+    log_norm, inverse round-trip, and the declared Jeffreys shift.
     """
-    problems: list[str] = []
     grid = support_grid(fam)
     mean_vals = np.asarray(fam.mean(grid), dtype=float)
+    deriv = np.asarray(fam.mean_deriv(grid), dtype=float)
+    for name, vals in (("mean", mean_vals), ("mean_deriv", deriv)):
+        if vals.shape != grid.shape:
+            return [f"{name} returns shape {vals.shape} on a grid of shape {grid.shape}"]
+
+    problems: list[str] = []
     if not np.all(np.diff(mean_vals) < 0):
         problems.append("mean function is not strictly decreasing on the working grid")
-
-    # A constant derivative expression evaluates to a 0-d array.
-    deriv = np.broadcast_to(np.asarray(fam.mean_deriv(grid), dtype=float),
-                            grid.shape)
     if not np.all(deriv < 0):
         problems.append("mean_deriv is not strictly negative on the working grid")
 

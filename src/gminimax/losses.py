@@ -26,7 +26,8 @@ from .families import FamilySpec, fisher_info, require_in_support
 
 __all__ = ["intrinsic_loss", "posterior_regret"]
 
-_EPS = float(np.finfo(float).eps)
+ROUNDOFF = 4.0 * float(np.finfo(float).eps)  # closed-form slack per unit of its terms
+RESOLUTION = 2.0 ** -38  # slack above this share of the value: 38 bits lost
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -62,8 +63,8 @@ def intrinsic_loss(fam: FamilySpec, theta, delta):
             psi_th, psi_de = float(fam.log_norm(th)), float(fam.log_norm(de))
             lin = (de - th) * float(fam.mean(th))
         val = psi_th - psi_de + lin
-        slack = 4.0 * _EPS * (abs(psi_th) + abs(psi_de) + abs(lin))
-        if -slack <= val < math.inf and not slack > 2.0 ** -38 * val:
+        slack = ROUNDOFF * (abs(psi_th) + abs(psi_de) + abs(lin))
+        if -slack <= val < math.inf and not slack > RESOLUTION * val:
             return val
     th = np.asarray(theta, dtype=float)
     de = np.asarray(delta, dtype=float)
@@ -74,7 +75,7 @@ def intrinsic_loss(fam: FamilySpec, theta, delta):
         lin = dh * np.asarray(fam.mean(th))
         val = psi_th - psi_de + lin
         # Round-off bound of the sum; nan and +-inf fail the test too.
-        slack = 4.0 * _EPS * (abs(psi_th) + abs(psi_de) + abs(lin))
+        slack = ROUNDOFF * (abs(psi_th) + abs(psi_de) + abs(lin))
         ok = (val >= -slack) & (val < np.inf)
         if not ok.all():  # name the first offending pair
             finite = np.isfinite(val)
@@ -87,8 +88,7 @@ def intrinsic_loss(fam: FamilySpec, theta, delta):
                 f"negative intrinsic loss for {fam.name} at theta={t!r}, "
                 f"delta={d!r}: the mean function is inconsistent with log_norm, "
                 "or log_norm loses precision there")
-        # Integrate where rounding may have cost the closed form 38 bits.
-        near = slack > 2.0 ** -38 * val
+        near = slack > RESOLUTION * val
         if near.any():
             near &= dh != 0  # a zero-width integral is the closed form's 0
             (u, w), val, h = _kl_rule(), np.array(val), dh[near]
@@ -111,9 +111,8 @@ def _refuse_underflow(fam: FamilySpec, theta, delta, nodes) -> None:
     at a node while the mean moves between theta and delta by less than
     the smallest normal float times their distance: the information
     underflowed there, and the family is not at fault."""
-    info = np.broadcast_to(np.asarray(fam.mean_deriv(nodes), dtype=float), nodes.shape)
     moved = np.abs(np.asarray(fam.mean(delta)) - np.asarray(fam.mean(theta)))
-    lost = ((info == 0.0).any(axis=1) & (moved > 0.0)
+    lost = ((fam.mean_deriv(nodes) == 0.0).any(axis=1) & (moved > 0.0)
             & (moved < _TINY * np.abs(delta - theta)))
     if lost.any():
         i = int(np.argmax(lost))

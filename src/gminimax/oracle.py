@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, SpecificationError
 from .families import FamilySpec, interior_clamp, mean_inverse, require_in_support
-from .losses import _EPS, posterior_regret
+from .losses import RESOLUTION, ROUNDOFF, posterior_regret
 from .priors import (ConjugatePrior, PriorBox, _peak_integrals,
                      posterior_predictive_mean, require_same_family)
 
@@ -149,8 +149,8 @@ def _sweep(fam: FamilySpec, lattice: np.ndarray, n_delta: int) -> _Envelope:
         slack = np.abs(deltas) * np.max(np.abs(slopes))
         slack += np.max(np.abs(psi_b) + np.abs(b_slopes))
         slack += np.abs(psi_d)
-        slack *= 4.0 * _EPS
-        guarded = ~((2.0 ** -38 * sup >= slack) & (sup < np.inf))
+        slack *= ROUNDOFF
+        guarded = ~((RESOLUTION * sup >= slack) & (sup < np.inf))
 
     if guarded.any():
         d = deltas[guarded]

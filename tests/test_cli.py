@@ -562,6 +562,20 @@ class TestFamilyFile:
         assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
         assert 0.5 < json.loads(proc.stdout)["estimate"] < 1.5
 
+    @pytest.mark.parametrize("log_norm", ["theta", "2"])
+    def test_constant_mean_is_refused_in_one_stderr_line(self, tmp_path, log_norm):
+        path = tmp_path / "lin.json"
+        path.write_text(json.dumps(dict(name="lin", support=[None, None],
+                                        log_norm=log_norm)), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gminimax", "prgm", "--family-file", str(path),
+             "--bounds", "0.5:1.5"], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith(
+            "gminimax: configuration error: family 'lin' failed validation: "
+            "mean function is not strictly decreasing on the working grid")
+
     def test_refused_config_prints_one_stderr_line(self, tmp_path):
         # validate_family's grid overflows here; its numpy warnings stay quiet.
         path = tmp_path / "ee.json"

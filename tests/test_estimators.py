@@ -314,24 +314,31 @@ class TestTransformCatalog:
 
     def test_transport_silent_for_invariant_estimates(self, exponential):
         box = prior_box(exponential, 1.0, 3.0, 1.0, 1.0, "jcp")
-        rep = iprgm_jcp_box(exponential, box, 2.0)
         tr = make_transform("reciprocal", exponential)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            val = transport(rep, tr)
-        assert val == pytest.approx(1.0 / rep.estimate, rel=1e-15)
+        jcp_prior = conjugate_prior(exponential, 2.0, 1.0, "jcp")
+        for rep in (iprgm_jcp_box(exponential, box, 2.0),
+                    bayes_estimate(exponential, jcp_prior, 2.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                val = transport(rep, tr)
+            assert val == pytest.approx(1.0 / rep.estimate, rel=1e-15)
 
 
 class TestTransformedScaleSolve:
     def test_jcp_route_matches_transport(self, exponential):
-        box = prior_box(exponential, 0.5, 2.5, 1.0, 2.0, "jcp")
         tr = make_transform("reciprocal", exponential)
-        rep_theta = iprgm_jcp_box(exponential, box, 1.5)
-        rep_eta = eta_scale_prgm(exponential, box, 1.5, tr)
-        assert rep_eta.estimate == pytest.approx(
-            transport(rep_theta, tr), rel=1e-11
-        )
-        assert rep_eta.method == "prgm_root_find"
+        # The second box is so narrow that the extremes collapse on the
+        # transformed scale, and the midpoint is returned unbisected.
+        for box, x, degenerate in (((0.5, 2.5, 1.0, 2.0), 1.5, False),
+                                   ((1.0, 1.0 + 1e-13, 1.0, 1.0 + 1e-13), 2.0, True)):
+            box = prior_box(exponential, *box, "jcp")
+            rep_theta = iprgm_jcp_box(exponential, box, x)
+            rep_eta = eta_scale_prgm(exponential, box, x, tr)
+            assert rep_eta.estimate == pytest.approx(
+                transport(rep_theta, tr), rel=1e-11
+            )
+            assert rep_eta.method == "prgm_root_find"
+            assert rep_eta.diagnostics["degenerate"] is degenerate
 
     @pytest.mark.parametrize("flavor,a_lo,bits", [
         ("jcp", 1.0, "0x1.14ff58be0a23fp+1"),

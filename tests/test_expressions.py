@@ -195,6 +195,25 @@ class TestFamilyFromConfig:
         assert fisher_info(fam, np.ones((2, 2))).shape == (2, 2)
         assert fisher_info(fam, 1.5) == 1.0
 
+    @pytest.mark.parametrize("cfg", [
+        dict(log_norm="-theta^2/2", mean="-theta", mean_deriv="-1"),
+        dict(log_norm="-theta^2/2"),  # mean_deriv derives to the literal -1
+    ], ids=["written", "derived"])
+    def test_constant_mapping_returns_its_arguments_shape(self, cfg):
+        fam = family_from_config(dict(cfg, name="n", support=[None, None]))
+        for theta in (np.ones((2, 3)), np.ones(0)):
+            got = fam.mean_deriv(theta)
+            assert got.shape == theta.shape and np.all(got == -1.0)
+        assert isinstance(fam.mean_deriv(1.5), float) and fam.mean_deriv(1.5) == -1.0
+
+    @pytest.mark.parametrize("log_norm", ["theta", "2"])
+    def test_constant_mean_is_refused(self, log_norm):
+        # np.diff of the mean on the grid raised a raw ValueError here
+        cfg = dict(name="lin", support=[None, None], log_norm=log_norm)
+        with pytest.raises(SpecificationError,
+                           match="mean function is not strictly decreasing"):
+            family_from_config(cfg)
+
     def test_omitted_mean_deriv_is_exact(self):
         cfg = dict(name="exact_exp", support=[0, None], log_norm="log(theta)",
                    mean="1/theta")
@@ -353,7 +372,7 @@ class TestDerivatives:
         for got, source in ((derived_mean.mean(grid), cfg["mean"]),
                             (derived_deriv.mean_deriv(grid), cfg["mean_deriv"])):
             want = parse_expression(source)(theta=grid)
-            got = np.broadcast_to(got, grid.shape)
+            assert got.shape == grid.shape  # a derived constant too
             assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
 
     def test_constant_derivative_stays_a_literal(self):

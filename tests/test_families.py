@@ -12,6 +12,7 @@ from gminimax import (
     DomainError,
     SpecificationError,
     builtin_family,
+    family_from_config,
     fisher_info,
     mean_inverse,
     validate_family,
@@ -67,6 +68,18 @@ class TestMeanFunction:
         for t in (0.3, 1.9, 4.4):
             got = mean_inverse(numeric, t)
             assert float(binomial5.mean(got)) == pytest.approx(t, rel=1e-10)
+
+    @pytest.mark.parametrize("support,log_norm,t,want", [
+        ([None, 0], "log(-theta)", -2.0, -0.5000000000004547),
+        ([0, 1], "log(theta) + log(1 - theta)", 3.0, 0.2324081207560198),
+    ], ids=["finite_upper_end", "two_finite_ends"])
+    def test_inverse_brackets_from_finite_ends(self, support, log_norm, t, want):
+        # The bracket starts one unit inside a lone finite end, or at the
+        # middle of two, and is clamped off the upper end while it walks.
+        fam = family_from_config(dict(name="f", support=support, log_norm=log_norm))
+        got = mean_inverse(fam, t)
+        assert got == want
+        assert float(fam.mean(got)) == pytest.approx(t, rel=1e-11)
 
     def test_inverse_rejects_out_of_range(self, binomial5):
         with pytest.raises(DomainError):
@@ -196,6 +209,17 @@ class TestValidation:
     def test_propriety_needs_a_sample_space(self, exponential):
         with pytest.raises(SpecificationError, match="sample space"):
             dataclasses.replace(exponential, sample_space=None)
+
+    def test_a_mapping_that_drops_the_grid_shape_is_the_only_problem(self, exponential):
+        broken = dataclasses.replace(exponential, mean_deriv=lambda th: -1.0)
+        assert validate_family(broken) == [
+            "mean_deriv returns shape () on a grid of shape (201,)"]
+
+    def test_shift_check_reads_information_through_fisher_info(self, exponential):
+        flat = dataclasses.replace(exponential, mean_deriv=lambda th: 0.0 * th)
+        with pytest.raises(SpecificationError, match="^family exponential_rate "
+                           "reports non-positive Fisher information at theta="):
+            jeffreys_shift_residual(flat)
 
     def test_inconsistent_mean_is_detected(self, exponential):
         broken = dataclasses.replace(exponential, mean=lambda th: 1.0 / np.asarray(th) + 0.05)
