@@ -204,8 +204,8 @@ def cmd_certify(args) -> int:
             lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise SpecificationError(f"bad --x-grid {args.x_grid!r}")
-        if n < 2 or not lo < hi:
-            raise SpecificationError("--x-grid needs lo < hi and n >= 2")
+        if n < 2 or not -np.inf < lo < hi < np.inf:
+            raise SpecificationError("--x-grid needs finite lo < hi and n >= 2")
         cert = data_independent_alpha(fam, box, np.linspace(lo, hi, n))
     _emit(_json_line(cert.to_json_dict()), args.out)
     return 0

@@ -78,33 +78,24 @@ class ConjugatePrior:
     flavor: str = "standard"
 
     def __post_init__(self):
-        if self.flavor not in FLAVORS:
-            raise SpecificationError(
-                f"flavor must be one of {FLAVORS}, got {self.flavor!r}"
-            )
-        if not (math.isfinite(self.alpha) and math.isfinite(self.lam)):
-            raise SpecificationError("hyper-parameters must be finite")
+        _check_hypers(self.flavor, (self.alpha, self.lam), "hyper-parameters")
+
+
+def _check_hypers(flavor: str, values, what: str) -> None:
+    """The rule every prior class keeps: a known flavor, and finite
+    ``values`` (``what`` names them)."""
+    if flavor not in FLAVORS:
+        raise SpecificationError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise SpecificationError(f"{what} must be finite")
 
 
 def conjugate_prior(fam: FamilySpec, alpha: float, lam: float,
                     flavor: str = "standard") -> ConjugatePrior:
-    """Construct a prior, rejecting hyper-parameters that cannot work.
-
-    The propriety rule is checked on the standard-flavor equivalent.  A
-    prior that cannot be pre-checked (no propriety rows, or ``jcp`` with no
-    declared shift: only quadrature handles it) is accepted with a warning.
-    """
+    """Construct a prior, rejecting hyper-parameters that cannot work:
+    it is checked as its one-point box (see ``prior_box``)."""
     prior = ConjugatePrior(fam, float(alpha), float(lam), flavor)
-    if flavor == "jcp" and fam.jeffreys_shift is None:
-        warnings.warn(f"family {fam.name} declares no Jeffreys shift; jcp prior "
-                      "propriety cannot be pre-checked", stacklevel=2)
-        return prior
-    std = to_standard(prior)
-    if fam.propriety is None:
-        warnings.warn(f"family {fam.name} has no propriety predicate; accepting "
-                      f"(alpha={std.alpha}, lambda={std.lam}) unchecked", stacklevel=2)
-    else:
-        check_prior_ok(fam, [(std.alpha, std.lam)])
+    _check_class(PriorBox(fam, prior.alpha, prior.alpha, prior.lam, prior.lam, flavor))
     return prior
 
 
@@ -173,13 +164,8 @@ class PriorBox:
     flavor: str = "standard"
 
     def __post_init__(self):
-        if self.flavor not in FLAVORS:
-            raise SpecificationError(
-                f"flavor must be one of {FLAVORS}, got {self.flavor!r}"
-            )
-        vals = (self.alpha_lo, self.alpha_hi, self.lam_lo, self.lam_hi)
-        if not all(math.isfinite(v) for v in vals):
-            raise SpecificationError("box corners must be finite")
+        _check_hypers(self.flavor, (self.alpha_lo, self.alpha_hi, self.lam_lo,
+                                    self.lam_hi), "box corners")
         if self.alpha_lo > self.alpha_hi or self.lam_lo > self.lam_hi:
             raise SpecificationError(
                 "box needs alpha_lo <= alpha_hi and lam_lo <= lam_hi, got "
@@ -211,20 +197,26 @@ class PriorBox:
 def prior_box(fam: FamilySpec, alpha_lo: float, alpha_hi: float,
               lam_lo: float, lam_hi: float, flavor: str = "standard") -> PriorBox:
     """Construct a box after validating every corner's propriety on its
-    standard-flavor equivalent.  A box that cannot be pre-checked (no
-    propriety rows, or a jcp box without a Jeffreys shift) gets one warning."""
+    standard-flavor equivalent, so a jcp box needs the family's Jeffreys
+    shift.  A family with no propriety rows accepts it with one warning."""
     box = PriorBox(fam, float(alpha_lo), float(alpha_hi), float(lam_lo),
                    float(lam_hi), flavor)
-    if flavor == "jcp" and fam.jeffreys_shift is None:
-        warnings.warn(f"family {fam.name} declares no Jeffreys shift; jcp box "
-                      "propriety cannot be pre-checked", stacklevel=2)
-    elif fam.propriety is None:
-        warnings.warn(f"family {fam.name} has no propriety predicate; accepting "
-                      f"the box alpha [{box.alpha_lo}, {box.alpha_hi}], lambda "
-                      f"[{box.lam_lo}, {box.lam_hi}] unchecked", stacklevel=2)
-    else:
-        check_prior_ok(fam, box.to_standard().corners())
+    _check_class(box)
     return box
+
+
+def _check_class(box: PriorBox) -> None:
+    """The one check of a class of priors, on its standard equivalent:
+    ``box.to_standard()`` refuses a jcp class with no Jeffreys shift."""
+    std = box.to_standard()
+    if box.fam.propriety is not None:
+        check_prior_ok(box.fam, std.corners())
+        return
+    a, b, lo, hi = box.alpha_lo, box.alpha_hi, box.lam_lo, box.lam_hi
+    what = (f"(alpha={a}, lambda={lo})" if (a, lo) == (b, hi) else
+            f"the box alpha [{a}, {b}], lambda [{lo}, {hi}]")
+    warnings.warn(f"family {box.fam.name} has no propriety predicate; accepting "
+                  f"{what} unchecked", stacklevel=3)
 
 
 # ---------------------------------------------------------------------------

@@ -192,13 +192,16 @@ class TestCertify:
         assert rc == 2
         assert "--x-grid" in err
 
-    @pytest.mark.parametrize("grid", ["1:2", "2:1:5", "a:b:5", "1:2:1"])
+    @pytest.mark.parametrize("grid", ["1:2", "2:1:5", "a:b:5", "1:2:1",
+                                      "0:inf:5", "-inf:3:5", "nan:3:5"])
     def test_malformed_grid(self, capsys, grid):
-        rc, _, _ = run_cli(capsys, [
+        rc, out, err = run_cli(capsys, [
             "certify", "--family", "exponential", "--box", "a=1:3,l=1",
-            "--kind", "data_independent", "--x-grid", grid,
+            "--kind", "data_independent", f"--x-grid={grid}",
         ])
-        assert rc == 2
+        assert (rc, out) == (2, "")
+        assert err.startswith("gminimax: configuration error: ")
+        assert "--x-grid" in err and err.count("\n") == 1
 
 
 class TestRegretCurve:
@@ -514,6 +517,24 @@ class TestFamilyFile:
         assert proc.stderr.splitlines() == [
             f"gminimax: warning: family my_exp has no propriety predicate; {warning}"]
         assert json.loads(proc.stdout)["estimate"] > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["iprgm", "--x", "2", "--box", "a=1:3,l=1:2"],
+        ["bayes", "--x", "2", "--prior", "a=1,l=1", "--flavor", "jcp"],
+    ], ids=["iprgm", "bayes_jcp"])
+    def test_jcp_class_without_a_shift_fails_in_one_stderr_line(self, tmp_path, argv):
+        # A fresh process, so stderr is what a shell sees.
+        cfg = dict(name="my_exp", support=[0, None], log_norm="log(theta)",
+                   mean_range=[0, None])
+        path = tmp_path / "my_exp.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gminimax", argv[0], "--family-file", str(path),
+             *argv[1:]], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines() == [
+            "gminimax: configuration error: family my_exp declares no Jeffreys "
+            "shift; the jcp prior has no standard-flavor equivalent"]
 
     def test_warning_format_is_restored(self, capsys, tmp_path):
         formatter = warnings.formatwarning

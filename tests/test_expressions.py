@@ -182,8 +182,9 @@ class TestFamilyFromConfig:
         assert got.estimate == pytest.approx(want.estimate, rel=1e-12)
         path = tmp_path / "fam.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
-        rc = main(["prgm", "--family-file", str(path), "--box", "a=1:3,l=-0.5:0.5",
-                   "--x", "0.7"])
+        with pytest.warns(UserWarning, match="no propriety predicate"):
+            rc = main(["prgm", "--family-file", str(path), "--box", "a=1:3,l=-0.5:0.5",
+                       "--x", "0.7"])
         assert rc == 0, capsys.readouterr().err
 
     def test_constant_mean_deriv_fisher_info_keeps_shape(self):

@@ -160,11 +160,12 @@ class TestPriorBox:
         with pytest.raises(ProprietyError):  # jcp: alpha - 1 = -1.5
             prior_box(exponential, -0.5, 1.0, 1.0, 2.0, "jcp")
 
-    def test_jcp_box_without_a_shift_warns(self, exponential):
+    def test_jcp_class_without_a_shift_is_refused(self, exponential):
         fam = dataclasses.replace(exponential, jeffreys_shift=None)
-        with pytest.warns(UserWarning, match="declares no Jeffreys shift"):
-            box = prior_box(fam, 1.0, 3.0, 1.0, 2.0, "jcp")
-        assert box.flavor == "jcp"
+        with pytest.raises(SpecificationError, match="declares no Jeffreys shift"):
+            prior_box(fam, 1.0, 3.0, 1.0, 2.0, "jcp")
+        with pytest.raises(SpecificationError, match="declares no Jeffreys shift"):
+            conjugate_prior(fam, 2.0, 1.0, "jcp")
 
 
 def _written_out(fam):
