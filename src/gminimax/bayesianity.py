@@ -36,12 +36,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError, SpecificationError
-from .estimators import (
-    _corner_bayes,
-    bayes_estimate,
-    iprgm_jcp_box,
-    prgm_conjugate_box,
-)
+from .estimators import _corner_bayes, bayes_estimate, prgm_conjugate_box
 from .families import FamilySpec, mean_inverse, require_in_support
 from .priors import (
     ConjugatePrior,
@@ -181,11 +176,10 @@ def data_independent_alpha(fam: FamilySpec, box: PriorBox,
             "data_independent_alpha needs a box whose lambda edge is "
             "degenerate (only alpha varies)"
         )
-    solve = iprgm_jcp_box if box.flavor == "jcp" else prgm_conjugate_box
     alphas, residuals = [], []
     for x in x_grid:
         x = float(x)
-        report = solve(fam, box, x)
+        report = prgm_conjugate_box(fam, box, x)
         if report.diagnostics["degenerate"]:
             # Every prior in the box gives the same action at this x, so
             # any alpha is a witness; such observations carry no

@@ -187,10 +187,7 @@ def cmd_certify(args) -> int:
     box = prior_box(fam, a_lo, a_hi, l_lo, l_hi, args.flavor)
     if args.kind == "path":
         x = _need_x(args, "certify --kind path")
-        if box.flavor == "jcp":
-            report = iprgm_jcp_box(fam, box, x)
-        else:
-            report = prgm_conjugate_box(fam, box, x)
+        report = prgm_conjugate_box(fam, box, x)
         cert = connected_path_witness(fam, box, x, report.estimate)
     else:
         if not args.x_grid:
@@ -281,8 +278,16 @@ def _add_out_flag(sub) -> None:
     sub.add_argument("--out", help="write output to this path instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reports a bad command line in one stderr line, like
+    every other configuration error; subparsers are built from it too."""
+
+    def error(self, message):
+        self.exit(2, f"gminimax: configuration error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gminimax",
         description="Bayes, box-minimax, and invariant box-minimax point "
                     "estimation for one-parameter exponential families "
@@ -391,6 +396,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"gminimax: i/o error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"gminimax: numeric error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 3
     finally:
         warnings.formatwarning = saved
 

@@ -173,31 +173,28 @@ def _corner_bayes(fam: FamilySpec, box: PriorBox, x: float,
 
 
 def prgm_conjugate_box(fam: FamilySpec, box: PriorBox, x: float) -> EstimateReport:
-    """Posterior-regret box-minimax estimate for a standard conjugate box."""
-    if box.flavor != "standard":
-        raise SpecificationError(
-            "prgm_conjugate_box handles standard boxes; route jcp boxes "
-            "through iprgm_jcp_box"
-        )
+    """Posterior-regret box-minimax estimate for a conjugate box.
+
+    A jcp box gives the invariant estimate: each corner's predictive
+    mean applies the Jeffreys shift, and the report carries method
+    ``iprgm`` and the shift it used.
+    """
     ests = _corner_bayes(fam, box, x)
     report = prgm_from_bounds(fam, min(ests), max(ests))
-    return replace(report, diagnostics={**report.diagnostics,
-                                        "corner_estimates": sorted(ests)})
+    diagnostics = {**report.diagnostics, "corner_estimates": sorted(ests)}
+    if box.flavor == "standard":
+        return replace(report, diagnostics=diagnostics)
+    return replace(report, method=METHOD_IPRGM, diagnostics={
+        **diagnostics, "jeffreys_shift": list(fam.jeffreys_shift)})
 
 
 def iprgm_jcp_box(fam: FamilySpec, box: PriorBox, x: float) -> EstimateReport:
-    """Box-minimax estimate within the sqrt-Fisher-corrected class.
-
-    Shifts the box to its standard-flavor equivalent and reuses the
-    conjugate machinery; the result is the one whose transported value
-    stays minimax on any smooth one-to-one scale.
-    """
+    """Box-minimax estimate within the sqrt-Fisher-corrected class: the
+    one whose transported value stays minimax on any smooth one-to-one
+    scale.  Refuses a standard box."""
     if box.flavor != "jcp":
         raise SpecificationError("iprgm_jcp_box needs a jcp-flavor box")
-    report = prgm_conjugate_box(fam, box.to_standard(), x)
-    return replace(report, method=METHOD_IPRGM,
-                   diagnostics={**report.diagnostics,
-                                "jeffreys_shift": list(fam.jeffreys_shift)})
+    return prgm_conjugate_box(fam, box, x)
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +206,15 @@ def iprgm_jcp_box(fam: FamilySpec, box: PriorBox, x: float) -> EstimateReport:
 class Reparameterization:
     """Smooth one-to-one map of the natural parameter.
 
-    ``log_abs_deriv`` (log |d forward / d theta|) is only needed when a
-    plain conjugate class is re-elicited on the transformed scale, where
-    it enters as a Jacobian weight on the prior density.
+    ``log_abs_deriv`` is log |d forward / d theta|: a plain conjugate
+    class re-elicited on the transformed scale carries it as a Jacobian
+    weight on the prior density.
     """
 
     label: str
     forward: Callable
     inverse: Callable
-    log_abs_deriv: Callable | None = None
+    log_abs_deriv: Callable
 
 
 def _require_positive_support(fam: FamilySpec, label: str) -> None:
@@ -244,22 +241,14 @@ def make_transform(spec: str, fam: FamilySpec) -> Reparameterization:
             inverse=lambda e: 1.0 / e,
             log_abs_deriv=lambda th: -2.0 * np.log(th),
         )
-    if s == "log":
-        _require_positive_support(fam, s)
-        return Reparameterization(
-            "log",
-            forward=np.log,
-            inverse=np.exp,
-            log_abs_deriv=lambda th: -np.log(th),
-        )
-    m = _match_call(s, "neg_log_over_a", 1)
+    m = (-1.0,) if s == "log" else _match_call(s, "neg_log_over_a", 1)
     if m is not None:
         (a,) = m
         if a == 0:
             raise SpecificationError("neg_log_over_a needs a != 0")
         _require_positive_support(fam, s)
         return Reparameterization(
-            f"neg_log_over_a({a:g})",
+            s if s == "log" else f"neg_log_over_a({a:g})",
             forward=lambda th: -np.log(th) / a,
             inverse=lambda e: np.exp(-a * e),
             log_abs_deriv=lambda th: -math.log(abs(a)) - np.log(th),
@@ -298,9 +287,13 @@ def _match_call(s: str, name: str, n_args: int):
             f"transform {name} takes {n_args} argument(s), got {inner!r}"
         )
     try:
-        return tuple(float(p) for p in parts)
+        args = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise SpecificationError(f"bad numeric argument in {s!r}") from exc
+    if not all(map(math.isfinite, args)):
+        raise SpecificationError(
+            f"transform {name} needs finite arguments, got {inner!r}")
+    return args
 
 
 def validate_transform(tr: Reparameterization, fam: FamilySpec) -> list[str]:
@@ -322,7 +315,7 @@ def transport(report: EstimateReport, tr: Reparameterization) -> float:
     Only estimates produced inside the sqrt-Fisher-corrected class carry
     the guarantee that the pushed value is itself the minimax (or Bayes)
     answer on the new scale; anything else gets a warning and the plain
-    function value.
+    function value.  A value outside the float range is refused.
     """
     guaranteed = report.method == METHOD_IPRGM or (
         report.method == METHOD_BAYES
@@ -335,7 +328,11 @@ def transport(report: EstimateReport, tr: Reparameterization) -> float:
             "guarantee; the value is h(estimate) only",
             stacklevel=2,
         )
-    return float(tr.forward(report.estimate))
+    value = float(tr.forward(report.estimate))
+    if not math.isfinite(value):
+        raise DomainError(f"{tr.label} maps the estimate {report.estimate} to "
+                          f"{value}, outside the float range")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +357,6 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
     """
     predictive = None
     if box.flavor == "standard":
-        if tr.log_abs_deriv is None:
-            raise SpecificationError(
-                f"transform {tr.label} carries no Jacobian; cannot re-elicit "
-                "a standard class on the transformed scale"
-            )
         predictive = partial(predictive_mean_quadrature,
                              extra_log_weight=tr.log_abs_deriv)
     theta_corners = _corner_bayes(fam, box, x, predictive)

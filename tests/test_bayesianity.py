@@ -180,6 +180,7 @@ class TestDataIndependentAlpha:
         assert data_independent_alpha_exponential(1.0, 3.0) == pytest.approx(
             expected, rel=1e-15
         )
+        assert data_independent_alpha_exponential(2.0, 2.0) == 2.0
 
     def test_exponential_jcp_constant_witness(self, exponential):
         box = prior_box(exponential, 1.0, 3.0, 1.0, 1.0, "jcp")

@@ -176,6 +176,17 @@ class TestCertify:
         )
         assert payload["residual"] < 1e-9
 
+    def test_jcp_path_witness_reproduces_the_iprgm_estimate(self, capsys):
+        box = ["--family", "poisson", "--x", "3", "--box", "a=1:3,l=1:2"]
+        cert = run_json(capsys, ["certify", *box, "--flavor", "jcp"])
+        target = run_json(capsys, ["iprgm", *box])["estimate"]
+        assert cert["kind"] == "path"
+        w = cert["witness"]
+        bayes = run_json(capsys, ["bayes", *box[:4], "--flavor", "jcp",
+                                  "--prior", f"a={w['alpha']!r},l={w['lam']!r}"])
+        assert bayes["estimate"] == pytest.approx(target, rel=1e-14)
+        assert cert["residual"] == abs(bayes["estimate"] - target)
+
     def test_data_independent_certificate(self, capsys):
         payload = run_json(capsys, [
             "certify", "--family", "exponential", "--box", "a=1:3,l=1",
@@ -456,6 +467,61 @@ class TestExitCodes:
         ])
         assert rc == 3
         assert "numeric error" in err
+
+    def test_non_finite_box_corner(self, capsys):
+        rc, out, err = run_cli(capsys, ["prgm", "--family", "exponential", "--x", "2",
+                                        "--box", "a=inf:3,l=0"])
+        assert (rc, out) == (2, "")
+        assert err == "gminimax: configuration error: box corners must be finite\n"
+
+    @pytest.mark.parametrize("transform,x,box", [
+        ("neg_log_over_a(nan)", "2", "a=1:3,l=1:2"),
+        ("affine(inf,0)", "2", "a=1:3,l=1:2"),
+        ("affine(1,inf)", "2", "a=1:3,l=1:2"),
+        ("affine(1e308,0)", "0.1", "a=3:4,l=0.1:0.2"),  # 1e308 * 13.86
+    ])
+    def test_transform_never_prints_a_non_finite_value(self, capsys, transform, x, box):
+        rc, out, err = run_cli(capsys, ["iprgm", "--family", "exponential", "--x", x,
+                                        "--box", box, "--transform", transform])
+        assert (rc, out) == (2, "")
+        assert err.startswith("gminimax: configuration error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["prgm", "--family", "normal", "--bounds", "-1:2"],
+         "argument --bounds: expected one argument"),
+        (["bayes", "--family", "normal", "--x", "-1e-3", "--prior", "a=1,l=0"],
+         "argument --x: expected one argument"),
+        (["bayes", "--family", "normal", "--prior", "a=1,l=0"],
+         "the following arguments are required: --x"),
+        (["loss", "--family", "normal", "--theta", "0", "--delta", "1", "--bogus"],
+         "unrecognized arguments: --bogus"),
+    ])
+    def test_argparse_errors_print_one_line(self, capsys, argv, message):
+        rc, out, err = run_cli(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert err == f"gminimax: configuration error: {message}\n"
+
+    def test_negative_values_that_look_like_numbers_parse(self, capsys):
+        # Only an exponent or a range needs --flag=value.
+        got = run_json(capsys, ["bayes", "--family", "normal", "--x", "-1.2",
+                                "--prior", "a=0,l=0"])
+        assert got["estimate"] == -1.2
+        got = run_json(capsys, ["prgm", "--family", "normal", "--bounds=-1:2"])
+        assert got["estimate"] == 0.5
+
+    def test_out_of_memory_maps_to_3(self, capsys, monkeypatch):
+        # No grid is allocated: the failure is forced.
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, "regret_curve", no_memory)
+        rc, out, err = run_cli(capsys, ["regret-curve", "--family", "exponential",
+                                        "--x", "2", "--box", "a=1:3,l=1:2",
+                                        "--grid-n", "100000000000"])
+        assert (rc, out) == (3, "")
+        assert err == ("gminimax: numeric error: Unable to allocate 745. GiB "
+                       "for an array\n")
 
     def test_argparse_failures_return_2(self, capsys):
         assert run_cli(capsys, ["no-such-command"])[0] == 2

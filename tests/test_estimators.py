@@ -163,10 +163,21 @@ class TestBoxMinimax:
             assert rep.delta_lo == pytest.approx(min(ests), rel=1e-14)
             assert rep.delta_hi == pytest.approx(max(ests), rel=1e-14)
 
-    def test_rejects_jcp_box(self, exponential):
-        box = prior_box(exponential, 1.0, 3.0, 1.0, 2.0, "jcp")
-        with pytest.raises(SpecificationError, match="iprgm"):
-            prgm_conjugate_box(exponential, box, 2.0)
+    @pytest.mark.parametrize("name,x", [("normal", 0.3), ("exponential", 2.0),
+                                        ("binomial(5)", 3.0), ("poisson", 3.0)])
+    def test_jcp_box_gives_the_invariant_report(self, name, x):
+        # Each corner's predictive mean applies the Jeffreys shift, so the
+        # jcp box solves to its standard equivalent's estimate.
+        fam = builtin_family(name)
+        box = prior_box(fam, 2.0, 4.0, 1.0, 2.0, "jcp")
+        rep = prgm_conjugate_box(fam, box, x)
+        assert rep == iprgm_jcp_box(fam, box, x)
+        assert rep.method == "iprgm"
+        assert rep.diagnostics["jeffreys_shift"] == list(fam.jeffreys_shift)
+        std = prgm_conjugate_box(fam, box.to_standard(), x)
+        assert (rep.estimate, rep.delta_lo, rep.delta_hi) == (
+            std.estimate, std.delta_lo, std.delta_hi)
+        assert rep.diagnostics["corner_estimates"] == std.diagnostics["corner_estimates"]
 
     def test_point_box_is_bayes(self, exponential):
         box = prior_box(exponential, 2.0, 2.0, 1.0, 1.0)
@@ -298,6 +309,27 @@ class TestTransformCatalog:
     def test_unknown_name(self, exponential):
         with pytest.raises(SpecificationError):
             make_transform("sqrt", exponential)
+
+    @pytest.mark.parametrize("spec", ["neg_log_over_a(nan)", "affine(inf,0)",
+                                      "affine(1,inf)", "affine(1,-inf)"])
+    def test_non_finite_argument_is_refused(self, exponential, spec):
+        with pytest.raises(SpecificationError, match="needs finite arguments"):
+            make_transform(spec, exponential)
+
+    def test_log_is_neg_log_over_minus_one(self, exponential):
+        tr = make_transform("log", exponential)
+        grid = np.array([1e-300, 0.5, 1.0, 2.0, 1e300])
+        assert tr.label == "log"
+        assert np.array_equal(tr.forward(grid), np.log(grid))
+        assert np.array_equal(tr.inverse(np.log(grid)), np.exp(np.log(grid)))
+        assert np.array_equal(tr.log_abs_deriv(grid), -np.log(grid))
+
+    def test_transport_refuses_a_value_outside_the_float_range(self, exponential):
+        box = prior_box(exponential, 3.0, 4.0, 0.1, 0.2, "jcp")
+        report = iprgm_jcp_box(exponential, box, 0.1)
+        tr = make_transform("affine(1e308,0)", exponential)
+        with pytest.raises(DomainError, match="outside the float range"):
+            transport(report, tr)
 
     def test_malformed_arguments(self, exponential):
         with pytest.raises(SpecificationError):

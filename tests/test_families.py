@@ -38,6 +38,8 @@ class TestBuiltinLookup:
     def test_binomial_needs_trial_count(self):
         with pytest.raises(SpecificationError, match="trial count"):
             builtin_family("binomial")
+        with pytest.raises(SpecificationError, match="trial count must be >= 1, got 0"):
+            builtin_family("binomial(0)")
 
     def test_unknown_name(self):
         with pytest.raises(SpecificationError, match="unknown family"):
@@ -52,6 +54,11 @@ class TestMeanFunction:
         assert float(normal.mean(2.0)) == -2.0
         assert mean_inverse(normal, -2.0) == 2.0
         assert mean_inverse(normal, -3.7) == 3.7
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_is_refused(self, exponential, t):
+        with pytest.raises(DomainError, match=f"mean value {t} is not finite"):
+            mean_inverse(exponential, t)
 
     def test_exponential_inverse(self, exponential):
         assert mean_inverse(exponential, 0.5) == pytest.approx(2.0, rel=1e-14)

@@ -318,6 +318,11 @@ class TestKLQuadrature:
         assert kl_quadrature(poisson, -8.0, -7.9) == pytest.approx(
             intrinsic_loss(poisson, -8.0, -7.9), rel=1e-10)
 
+    def test_sum_past_the_term_cap_is_refused(self, poisson):
+        # A rate near 1.1e7: its terms peak past the 2^20 that one sum takes.
+        with pytest.raises(DomainError, match="more than 1048576 terms"):
+            kl_quadrature(poisson, -16.2, -16.1)
+
     def test_zero_on_diagonal(self, poisson):
         assert kl_quadrature(poisson, 0.8, 0.8) == 0.0
 

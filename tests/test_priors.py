@@ -53,6 +53,14 @@ class TestProprietyGate:
         with pytest.raises(SpecificationError):
             ConjugatePrior(exponential, 1.0, 1.0, "jeffreys")
 
+    @pytest.mark.parametrize("alpha,lam", [(math.inf, 1.0), (2.0, -math.inf),
+                                           (math.nan, 1.0)])
+    def test_non_finite_hyper_parameters(self, exponential, alpha, lam):
+        with pytest.raises(SpecificationError, match="hyper-parameters must be finite"):
+            conjugate_prior(exponential, alpha, lam)
+        with pytest.raises(SpecificationError, match="box corners must be finite"):
+            prior_box(exponential, alpha, 3.0, lam, 2.0)
+
 
 class TestConjugateUpdate:
     """The update (alpha + obs_units, lambda + stat(x)), read off the
