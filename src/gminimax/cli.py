@@ -35,7 +35,7 @@ from .expressions import family_from_config
 from .families import FamilySpec, builtin_family
 from .losses import intrinsic_loss
 from .oracle import regret_curve
-from .priors import conjugate_prior, prior_box
+from .priors import PriorBox, conjugate_prior, prior_box
 from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main", "build_parser", "DEFAULT_SEED"]
@@ -105,17 +105,22 @@ def parse_prior(text: str) -> tuple[float, float]:
 
 
 def _load_family(args) -> FamilySpec:
-    if getattr(args, "family_file", None):
-        with open(args.family_file, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-        try:
-            cfg = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise SpecificationError(
-                f"family file {args.family_file}: invalid JSON ({exc})"
-            )
-        return family_from_config(cfg)
-    return builtin_family(args.family)
+    path = args.family_file
+    if not path:
+        return builtin_family(args.family)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.loads(fh.read())
+    except UnicodeDecodeError as exc:
+        raise SpecificationError(f"family file {path}: not UTF-8 text ({exc})")
+    except json.JSONDecodeError as exc:
+        raise SpecificationError(f"family file {path}: invalid JSON ({exc})")
+    return family_from_config(cfg)
+
+
+def _box(args, fam: FamilySpec, flavor: str) -> PriorBox:
+    """The validated class of priors that ``--box`` gives."""
+    return prior_box(fam, *parse_box(args.box), flavor)
 
 
 def _need_x(args, what: str) -> float:
@@ -124,7 +129,13 @@ def _need_x(args, what: str) -> float:
     return float(args.x)
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _json_line(payload) -> str:
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def _emit(output, out_path: str | None) -> None:
+    """Write a command's output, text as it is and a payload as one JSON line."""
+    text = output if isinstance(output, str) else _json_line(output)
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -132,150 +143,107 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _json_line(payload) -> str:
-    return json.dumps(payload, sort_keys=True) + "\n"
-
-
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each maps its parsed arguments to its output, a payload dict or
+# text; verify pairs its text with the exit code.
 # ---------------------------------------------------------------------------
 
 
-def cmd_bayes(args) -> int:
+def cmd_bayes(args) -> dict:
     fam = _load_family(args)
-    a, l = parse_prior(args.prior)
-    prior = conjugate_prior(fam, a, l, args.flavor)
-    report = bayes_estimate(fam, prior, args.x)
-    _emit(_json_line(report.to_json_dict()), args.out)
-    return 0
+    prior = conjugate_prior(fam, *parse_prior(args.prior), args.flavor)
+    return bayes_estimate(fam, prior, args.x).to_json_dict()
 
 
-def cmd_prgm(args) -> int:
+def cmd_prgm(args) -> dict:
     fam = _load_family(args)
     if args.box is not None and args.bounds is not None:
         raise SpecificationError("give either --box or --bounds, not both")
     if args.bounds is not None:
-        lo, hi = _parse_range(args.bounds, "--bounds")
-        report = prgm_from_bounds(fam, lo, hi)
+        report = prgm_from_bounds(fam, *_parse_range(args.bounds, "--bounds"))
     elif args.box is not None:
-        a_lo, a_hi, l_lo, l_hi = parse_box(args.box)
-        box = prior_box(fam, a_lo, a_hi, l_lo, l_hi, "standard")
-        report = prgm_conjugate_box(fam, box, _need_x(args, "prgm --box"))
+        report = prgm_conjugate_box(fam, _box(args, fam, "standard"),
+                                    _need_x(args, "prgm --box"))
     else:
         raise SpecificationError("prgm needs --box (or --bounds)")
-    _emit(_json_line(report.to_json_dict()), args.out)
-    return 0
+    return report.to_json_dict()
 
 
-def cmd_iprgm(args) -> int:
+def cmd_iprgm(args) -> dict:
     fam = _load_family(args)
-    a_lo, a_hi, l_lo, l_hi = parse_box(args.box)
-    box = prior_box(fam, a_lo, a_hi, l_lo, l_hi, "jcp")
-    report = iprgm_jcp_box(fam, box, args.x)
+    report = iprgm_jcp_box(fam, _box(args, fam, "jcp"), args.x)
     payload = report.to_json_dict()
     if args.transform:
         tr = make_transform(args.transform, fam)
         payload["transform"] = tr.label
         payload["eta_estimate"] = transport(report, tr)
-    _emit(_json_line(payload), args.out)
-    return 0
+    return payload
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> dict:
     fam = _load_family(args)
-    a_lo, a_hi, l_lo, l_hi = parse_box(args.box)
-    box = prior_box(fam, a_lo, a_hi, l_lo, l_hi, args.flavor)
+    box = _box(args, fam, args.flavor)
     if args.kind == "path":
         x = _need_x(args, "certify --kind path")
         report = prgm_conjugate_box(fam, box, x)
-        cert = connected_path_witness(fam, box, x, report.estimate)
-    else:
-        if not args.x_grid:
-            raise SpecificationError(
-                "--kind data_independent needs --x-grid lo:hi:n"
-            )
-        parts = args.x_grid.split(":")
-        if len(parts) != 3:
-            raise SpecificationError("--x-grid must be lo:hi:n")
-        try:
-            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError:
-            raise SpecificationError(f"bad --x-grid {args.x_grid!r}")
-        if n < 2 or not -np.inf < lo < hi < np.inf:
-            raise SpecificationError("--x-grid needs finite lo < hi and n >= 2")
-        cert = data_independent_alpha(fam, box, np.linspace(lo, hi, n))
-    _emit(_json_line(cert.to_json_dict()), args.out)
-    return 0
+        return connected_path_witness(fam, box, x, report.estimate).to_json_dict()
+    if not args.x_grid:
+        raise SpecificationError("--kind data_independent needs --x-grid lo:hi:n")
+    parts = args.x_grid.split(":")
+    if len(parts) != 3:
+        raise SpecificationError("--x-grid must be lo:hi:n")
+    try:
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise SpecificationError(f"bad --x-grid {args.x_grid!r}")
+    if n < 2 or not -np.inf < lo < hi < np.inf:
+        raise SpecificationError("--x-grid needs finite lo < hi and n >= 2")
+    return data_independent_alpha(fam, box, np.linspace(lo, hi, n)).to_json_dict()
 
 
-def cmd_loss(args) -> int:
+def cmd_loss(args) -> dict:
     fam = _load_family(args)
     value = float(intrinsic_loss(fam, args.theta, args.delta))
-    payload = {"family": fam.name, "theta": args.theta, "delta": args.delta,
-               "loss": value}
-    _emit(_json_line(payload), args.out)
-    return 0
+    return {"family": fam.name, "theta": args.theta, "delta": args.delta,
+            "loss": value}
 
 
-def cmd_regret_curve(args) -> int:
+def cmd_regret_curve(args) -> dict | str:
     fam = _load_family(args)
-    a_lo, a_hi, l_lo, l_hi = parse_box(args.box)
-    box = prior_box(fam, a_lo, a_hi, l_lo, l_hi, args.flavor)
-    deltas, sup, labels = regret_curve(fam, box, args.x, args.grid_n)
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["delta", "sup_regret", "argmax_corner"])
-        for d, s, lab in zip(deltas, sup, labels):
-            writer.writerow([repr(float(d)), repr(float(s)), lab])
-        _emit(buf.getvalue(), args.out)
-    else:
-        payload = {
+    deltas, sup, labels = regret_curve(fam, _box(args, fam, args.flavor), args.x,
+                                       args.grid_n)
+    if args.format == "json":
+        return {
             "delta": [float(d) for d in deltas],
             "sup_regret": [float(s) for s in sup],
             "argmax_corner": labels,
         }
-        _emit(_json_line(payload), args.out)
-    return 0
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["delta", "sup_regret", "argmax_corner"])
+    for d, s, lab in zip(deltas, sup, labels):
+        writer.writerow([repr(float(d)), repr(float(s)), lab])
+    return buf.getvalue()
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     suites = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    lines = []
-    n_failed = 0
-    n_checks = 0
-    for name in suites:
-        for rec in run_suite(name, args.seed, args.n_instances):
-            n_checks += 1
-            if not rec.passed:
-                n_failed += 1
-            lines.append(_json_line(rec.to_json_dict()))
-    lines.append(_json_line({
+    records = [rec.to_json_dict() for name in suites
+               for rec in run_suite(name, args.seed, args.n_instances)]
+    n_failed = sum(not rec["passed"] for rec in records)
+    summary = {
         "seed": args.seed,
         "suite": args.suite,
-        "n_checks": n_checks,
+        "n_checks": len(records),
         "n_failed": n_failed,
         "passed": n_failed == 0,
-    }))
-    _emit("".join(lines), args.out)
-    return 0 if n_failed == 0 else 1
+    }
+    return "".join(map(_json_line, [*records, summary])), int(n_failed > 0)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-
-
-def _add_family_flags(sub) -> None:
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--family", help="built-in family name, e.g. "
-                       "exponential, normal, binomial_logit(5), poisson")
-    group.add_argument("--family-file", help="JSON file defining a custom "
-                       "family via arithmetic expressions in theta")
-
-
-def _add_out_flag(sub) -> None:
-    sub.add_argument("--out", help="write output to this path instead of stdout")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -295,79 +263,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("bayes", help="Bayes action for one conjugate prior")
-    _add_family_flags(p)
+    def command(name: str, func, help: str, family: bool = True,
+                flavor: bool = False) -> argparse.ArgumentParser:
+        """A subcommand running ``func``, with the flags it shares with others."""
+        p = subs.add_parser(name, help=help)
+        if family:
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--family", help="built-in family name, e.g. "
+                               "exponential, normal, binomial_logit(5), poisson")
+            group.add_argument("--family-file", help="JSON file defining a custom "
+                               "family via arithmetic expressions in theta")
+        if flavor:
+            p.add_argument("--flavor", choices=["standard", "jcp"], default="standard")
+        p.add_argument("--out", help="write output to this path instead of stdout")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("bayes", cmd_bayes, "Bayes action for one conjugate prior",
+                flavor=True)
     p.add_argument("--x", type=float, required=True, help="observation")
     p.add_argument("--prior", required=True, help="hyper-parameters, a=2,l=1")
-    p.add_argument("--flavor", choices=["standard", "jcp"], default="standard")
-    _add_out_flag(p)
-    p.set_defaults(func=cmd_bayes)
 
-    p = subs.add_parser("prgm", help="box-minimax action for a standard "
-                        "conjugate hyper-parameter box")
-    _add_family_flags(p)
+    p = command("prgm", cmd_prgm, "box-minimax action for a standard "
+                "conjugate hyper-parameter box")
     p.add_argument("--x", type=float, help="observation (required with --box)")
     p.add_argument("--box", help="hyper-parameter box, a=1:3,l=1:2 "
                    "(a single number pins an edge)")
     p.add_argument("--bounds", help="skip the box: give the two extreme Bayes "
                    "actions directly as lo:hi")
-    _add_out_flag(p)
-    p.set_defaults(func=cmd_prgm)
 
-    p = subs.add_parser("iprgm", help="invariant box-minimax action for a "
-                        "sqrt-Fisher-corrected conjugate box")
-    _add_family_flags(p)
+    p = command("iprgm", cmd_iprgm, "invariant box-minimax action for a "
+                "sqrt-Fisher-corrected conjugate box")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--box", required=True, help="a=1:3,l=1 etc; flavor is "
                    "always jcp for this command")
     p.add_argument("--transform", help="also report the estimate pushed "
                    "through a catalog map: reciprocal, log, "
                    "neg_log_over_a(a), affine(a,b), logit_to_p")
-    _add_out_flag(p)
-    p.set_defaults(func=cmd_iprgm)
 
-    p = subs.add_parser("certify", help="exhibit a prior whose Bayes action "
-                        "equals the box-minimax action")
-    _add_family_flags(p)
+    p = command("certify", cmd_certify, "exhibit a prior whose Bayes action "
+                "equals the box-minimax action", flavor=True)
     p.add_argument("--x", type=float, help="observation (path certificates)")
     p.add_argument("--box", required=True)
-    p.add_argument("--flavor", choices=["standard", "jcp"], default="standard")
     p.add_argument("--kind", choices=["path", "data_independent"],
                    default="path")
     p.add_argument("--x-grid", help="lo:hi:n observation grid for "
                    "data_independent certificates")
-    _add_out_flag(p)
-    p.set_defaults(func=cmd_certify)
 
-    p = subs.add_parser("loss", help="evaluate the intrinsic information loss")
-    _add_family_flags(p)
+    p = command("loss", cmd_loss, "evaluate the intrinsic information loss")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    _add_out_flag(p)
-    p.set_defaults(func=cmd_loss)
 
-    p = subs.add_parser("regret-curve", help="worst-case posterior regret "
-                        "sampled over a padded action grid")
-    _add_family_flags(p)
+    p = command("regret-curve", cmd_regret_curve, "worst-case posterior regret "
+                "sampled over a padded action grid", flavor=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--box", required=True)
-    p.add_argument("--flavor", choices=["standard", "jcp"], default="standard")
     p.add_argument("--grid-n", type=int, default=2000,
                    help="number of action grid points (default 2000)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_out_flag(p)
-    p.set_defaults(func=cmd_regret_curve)
 
-    p = subs.add_parser("verify", help="run the seeded self-verification "
-                        "suites; exit 1 if any check fails")
+    p = command("verify", cmd_verify, "run the seeded self-verification "
+                "suites; exit 1 if any check fails", family=False)
     p.add_argument("suite", nargs="?", default="all",
                    choices=list(SUITE_NAMES) + ["all"])
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help=f"RNG seed (default {DEFAULT_SEED})")
     p.add_argument("--n-instances", type=int, default=None,
                    help="override the per-suite instance count (at least 1)")
-    _add_out_flag(p)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -386,7 +348,10 @@ def main(argv=None) -> int:
     # Warnings print as one line, like errors; filters still apply.
     saved, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
-        return args.func(args)
+        output = args.func(args)
+        output, code = output if isinstance(output, tuple) else (output, 0)
+        _emit(output, args.out)
+        return code
     except ConvergenceError as exc:
         print(f"gminimax: numeric error: {exc}", file=sys.stderr)
         return 3

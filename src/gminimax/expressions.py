@@ -240,17 +240,25 @@ def _pair(value, key: str):
     return value
 
 
-def _endpoint(v, unbounded: float) -> float:
-    if v is None:
-        return unbounded
-    if isinstance(v, str) and v.strip().lower() not in _INFINITIES:
-        raise SpecificationError(f"bad support endpoint {v!r}")
-    return _INFINITIES[v.strip().lower()] if isinstance(v, str) else float(v)
+def _number(v, key: str, unbounded: float | None = None) -> float:
+    """A number from the entry of ``key``; with ``unbounded``, an endpoint,
+    where ``null`` is that infinity and an infinity may be spelled out."""
+    if unbounded is not None:
+        if v is None:
+            return unbounded
+        if isinstance(v, str) and v.strip().lower() in _INFINITIES:
+            return _INFINITIES[v.strip().lower()]
+    if isinstance(v, (int, float)):
+        return float(v)
+    if unbounded is None:
+        raise SpecificationError(f"bad {key} entry {v!r}; expected a number")
+    raise SpecificationError(
+        f"bad {key} endpoint {v!r}; expected a number, null or 'inf'")
 
 
 def _interval(value, key: str) -> tuple[float, float]:
     lo, hi = _pair(value, key)
-    return _endpoint(lo, -math.inf), _endpoint(hi, math.inf)
+    return _number(lo, key, -math.inf), _number(hi, key, math.inf)
 
 
 def _mapping(source, label: str, var: str = "theta",
@@ -305,7 +313,8 @@ def family_from_config(cfg: dict) -> FamilySpec:
 
     mr, js = cfg.get("mean_range"), cfg.get("jeffreys_shift")
     mean_range = None if mr is None else _interval(mr, "mean_range")
-    shift = None if js is None else tuple(map(float, _pair(js, "jeffreys_shift")))
+    shift = None if js is None else tuple(_number(v, "jeffreys_shift")
+                                          for v in _pair(js, "jeffreys_shift"))
 
     fam = FamilySpec(
         name=str(cfg["name"]),

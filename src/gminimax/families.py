@@ -153,17 +153,19 @@ def interior_clamp(fam: FamilySpec, theta: float) -> float:
 def support_grid(fam: FamilySpec) -> np.ndarray:
     """201 evenly spaced interior points of a working window of the support.
 
-    The window, with infinite ends cut at +-12, is where family invariants
-    get spot-checked, not a claim about where the family is defined.
+    The window, ``interval_grid`` with a cap of 12, is where family
+    invariants get spot-checked, not a claim about where the family is
+    defined.
     """
     return interval_grid(*fam.support, 201, 12.0)
 
 
 def interval_grid(lo: float, hi: float, n: int, cap: float) -> np.ndarray:
-    """Evenly spaced points of (lo, hi), infinite ends cut at +-cap and
-    finite ones inset by the interior margin."""
-    a = lo if math.isfinite(lo) else -cap
-    b = hi if math.isfinite(hi) else cap
+    """Evenly spaced points of (lo, hi), finite ends inset by the interior
+    margin.  An infinite end is cut at +-cap, or at cap beyond the finite
+    end when that lies at or past the cut."""
+    a = lo if math.isfinite(lo) else -cap if hi > -cap else hi - cap
+    b = hi if math.isfinite(hi) else cap if lo < cap else lo + cap
     if a >= b:
         raise SpecificationError(f"empty working window for ({lo}, {hi})")
     pad = INTERIOR_MARGIN * max(1.0, abs(a), abs(b))
@@ -584,18 +586,23 @@ def check_observation(fam: FamilySpec, x: float) -> None:
 
 
 def check_posterior_ok(fam: FamilySpec, alpha: float, lam: float, x: float,
-                       r: float) -> None:
+                       r: float, jcp: tuple[float, float] | None = None) -> None:
     """Raise DomainError for an impossible observation, ProprietyError if
     the posterior at x (``r = stat(x)``) would be improper: every family
     needs ``alpha + obs_units > 0``, since the closed-form posterior mean
-    divides by it, and every row must hold at ``(alpha + obs_units, lam + r)``."""
+    divides by it, and every row must hold at ``(alpha + obs_units, lam + r)``.
+    A refusal names ``jcp``, the jcp prior that ``(alpha, lam)`` stand for, too."""
     check_observation(fam, x)
     u = fam.obs_units
     row = _broken(((1.0, 0.0, 0.0, True),) + (fam.propriety or ()), alpha + u, lam + r)
     if row is not None:
         ca, cl, c0, strict = row
         rule = _inequality((ca, cl, c0 + ca * u, strict), "x" if r == x else "stat(x)")
+        prior = f"(alpha={alpha}, lambda={lam})"
+        if jcp is not None:
+            prior = (f"the jcp prior (alpha={jcp[0]}, lambda={jcp[1]}), whose "
+                     f"standard equivalent is {prior},")
         raise ProprietyError(
-            f"observation x={x} with (alpha={alpha}, lambda={lam}) gives an "
-            f"improper posterior for {fam.name}: it violates {rule}"
+            f"observation x={x} with {prior} gives an improper posterior for "
+            f"{fam.name}: it violates {rule}"
         )

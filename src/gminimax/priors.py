@@ -138,7 +138,8 @@ def posterior_predictive_mean(fam: FamilySpec, prior: ConjugatePrior, x: float) 
     require_same_family(fam, prior.fam, "prior")
     std = to_standard(prior)
     r = float(fam.stat(x))
-    check_posterior_ok(fam, std.alpha, std.lam, x, r)
+    jcp = None if std is prior else (prior.alpha, prior.lam)
+    check_posterior_ok(fam, std.alpha, std.lam, x, r, jcp)
     return fam.obs_units * (std.lam + r) / (std.alpha + fam.obs_units)
 
 
@@ -382,9 +383,10 @@ def _log_posterior_integrand(fam: FamilySpec, prior: ConjugatePrior, x: float):
 def _peak(logf, lo: float, hi: float) -> tuple[float, float]:
     """Coarse scan for the integrand's peak on (lo, hi): (argmax, max log).
 
-    Infinite ends are cut at +-_SCAN_CAP.  While the peak sits on a cut
-    edge the cut grows sixteenfold (while under 1e9); the grid cells
-    around a peak found that way are then rescanned twice.
+    Infinite ends are cut at _SCAN_CAP, as ``interval_grid`` cuts them.
+    While the peak sits on a cut edge the cut grows sixteenfold (while
+    under 1e9); the grid cells around a peak found that way are then
+    rescanned twice.
     """
     cap, zooms = _SCAN_CAP, 0
     grid = interval_grid(lo, hi, _SCAN_POINTS, cap)

@@ -72,6 +72,13 @@ class CheckRecord:
         return d
 
 
+def _check(suite: str, check: str, index: int, value: float, bound: float,
+           note: str, passed: bool | None = None) -> CheckRecord:
+    """One record; it passes when ``value <= bound`` unless ``passed`` is given."""
+    return CheckRecord(suite, check, index, value <= bound if passed is None else passed,
+                       value, bound, note)
+
+
 def _draw_sorted(rng, lo: float, hi: float) -> tuple[float, float]:
     a, b = rng.uniform(lo, hi, size=2)
     return (float(min(a, b)), float(max(a, b)))
@@ -115,37 +122,24 @@ def minimax_suite(seed: int, n_instances: int) -> list[CheckRecord]:
         report = prgm_conjugate_box(fam, box, x)
         oracle = grid_minimax(fam, box, x)
         gap = abs(oracle.argmin - report.estimate)
-        records.append(CheckRecord(
-            suite="minimax", check="oracle_argmin", index=i,
-            passed=gap <= oracle.resolution_bound,
-            value=gap, bound=oracle.resolution_bound,
-            note=f"{fam.name} x={x:g}",
-        ))
+        records.append(_check("minimax", "oracle_argmin", i, gap,
+                              oracle.resolution_bound, f"{fam.name} x={x:g}"))
         r_lo, r_hi = posterior_regret(
             fam, [report.delta_lo, report.delta_hi], report.estimate).tolist()
         residual = abs(r_lo - r_hi)
         tol = EQUALIZE_TOL * max(1.0, report.equalized_regret)
-        records.append(CheckRecord(
-            suite="minimax", check="equalized_regret", index=i,
-            passed=residual <= tol, value=residual, bound=tol,
-            note=report.method,
-        ))
+        records.append(_check("minimax", "equalized_regret", i, residual, tol,
+                              report.method))
         ctol = CORNER_TOL * max(1.0, oracle.minimax_value)
-        records.append(CheckRecord(
-            suite="minimax", check="corner_dominance", index=i,
-            passed=oracle.corner_violation <= ctol,
-            value=oracle.corner_violation, bound=ctol,
-            note=f"lattice {oracle.n_lattice}",
-        ))
+        records.append(_check("minimax", "corner_dominance", i,
+                              oracle.corner_violation, ctol,
+                              f"lattice {oracle.n_lattice}"))
         kl = kl_quadrature(fam, report.delta_lo, report.estimate)
         closed = intrinsic_loss(fam, report.delta_lo, report.estimate)
         diff = abs(kl - closed)
         ktol = KL_TOL * max(1.0, abs(closed))
-        records.append(CheckRecord(
-            suite="minimax", check="kl_matches_loss", index=i,
-            passed=diff <= ktol, value=diff, bound=ktol,
-            note=f"{fam.name}",
-        ))
+        records.append(_check("minimax", "kl_matches_loss", i, diff, ktol,
+                              f"{fam.name}"))
     return records
 
 
@@ -174,11 +168,8 @@ def invariance_suite(seed: int, n_instances: int) -> list[CheckRecord]:
             native = eta_scale_prgm(fam, box, x, tr).estimate
             diff = abs(pushed - native)
             tol = INVARIANCE_TOL * max(1.0, abs(native))
-            records.append(CheckRecord(
-                suite="invariance", check="jcp_transport", index=idx,
-                passed=diff <= tol, value=diff, bound=tol,
-                note=f"{fam.name} via {tr.label}",
-            ))
+            records.append(_check("invariance", "jcp_transport", idx, diff, tol,
+                                  f"{fam.name} via {tr.label}"))
             idx += 1
 
     # Control: same machinery, plain conjugate class, reciprocal scale.
@@ -194,12 +185,11 @@ def invariance_suite(seed: int, n_instances: int) -> list[CheckRecord]:
         pushed = float(tr.forward(theta_report.estimate))
         native = eta_scale_prgm(fam, box, x, tr).estimate
         diff = abs(pushed - native)
-        records.append(CheckRecord(
-            suite="invariance", check="non_jcp_control", index=idx + j,
-            passed=diff > CONTROL_GAP, value=diff, bound=CONTROL_GAP,
-            note="expected discrepancy: plain conjugate class re-elicited "
-                 "on the reciprocal scale is a different prior class",
-        ))
+        records.append(_check(
+            "invariance", "non_jcp_control", idx + j, diff, CONTROL_GAP,
+            "expected discrepancy: plain conjugate class re-elicited on the "
+            "reciprocal scale is a different prior class",
+            passed=diff > CONTROL_GAP))
     return records
 
 
@@ -228,21 +218,15 @@ def bayesianity_suite(seed: int, n_instances: int) -> list[CheckRecord]:
         if target.diagnostics["degenerate"]:
             continue  # the two Bayes actions coincide; skip this draw
         cert = mixture_witness(fam, MixturePath(p0, p1), x, target.estimate)
-        records.append(CheckRecord(
-            suite="bayesianity", check="mixture_residual", index=i,
-            passed=cert.residual <= WITNESS_TOL, value=cert.residual,
-            bound=WITNESS_TOL, note=f"{fam.name} t={cert.witness['t']:.6f}",
-        ))
+        records.append(_check("bayesianity", "mixture_residual", i, cert.residual,
+                              WITNESS_TOL, f"{fam.name} t={cert.witness['t']:.6f}"))
 
     for j in range(n_instances):
         fam, box, x = _draw_instance(rng)
         report = prgm_conjugate_box(fam, box, x)
         cert = connected_path_witness(fam, box, x, report.estimate)
-        records.append(CheckRecord(
-            suite="bayesianity", check="path_residual", index=j,
-            passed=cert.residual <= WITNESS_TOL, value=cert.residual,
-            bound=WITNESS_TOL, note=f"{fam.name} kind={cert.kind}",
-        ))
+        records.append(_check("bayesianity", "path_residual", j, cert.residual,
+                              WITNESS_TOL, f"{fam.name} kind={cert.kind}"))
 
     # Fixed data-independence spot checks with their closed forms.
     for check, fam_name, flavor, lam, x_grid, closed_form in (
@@ -257,13 +241,11 @@ def bayesianity_suite(seed: int, n_instances: int) -> list[CheckRecord]:
         box = PriorBox(fam, 1.0, 3.0, lam, lam, flavor)
         cert = data_independent_alpha(fam, box, x_grid)
         expected = closed_form(1.0, 3.0)
-        records.append(CheckRecord(
-            suite="bayesianity", check=check, index=0,
-            passed=(cert.constancy_spread <= 1e-10
-                    and abs(cert.witness["alpha"] - expected) <= WITNESS_TOL),
-            value=cert.constancy_spread, bound=1e-10,
-            note=f"alpha={cert.witness['alpha']:.12f} expected={expected:.12f}",
-        ))
+        alpha, spread = cert.witness["alpha"], cert.constancy_spread
+        records.append(_check(
+            "bayesianity", check, 0, spread, 1e-10,
+            f"alpha={alpha:.12f} expected={expected:.12f}",
+            passed=spread <= 1e-10 and abs(alpha - expected) <= WITNESS_TOL))
     return records
 
 
@@ -281,6 +263,8 @@ def run_suite(name: str, seed: int,
     """Run one suite with ``n_instances`` instances (``None``: its default)."""
     if name not in _SUITES:
         raise SpecificationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if seed < 0:
+        raise SpecificationError(f"a suite needs a non-negative seed, got seed={seed}")
     suite, default = _SUITES[name]
     if n_instances is None:
         n_instances = default

@@ -70,6 +70,61 @@ class TestParseHelpers:
             parse_box(text)
 
 
+# Every subcommand's arguments, --help aside: name -> (required, default,
+# choices, type).  --family and --family-file also form one required group.
+_FAMILY = {"--family": (False, None, None, None),
+           "--family-file": (False, None, None, None)}
+_FLAVOR = {"--flavor": (False, "standard", ["standard", "jcp"], None)}
+_OUT = {"--out": (False, None, None, None)}
+CLI_SURFACE = {
+    "bayes": {**_FAMILY, **_FLAVOR, **_OUT, "--x": (True, None, None, float),
+              "--prior": (True, None, None, None)},
+    "prgm": {**_FAMILY, **_OUT, "--x": (False, None, None, float),
+             "--box": (False, None, None, None),
+             "--bounds": (False, None, None, None)},
+    "iprgm": {**_FAMILY, **_OUT, "--x": (True, None, None, float),
+              "--box": (True, None, None, None),
+              "--transform": (False, None, None, None)},
+    "certify": {**_FAMILY, **_FLAVOR, **_OUT, "--x": (False, None, None, float),
+                "--box": (True, None, None, None),
+                "--kind": (False, "path", ["path", "data_independent"], None),
+                "--x-grid": (False, None, None, None)},
+    "loss": {**_FAMILY, **_OUT, "--theta": (True, None, None, float),
+             "--delta": (True, None, None, float)},
+    "regret-curve": {**_FAMILY, **_FLAVOR, **_OUT, "--x": (True, None, None, float),
+                     "--box": (True, None, None, None),
+                     "--grid-n": (False, 2000, None, int),
+                     "--format": (False, "csv", ["csv", "json"], None)},
+    "verify": {**_OUT, "suite": (False, "all",
+                                 ["minimax", "invariance", "bayesianity", "all"], None),
+               "--seed": (False, 1729, None, int),
+               "--n-instances": (False, None, None, int)},
+}
+
+
+class TestParserSurface:
+    @staticmethod
+    def _subparsers():
+        import argparse
+
+        return next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_every_argument_is_pinned(self):
+        got = {name: {"/".join(a.option_strings) or a.dest:
+                      (a.required, a.default, a.choices, a.type)
+                      for a in p._actions if a.dest != "help"}
+               for name, p in self._subparsers().items()}
+        assert got == CLI_SURFACE
+        assert sum(name.startswith("--") for args in got.values() for name in args) == 42
+
+    def test_family_flags_are_one_required_choice(self):
+        for name, p in self._subparsers().items():
+            groups = [sorted(a.option_strings[0] for a in g._group_actions)
+                      for g in p._mutually_exclusive_groups if g.required]
+            assert groups == ([] if name == "verify" else [["--family", "--family-file"]])
+
+
 class TestEstimateCommands:
     def test_bayes_flat_normal_returns_observation(self, capsys):
         payload = run_json(capsys, [
@@ -314,6 +369,17 @@ class TestVerifyCommand:
         assert summary["n_failed"] == 1
         assert summary["passed"] is False
 
+    def test_negative_seed_is_a_configuration_error(self, capsys):
+        from gminimax.verify import run_suite
+
+        rc, out, err = run_cli(capsys, ["verify", "minimax", "--seed", "-1",
+                                        "--n-instances", "1"])
+        assert (rc, out) == (2, "")
+        assert err == ("gminimax: configuration error: a suite needs a "
+                       "non-negative seed, got seed=-1\n")
+        with pytest.raises(SpecificationError, match="non-negative seed"):
+            run_suite("minimax", -1)
+
     def test_unknown_suite_is_a_specification_error(self):
         from gminimax.verify import run_suite
 
@@ -350,6 +416,19 @@ class TestExitCodes:
         assert err == ("gminimax: configuration error: observation x=0.0 with "
                        "(alpha=1.0, lambda=0.0) gives an improper posterior for "
                        "poisson_neglograte: it violates lambda + x > 0\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["iprgm", "--box", "a=1:3,l=-0.5:0"],
+        ["bayes", "--prior", "a=1,l=-0.5", "--flavor", "jcp"],
+    ], ids=["iprgm", "bayes_jcp"])
+    def test_improper_jcp_posterior_names_the_prior_as_given(self, capsys, argv):
+        # binomial(5) shifts a jcp prior by (1, 0.5): the rule reads (2, 0).
+        rc, out, err = run_cli(capsys, [*argv, "--family", "binomial(5)", "--x", "0"])
+        assert (rc, out) == (2, "")
+        assert err == ("gminimax: configuration error: observation x=0.0 with the "
+                       "jcp prior (alpha=1.0, lambda=-0.5), whose standard "
+                       "equivalent is (alpha=2.0, lambda=0.0), gives an improper "
+                       "posterior for binomial_logit(5): it violates lambda + x > 0\n")
 
     def test_prgm_box_needs_x(self, capsys):
         rc, _, err = run_cli(capsys, [
@@ -601,6 +680,33 @@ class TestFamilyFile:
         assert proc.stderr.splitlines() == [
             "gminimax: configuration error: family my_exp declares no Jeffreys "
             "shift; the jcp prior has no standard-flavor equivalent"]
+
+    def test_bytes_that_are_not_utf8_are_a_configuration_error(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b'\xff\xfe{"a":1}')
+        rc, out, err = run_cli(capsys, ["prgm", "--family-file", str(path),
+                                        "--bounds", "0.5:1.5"])
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"gminimax: configuration error: family file {path}: "
+                              "not UTF-8 text (")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("entry,message", [
+        ({"jeffreys_shift": ["a", 1]}, "bad jeffreys_shift entry 'a'; expected a number"),
+        ({"jeffreys_shift": [None, 1]}, "bad jeffreys_shift entry None; expected a number"),
+        ({"support": [{}, None]},
+         "bad support endpoint {}; expected a number, null or 'inf'"),
+        ({"mean_range": [0, "x"]},
+         "bad mean_range endpoint 'x'; expected a number, null or 'inf'"),
+    ], ids=["shift_string", "shift_null", "support_mapping", "mean_range_string"])
+    def test_config_numbers_are_checked_by_key(self, capsys, tmp_path, entry, message):
+        cfg = {"name": "my_exp", "support": [0, None], "log_norm": "log(theta)", **entry}
+        path = tmp_path / "my_exp.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        rc, out, err = run_cli(capsys, ["prgm", "--family-file", str(path),
+                                        "--bounds", "0.5:1.5"])
+        assert (rc, out) == (2, "")
+        assert err == f"gminimax: configuration error: {message}\n"
 
     def test_warning_format_is_restored(self, capsys, tmp_path):
         formatter = warnings.formatwarning

@@ -34,7 +34,7 @@ from gminimax import (
     regret_curve,
     transport,
 )
-from gminimax.estimators import validate_transform
+from gminimax.estimators import EstimateReport, Reparameterization, validate_transform
 from gminimax.priors import mixture_components
 
 
@@ -58,6 +58,10 @@ class TestBayesAction:
 
 
 class TestWorstCaseBetweenBounds:
+    def test_report_needs_ordered_bounds(self):
+        with pytest.raises(SpecificationError, match="delta_lo <= delta_hi"):
+            EstimateReport(1.0, 2.0, 1.0, 0.0, "bayes")
+
     def test_normal_midpoint(self, normal):
         rep = prgm_from_bounds(normal, 0.2, 0.8)
         assert rep.estimate == pytest.approx(0.5, abs=1e-15)
@@ -336,6 +340,27 @@ class TestTransformCatalog:
             make_transform("neg_log_over_a()", exponential)
         with pytest.raises(SpecificationError):
             make_transform("affine(0, 1)", exponential)  # not monotone
+
+    def test_zero_scale_is_refused(self, exponential):
+        with pytest.raises(SpecificationError, match="neg_log_over_a needs a != 0"):
+            make_transform("neg_log_over_a(0)", exponential)
+
+    def test_wrong_argument_count_is_refused(self, exponential):
+        with pytest.raises(SpecificationError,
+                           match=r"transform affine takes 2 argument\(s\), got '1'"):
+            make_transform("affine(1)", exponential)
+
+    def test_validation_names_each_broken_map(self, normal):
+        square = Reparameterization("square", forward=lambda th: th * th,
+                                    inverse=np.sqrt, log_abs_deriv=np.log)
+        assert validate_transform(square, normal) == [
+            "square is not strictly monotone on the grid",
+            "square round-trip exceeds 1e-10 on the grid"]
+        shifted = Reparameterization("shifted", forward=lambda th: th,
+                                     inverse=lambda e: e + 1e-6,
+                                     log_abs_deriv=lambda th: 0.0 * th)
+        assert validate_transform(shifted, normal) == [
+            "shifted round-trip exceeds 1e-10 on the grid"]
 
     def test_transport_warns_off_the_invariant_path(self, exponential):
         box = prior_box(exponential, 1.0, 3.0, 1.0, 2.0)

@@ -15,10 +15,12 @@ from gminimax import (
     family_from_config,
     fisher_info,
     mean_inverse,
+    prgm_from_bounds,
     validate_family,
 )
 from gminimax.families import (
     expit,
+    interval_grid,
     jeffreys_shift_residual,
     require_in_support,
     support_grid,
@@ -213,6 +215,22 @@ class TestValidation:
         problems = validate_family(broken)
         assert any("shift" in p for p in problems)
 
+    @pytest.mark.parametrize("support", [(1.0, 1.0), (2.0, 1.0)])
+    def test_support_needs_lo_below_hi(self, exponential, support):
+        with pytest.raises(SpecificationError, match="lo < hi"):
+            dataclasses.replace(exponential, support=support)
+
+    def test_obs_units_must_be_positive(self, exponential):
+        with pytest.raises(SpecificationError, match="obs_units must be positive"):
+            dataclasses.replace(exponential, obs_units=0)
+
+    def test_shift_residual_needs_a_declared_shift(self):
+        fam = family_from_config(dict(name="no_shift", support=[0, None],
+                                      log_norm="log(theta)"))
+        with pytest.raises(SpecificationError,
+                           match="family no_shift declares no Jeffreys shift"):
+            jeffreys_shift_residual(fam)
+
     def test_propriety_needs_a_sample_space(self, exponential):
         with pytest.raises(SpecificationError, match="sample space"):
             dataclasses.replace(exponential, sample_space=None)
@@ -240,6 +258,26 @@ def test_support_grid_stays_interior(exponential, normal):
     # Infinite ends are cut at +-12.
     g2 = support_grid(normal)
     assert (g2[0], g2[-1]) == (-12.0, 12.0)
+
+
+@pytest.mark.parametrize("lo,hi,cut", [
+    (-math.inf, -11.0, -12.0), (11.0, math.inf, 12.0),  # inside the cut: +-12
+    (-math.inf, -12.0, -24.0), (12.0, math.inf, 24.0),  # at or past it: 12 beyond
+    (-math.inf, -20.0, -32.0), (100.0, math.inf, 112.0),
+])
+def test_an_infinite_end_is_cut_beyond_the_finite_one(lo, hi, cut):
+    g = interval_grid(lo, hi, 5, 12.0)
+    assert (g[0] if math.isinf(lo) else g[-1]) == cut
+
+
+@pytest.mark.parametrize("lo", [20.0, 100.0])
+def test_a_support_far_from_zero_builds(exponential, lo):
+    # The exponential family moved to (lo, inf): the same answer, shifted.
+    shifted = family_from_config(dict(name="shifted", support=[lo, None],
+                                      log_norm=f"log(theta - {lo})"))
+    got = prgm_from_bounds(shifted, lo + 1.0, lo + 2.0).estimate - lo
+    want = prgm_from_bounds(exponential, 1.0, 2.0).estimate
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_require_in_support(exponential):
