@@ -11,10 +11,11 @@ against those extremes.  With bounds ``d_lo < d_hi`` the regret gap
     d_lo + (d_hi - d_lo) * L(d_hi, d_lo) / (L(d_hi, d_lo) + L(d_lo, d_hi)),
 
 a ratio of two positive losses, as accurate as ``intrinsic_loss``.
-Collapsed bounds give the midpoint.  ``eta_scale_prgm`` bisects the
-regret gap instead, through the one bracketing helper in ``families``,
-so the invariance check compares against an independent solver.  The
-corner Bayes estimates all come from ``_corner_bayes``.
+Collapsed bounds give the midpoint.  ``eta_scale_prgm`` finds the root
+of the regret gap instead, with the ITP bracketing solver in ``families``
+and no closed-form starting guess, so the invariance check compares
+against an independent solver.  The corner Bayes estimates all come
+from ``_corner_bayes``.
 
 A ``jcp`` box is solved as its standard-flavor equivalent; the Jeffreys
 shift is applied in one place, ``priors.to_standard``.  That flavor
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, SpecificationError
 from .families import (
     FamilySpec,
-    _bisect,
+    _itp,
     mean_inverse,
     require_in_support,
     support_grid,
@@ -346,8 +347,11 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
 
     The intrinsic loss between transformed values is the theta-scale
     loss of the pulled-back points, so once the extreme Bayes estimates
-    on the new scale are known the equalizer is found there by bisection
-    on the regret gap, never reusing the theta-scale ratio.
+    on the new scale are known the equalizer is found there as the root
+    of the signed regret gap, never reusing the theta-scale ratio.  The
+    ITP bracketing solver (``families._itp``) starts from the gap at the
+    two extremes and stops at a bracket of 1e-15 times the scale; the
+    diagnostics' ``solver`` entry counts every gap evaluation.
 
     For a ``jcp`` box the prior class is the same set of measures on
     either scale, so the extreme Bayes estimates are the transported
@@ -373,12 +377,13 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
         theta = float(tr.inverse(d))
         return posterior_regret(fam, t_hi, theta) - posterior_regret(fam, t_lo, theta)
 
-    if not gap(e_lo) >= 0 >= gap(e_hi):
+    g_lo, g_hi = gap(e_lo), gap(e_hi)
+    if not g_lo >= 0 >= g_hi:
         raise ConvergenceError(
             f"regret gap lost its sign change on [{e_lo}, {e_hi}]; the mean "
             "function may not be strictly decreasing"
         )
-    est = _bisect(lambda d: gap(d) > 0, e_lo, e_hi, width=1e-15 * scale)
+    est, evaluations = _itp(gap, e_lo, e_hi, g_lo, g_hi, 1e-15 * scale)
     theta = float(tr.inverse(est))
     r_lo, r_hi = posterior_regret(fam, t_lo, theta), posterior_regret(fam, t_hi, theta)
     return EstimateReport(
@@ -388,5 +393,6 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
         equalized_regret=0.5 * (r_lo + r_hi),
         method=METHOD_ROOT,
         diagnostics={"transform": tr.label, "residual": abs(r_lo - r_hi),
-                     "degenerate": False},
+                     "degenerate": False,
+                     "solver": {"method": "itp", "evaluations": 2 + evaluations}},
     )

@@ -255,6 +255,51 @@ def _bisect(above: Callable[[float], bool | None], a: float, b: float,
     return 0.5 * (a + b)
 
 
+def _itp(f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
+         width: float) -> tuple[float, int]:
+    """Root of ``f`` on a bracket with ``f(a) >= 0 >= f(b)``, by ITP.
+
+    Interpolate, truncate, project (Oliveira & Takahashi, ACM TOMS 47(1),
+    2020) with kappa1 = 0.2/|b - a|, kappa2 = 2 and n0 = 1: each step
+    takes the secant point, pulls it toward the midpoint, and keeps it
+    close enough to the midpoint that no call needs more than
+    ceil(log2(|b - a| / width)) + 1 evaluations of ``f``, one more than
+    bisection's worst case.  ``fa`` and ``fb`` are the end values the
+    caller already has; an exact 0 among them or among later values is
+    returned at once.  ``a`` may exceed ``b``; ``width`` must be positive.
+    Stops once ``|b - a| <= width`` and returns the midpoint (or the exact
+    root), with the number of evaluations of ``f`` it made.
+    """
+    if fa == 0.0:
+        return a, 0
+    if fb == 0.0:
+        return b, 0
+    span = abs(b - a)
+    n_max = max(0, math.ceil(math.log2(span / width))) + 1
+    kappa1 = 0.2 / span
+    evaluations = 0
+    while evaluations < n_max and abs(b - a) > width:
+        length, mid = abs(b - a), 0.5 * (a + b)
+        share = fa / (fa - fb)  # nan or off [0, 1] once f misbehaves
+        x_f = a + share * (b - a) if 0.0 <= share <= 1.0 else mid
+        toward = math.copysign(1.0, mid - x_f)
+        # at least half the stop width: a secant point that rounds onto an
+        # end would otherwise leave it in place until projection forced halving
+        delta = max(kappa1 * length * length, 0.5 * width)
+        x_t = x_f + toward * delta if delta <= abs(mid - x_f) else mid
+        r = 0.5 * (width * 2.0 ** (n_max - evaluations) - length)
+        x = x_t if abs(x_t - mid) <= r else mid - toward * r
+        y = f(x)
+        evaluations += 1
+        if y == 0.0:
+            return x, evaluations
+        if y > 0.0:
+            a, fa = x, y
+        else:
+            b, fb = x, y
+    return 0.5 * (a + b), evaluations
+
+
 def mean_inverse(fam: FamilySpec, t: float) -> float:
     """Solve mean(theta) = t for theta.
 
@@ -525,12 +570,19 @@ def builtin_family(name: str) -> FamilySpec:
     return make()
 
 
-def _broken(rows, alpha: float, lam: float):
-    """The first row that ``(alpha, lam)`` breaks, or None."""
+def _broken(rows, alpha: float, lam: float, u: float = 0.0, r: float = 0.0):
+    """The first row that ``(alpha + u, lam + r)`` breaks, or None.  Each
+    row is one exact sum of its separate terms, so neither ``alpha + u``
+    nor ``lam + r`` is rounded first."""
     for row in rows:
         ca, cl, c0, strict = row
-        # zero terms are skipped: 0 * inf is nan once lam + stat(x) overflows
-        v = c0 + (ca * alpha if ca else 0.0) + (cl * lam if cl else 0.0)
+        # a zero c_lam drops its terms: 0 * inf is nan when a custom stat(x) overflows
+        terms = ((c0, ca * alpha, ca * u, cl * lam, cl * r) if cl
+                 else (c0, ca * alpha, ca * u))
+        try:
+            v = math.fsum(terms)
+        except OverflowError:  # a partial sum left the float range: the sum
+            v = math.fsum(t / 16.0 for t in terms)  # of sixteenths keeps the sign
         if not (v > 0.0 if strict else v >= 0.0):
             return row
     return None
@@ -549,11 +601,23 @@ def _inequality(row, stat: str = "") -> str:
     return f"{text or '0'} {'>' if strict else '>='} 0"
 
 
-def check_prior_ok(fam: FamilySpec, points) -> None:
+def _prior_text(alpha: float, lam: float, jcp: tuple[float, float] | None) -> str:
+    """A standard prior as a refusal names it, after ``jcp``, the jcp
+    prior it stands for, when there is one."""
+    prior = f"(alpha={alpha}, lambda={lam})"
+    if jcp is None:
+        return prior
+    return (f"the jcp prior (alpha={jcp[0]}, lambda={jcp[1]}), whose "
+            f"standard equivalent is {prior},")
+
+
+def check_prior_ok(fam: FamilySpec, points, jcp=None) -> None:
     """Raise ProprietyError, naming the broken inequality, unless every
     standard prior ``(alpha, lam)`` in ``points`` passes
     ``check_posterior_ok`` at every x strictly inside the hull of the
-    sample space.  The family must have propriety rows."""
+    sample space.  The family must have propriety rows.  ``jcp`` lists
+    the jcp priors that ``points`` stand for, if any; a refusal names
+    its one too."""
     # alpha + u > 0 and each row at (alpha + u, lam + stat(x)); a row in lam holds
     # for all such x iff it holds, not strictly, at the least c_lam*stat of the ends.
     u, (lo, hi, _) = fam.obs_units, fam.sample_space
@@ -563,11 +627,12 @@ def check_prior_ok(fam: FamilySpec, points) -> None:
             c0 += min(cl * float(fam.stat(float(lo))), cl * float(fam.stat(float(hi))))
             strict = False
         rows.append((ca, cl, c0 + ca * u, strict))
-    for alpha, lam in points:
+    for i, (alpha, lam) in enumerate(points):
         row = _broken(rows, alpha, lam)
         if row is not None:
-            raise ProprietyError(f"(alpha={alpha}, lambda={lam}) violates the "
-                                 f"propriety rule {_inequality(row)} of {fam.name}")
+            prior = _prior_text(alpha, lam, None if jcp is None else jcp[i])
+            raise ProprietyError(f"{prior} violates the propriety rule "
+                                 f"{_inequality(row)} of {fam.name}")
 
 
 def check_observation(fam: FamilySpec, x: float) -> None:
@@ -594,15 +659,11 @@ def check_posterior_ok(fam: FamilySpec, alpha: float, lam: float, x: float,
     A refusal names ``jcp``, the jcp prior that ``(alpha, lam)`` stand for, too."""
     check_observation(fam, x)
     u = fam.obs_units
-    row = _broken(((1.0, 0.0, 0.0, True),) + (fam.propriety or ()), alpha + u, lam + r)
+    row = _broken(((1.0, 0.0, 0.0, True),) + (fam.propriety or ()), alpha, lam, u, r)
     if row is not None:
         ca, cl, c0, strict = row
         rule = _inequality((ca, cl, c0 + ca * u, strict), "x" if r == x else "stat(x)")
-        prior = f"(alpha={alpha}, lambda={lam})"
-        if jcp is not None:
-            prior = (f"the jcp prior (alpha={jcp[0]}, lambda={jcp[1]}), whose "
-                     f"standard equivalent is {prior},")
         raise ProprietyError(
-            f"observation x={x} with {prior} gives an improper posterior for "
-            f"{fam.name}: it violates {rule}"
+            f"observation x={x} with {_prior_text(alpha, lam, jcp)} gives an "
+            f"improper posterior for {fam.name}: it violates {rule}"
         )

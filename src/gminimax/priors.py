@@ -211,7 +211,8 @@ def _check_class(box: PriorBox) -> None:
     ``box.to_standard()`` refuses a jcp class with no Jeffreys shift."""
     std = box.to_standard()
     if box.fam.propriety is not None:
-        check_prior_ok(box.fam, std.corners())
+        check_prior_ok(box.fam, std.corners(),
+                       box.corners() if box.flavor == "jcp" else None)
         return
     a, b, lo, hi = box.alpha_lo, box.alpha_hi, box.lam_lo, box.lam_hi
     what = (f"(alpha={a}, lambda={lo})" if (a, lo) == (b, hi) else

@@ -430,6 +430,29 @@ class TestExitCodes:
                        "equivalent is (alpha=2.0, lambda=0.0), gives an improper "
                        "posterior for binomial_logit(5): it violates lambda + x > 0\n")
 
+    def test_improper_jcp_prior_names_the_prior_as_given(self, capsys):
+        rc, out, err = run_cli(capsys, [
+            "bayes", "--family", "binomial(5)", "--x", "0", "--prior", "a=-3,l=-5",
+            "--flavor", "jcp",
+        ])
+        assert (rc, out) == (2, "")
+        assert err == ("gminimax: configuration error: the jcp prior (alpha=-3.0, "
+                       "lambda=-5.0), whose standard equivalent is (alpha=-2.0, "
+                       "lambda=-4.5), violates the propriety rule lambda >= 0 of "
+                       "binomial_logit(5)\n")
+
+    @pytest.mark.parametrize("scale", ["1e17", "1e308"])
+    def test_a_broken_row_at_large_hyper_parameters_is_refused(self, capsys, scale):
+        # At x = 5 the row alpha - lambda - x + 5 is exactly 0.
+        rc, out, err = run_cli(capsys, [
+            "bayes", "--family", "binomial(5)", "--x", "5",
+            "--prior", f"a={scale},l={scale}",
+        ])
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.endswith("gives an improper posterior for binomial_logit(5): "
+                            "it violates alpha - lambda - x + 5 > 0\n")
+
     def test_prgm_box_needs_x(self, capsys):
         rc, _, err = run_cli(capsys, [
             "prgm", "--family", "exponential", "--box", "a=1:3,l=1:2",

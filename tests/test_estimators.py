@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import statistics
 import warnings
 
 import numpy as np
 import pytest
 
+import decimal_reference as ref
 from gminimax import (
     ConjugatePrior,
     DomainError,
@@ -34,6 +36,7 @@ from gminimax import (
     regret_curve,
     transport,
 )
+from gminimax import verify
 from gminimax.estimators import EstimateReport, Reparameterization, validate_transform
 from gminimax.priors import mixture_components
 
@@ -398,15 +401,48 @@ class TestTransformedScaleSolve:
             assert rep_eta.diagnostics["degenerate"] is degenerate
 
     @pytest.mark.parametrize("flavor,a_lo,bits", [
-        ("jcp", 1.0, "0x1.14ff58be0a23fp+1"),
-        ("standard", 1.5, "0x1.f10527d76507ap+1"),
+        ("jcp", 1.0, "0x1.14ff58be0a23dp+1"),
+        ("standard", 1.5, "0x1.f10527d765081p+1"),
     ])
     def test_estimate_bits_are_pinned(self, exponential, flavor, a_lo, bits):
         # Pulling the extremes back once, scalar losses and the quadrature
-        # error state held per call must not move the bisection by an ulp.
+        # error state held per call must not move the ITP root by an ulp.
         box = prior_box(exponential, a_lo, 3.0, 1.0, 2.0, flavor)
         tr = make_transform("reciprocal", exponential)
-        assert eta_scale_prgm(exponential, box, 2.0, tr).estimate.hex() == bits
+        rep = eta_scale_prgm(exponential, box, 2.0, tr)
+        assert rep.estimate.hex() == bits
+        if flavor == "jcp":
+            # One class on both scales: the root is 1/(the theta-scale
+            # equalizer), here from the 80-digit reference, within the stop width.
+            theta = iprgm_jcp_box(exponential, box, 2.0)
+            exact = 1.0 / ref.equalizer("exponential", theta.delta_lo, theta.delta_hi)
+            width = 1e-15 * max(1.0, abs(rep.delta_lo), abs(rep.delta_hi))
+            assert abs(rep.estimate - exact) <= width
+
+    def test_solver_evaluations_stay_within_the_itp_bound(self, monkeypatch):
+        # Every non-degenerate solve of the seed-42 invariance suite reports
+        # its gap evaluations: the two ends, then at most ITP's
+        # ceil(log2(width / stop width)) + 1.
+        reports = []
+
+        def recorded(*args):
+            reports.append(eta_scale_prgm(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(verify, "eta_scale_prgm", recorded)
+        verify.run_suite("invariance", 42)
+        counts = []
+        for rep in reports:
+            if rep.diagnostics["degenerate"]:
+                continue
+            assert rep.diagnostics["solver"]["method"] == "itp"
+            n = rep.diagnostics["solver"]["evaluations"]
+            stop = 1e-15 * max(1.0, abs(rep.delta_lo), abs(rep.delta_hi))
+            assert 2 <= n <= 2 + math.ceil(math.log2(
+                (rep.delta_hi - rep.delta_lo) / stop)) + 1
+            counts.append(n)
+        assert len(counts) == 130
+        assert statistics.median(counts) <= 16
 
     @pytest.mark.parametrize("a_lo,lam,x", [
         (1.5, (1.0, 2.0), 2.0), (1.5, (0.5, 0.5), 0.1), (1.5, (3.0, 7.0), 30.0),

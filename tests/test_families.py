@@ -19,6 +19,7 @@ from gminimax import (
     validate_family,
 )
 from gminimax.families import (
+    _itp,
     expit,
     interval_grid,
     jeffreys_shift_residual,
@@ -122,6 +123,50 @@ class TestMeanFunction:
         assume(abs(a - b) > 1e-6)
         lo, hi = min(a, b), max(a, b)
         assert float(fam.mean(lo)) > float(fam.mean(hi))
+
+
+# Increasing shapes of the distance past the root: smooth, flat to third
+# order at the root (where secant steps crawl), and a bare sign step.
+ITP_SHAPES = {
+    "smooth": lambda d: d + 0.5 * math.sin(d),
+    "cubic_flat": lambda d: d ** 3,
+    "step": lambda d: math.copysign(1.0, d),
+}
+
+
+class TestITP:
+    @given(st.sampled_from(sorted(ITP_SHAPES)), st.booleans(),
+           st.floats(-50.0, 50.0), st.floats(1e-3, 1e3),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.sampled_from([1e-15, 1e-9, 1e-3]))
+    @settings(max_examples=300, deadline=None)
+    def test_root_within_the_stop_width_and_the_bound(self, shape, increasing,
+                                                       lo, span, at, rel):
+        hi = lo + span
+        c = lo + at * span
+        assume(lo < c < hi)
+        g = ITP_SHAPES[shape]
+        # f(a) >= 0 >= f(b): a decreasing f is bracketed left to right, an
+        # increasing one right to left.
+        f = (lambda x: g(x - c)) if increasing else (lambda x: g(c - x))
+        a, b = (hi, lo) if increasing else (lo, hi)
+        width = rel * max(1.0, abs(lo), abs(hi))
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        root, n = _itp(counted, a, b, f(a), f(b), width)
+        assert n == len(calls) <= max(0, math.ceil(math.log2(span / width))) + 1
+        assert abs(root - c) <= width
+
+    def test_an_exact_zero_returns_at_once(self):
+        for fa, fb, want in ((0.0, -1.0, 1.0), (1.0, 0.0, 2.0)):
+            assert _itp(lambda x: pytest.fail("evaluated"), 1.0, 2.0, fa, fb,
+                        1e-15) == (want, 0)
+        # a zero met on the way is returned as found
+        assert _itp(lambda x: 1.5 - x, 1.0, 2.0, 0.5, -0.5, 1e-15) == (1.5, 1)
 
 
 class TestFisherInformation:

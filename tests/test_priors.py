@@ -240,6 +240,14 @@ class TestProprietyRows:
         with pytest.raises(ProprietyError, match=r"rule alpha - lambda >= 0 of binomial"):
             prior_box(binomial5, 1.0, 3.0, 0.5, 1.5)
 
+    @pytest.mark.parametrize("scale", [1e17, 1e308])
+    def test_a_row_is_summed_from_its_separate_terms(self, binomial5, scale):
+        # alpha - lambda - x + 5 is 3 at x = 2, though alpha + 5 and
+        # lambda + 2 round to one float at this scale; at x = 5 it is 0.
+        check_posterior_ok(binomial5, scale, scale, 2.0, 2.0)
+        with pytest.raises(ProprietyError, match=r"violates alpha - lambda - x \+ 5 > 0"):
+            check_posterior_ok(binomial5, scale, scale, 5.0, 5.0)
+
     def test_overflowed_update_is_not_called_improper(self, exponential):
         # lam + x overflows; the row in alpha alone must not read 0 * inf = nan.
         prior = conjugate_prior(exponential, 1.0, 1e308)
