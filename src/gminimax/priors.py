@@ -29,13 +29,15 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, ProprietyError, SpecificationError
+from .errors import ConvergenceError, DomainError, ProprietyError, SpecificationError
 from .families import (
     FamilySpec,
     _broken,
+    _prior_text,
     check_observation,
     check_posterior_ok,
     check_prior_ok,
@@ -133,14 +135,23 @@ def posterior_predictive_mean(fam: FamilySpec, prior: ConjugatePrior, x: float) 
     ``(alpha + obs_units, lambda + stat(x))``; the result is the predictive
     expectation of the sufficient statistic of one fresh observation,
     ``obs_units * (lambda + stat(x)) / (alpha + obs_units)``.  Rejects
-    updates whose posterior would be improper.
+    updates whose posterior would be improper, and, with a DomainError,
+    hyper-parameters so large that the quotient rounds onto or past an
+    end of the mean range.
     """
     require_same_family(fam, prior.fam, "prior")
     std = to_standard(prior)
     r = float(fam.stat(x))
     jcp = None if std is prior else (prior.alpha, prior.lam)
     check_posterior_ok(fam, std.alpha, std.lam, x, r, jcp)
-    return fam.obs_units * (std.lam + r) / (std.alpha + fam.obs_units)
+    pm = fam.obs_units * (std.lam + r) / (std.alpha + fam.obs_units)
+    lo, hi = fam.mean_range or (-math.inf, math.inf)
+    if not lo < pm < hi:
+        raise DomainError(
+            f"the predictive mean at x={x} with {_prior_text(std.alpha, std.lam, jcp)} "
+            f"rounds to {pm}, at or past an end of the mean range ({lo}, {hi}) of "
+            f"{fam.name}, at that scale of the hyper-parameters")
+    return pm
 
 
 # ---------------------------------------------------------------------------
@@ -256,80 +267,155 @@ class MixturePath:
 # ---------------------------------------------------------------------------
 
 
+class _Table(NamedTuple):
+    """Double-exponential nodes of some levels, for one or two pieces."""
+
+    neg: np.ndarray       # t < 0
+    q: np.ndarray         # tanh-sinh share of a finite piece
+    dq: np.ndarray        # its derivative in t
+    up: np.ndarray        # e^s, exp-sinh offset from a finite lower end
+    up_w: np.ndarray      # its derivative in t
+    down: np.ndarray      # e^-s, the same from a finite upper end
+    down_w: np.ndarray
+    second: np.ndarray    # the node belongs to the second piece
+    levels: tuple         # (k, start, stop) of each level's slice
+
+
 @cache
-def _de_level(k: int) -> tuple[np.ndarray, ...]:
-    """The nodes that the step 2^-k adds to the coarser steps of the
-    trapezoid rule in t over |t| <= _DE_WINDOW: the sign of t, the
-    tanh-sinh share q = 1/(1 + e^(2|s|)) of a finite piece between the node
-    and its nearer end with its derivative in t, and s = (pi/2) sinh t
-    with its derivative, in increasing t."""
-    j = np.arange(1 if k else 0, math.floor(_DE_WINDOW * 2 ** k) + 1, 2 if k else 1)
-    t = np.concatenate([-j[::-1], j[j > 0]]) * 2.0 ** -k
+def _de_table(first: int, last: int, pieces: int) -> _Table:
+    """The nodes that the steps 2^-first .. 2^-last add to the coarser
+    steps of the trapezoid rule in t over |t| <= _DE_WINDOW, level after
+    level and, within a level, piece after piece, each in increasing t.
+    With s = (pi/2) sinh t, a node carries the tanh-sinh share
+    q = 1/(1 + e^(2|s|)) of a finite piece between it and its nearer end,
+    and the exp-sinh offsets e^(+-s) from the finite end of a half-line,
+    each with its derivative in t."""
+    chunks, levels, n = [], [], 0
+    for k in range(first, last + 1):
+        j = np.arange(1 if k else 0, math.floor(_DE_WINDOW * 2 ** k) + 1, 2 if k else 1)
+        t = np.concatenate([-j[::-1], j[j > 0]]) * 2.0 ** -k
+        chunks += [t] * pieces
+        levels.append((k, n, n + pieces * t.size))
+        n += pieces * t.size
+    t = np.concatenate(chunks)
+    second = np.concatenate([np.full(c.size, i % pieces == 1) for i, c in enumerate(chunks)])
     s, ds = 0.5 * math.pi * np.sinh(t), 0.5 * math.pi * np.cosh(t)
     q = 1.0 / (1.0 + np.exp(2.0 * np.abs(s)))
-    return np.sign(t), q, 2.0 * ds * q * (1.0 - q), s, ds
+    up, down = np.exp(s), np.exp(-s)
+    return _Table(t < 0, q, 2.0 * ds * q * (1.0 - q), up, ds * up, down, ds * down,
+                  second, tuple(levels))
 
 
-def _de_nodes(a: float, b: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of level k on the piece (a, b), at least one end finite, and
+def _de_nodes(a: float, b: float, tab: _Table) -> tuple[np.ndarray, np.ndarray]:
+    """The table's nodes on the piece (a, b), at least one end finite, and
     their weights in t: tanh-sinh on a finite piece, exp-sinh on a
     half-line."""
-    sign, q, dq, s, ds = _de_level(k)
     if math.isfinite(a) and math.isfinite(b):
-        return np.where(sign < 0, a + (b - a) * q, b - (b - a) * q), (b - a) * dq
+        u = (b - a) * tab.q
+        return np.where(tab.neg, a + u, b - u), (b - a) * tab.dq
     if math.isfinite(a):
-        e = np.exp(s)
-        return a + e, ds * e
-    e = np.exp(-s)
-    return b - e, ds * e
+        return a + tab.up, tab.up_w
+    return b - tab.down, tab.down_w
 
 
-def _quad_split(f, lo: float, hi: float, mid: float) -> float:
+class _Sum:
+    """One factor's run down the levels: its total, the total of its
+    absolute terms, the largest |log| of the integrand so far, and whether
+    it has stopped."""
+
+    __slots__ = ("total", "prev", "size", "log_max", "done")
+
+    def __init__(self):
+        self.total = self.prev = self.size = self.log_max = 0.0
+        self.done = False
+
+    def add(self, k: int, total: float, size: float, top: float) -> None:
+        """Fold in level k's sums of terms and of |terms|; stop once two
+        levels agree to QUAD_EPSREL or the total is not finite."""
+        h, self.prev = 2.0 ** -k, self.total
+        self.total = 0.5 * self.prev + h * total
+        self.size = 0.5 * self.size + h * size
+        self.log_max = max(self.log_max, top)
+        self.done = not math.isfinite(self.total) or (
+            k > 0 and abs(self.total - self.prev) <= QUAD_EPSREL * self.size)
+
+    def value(self, lo: float, hi: float) -> float:
+        """The total once its error estimate passes on (lo, hi); a total
+        that is not finite is returned unchecked."""
+        if not math.isfinite(self.total):
+            return self.total  # the callers refuse an infinite normalizer
+        err = abs(self.total - self.prev) + _UNIT_ROUNDOFF * self.log_max * abs(self.total)
+        tol = 1e-8 * self.size
+        if not err <= tol:
+            raise ConvergenceError(
+                f"quadrature error estimate {err:.3e} exceeds the "
+                f"tolerance {tol:.3e} on [{lo}, {hi}]"
+            )
+        return self.total
+
+
+# Levels 0 .. _FIRST_LEVELS - 1 run in one evaluation: most integrals stop
+# at level 4 or 5, and below about 150 nodes a level costs numpy's call
+# overhead more than its arithmetic.
+_FIRST_LEVELS = 6
+
+
+def _quad_split(f, lo: float, hi: float, mid: float) -> list[float]:
     """Double-exponential quadrature split at an interior peak location.
 
     The one quadrature routine of the package: every integral goes
-    through it, and its error estimate is checked here.  Each piece ends
+    through it, and its error estimates are checked here.  Each piece ends
     at the split, so the nodes cluster double-exponentially at the peak
     whatever its width (the whole line always splits at a finite ``mid``
-    into two half-lines).  The step halves until two levels agree to
-    ``QUAD_EPSREL``, with one call of ``f`` per level: it maps an array of
-    nodes to the integrand and the largest |log| of its live values.
+    into two half-lines).  ``f`` maps an array of nodes to one row of the
+    integrand per factor, and |log| of the integrand on its live nodes.
+    The step halves until two levels agree to ``QUAD_EPSREL``; the first
+    six levels run in one call of ``f``, and the later ones one call per
+    level.  Every factor shares the nodes but keeps its own sums: it stops
+    at its own level and gets its own error check, so its value is the
+    one it would get integrated alone.  Returns one value per factor.
 
-    The error estimate is the last difference of levels plus that |log|
-    times the unit round-off times the integral; it must be within 1e-8
-    of the integral of |f|.  Nodes that round onto an end of their piece
-    are skipped.  Where the integrand has not died out at the outermost
-    nodes (the window's edge, or an end whose nearest nodes are skipped),
-    their terms move each level's sum, so that difference shows it.
+    The error estimate is the last difference of levels plus the largest
+    |log| so far times the unit round-off times the integral; it must be
+    within 1e-8 of the integral of |f|.  Nodes that round onto an end of
+    their piece are skipped.  Where the integrand has not died out at the
+    outermost nodes (the window's edge, or an end whose nearest nodes are
+    skipped), their terms move each level's sum, so that difference shows
+    it.
     """
     mid = min(max(mid, lo), hi)
     pieces = [(lo, mid), (mid, hi)] if lo < mid < hi else [(lo, hi)]
-    total = size = log_max = 0.0
+    batches = [(0, _FIRST_LEVELS - 1)] + [(k, k) for k in
+                                           range(_FIRST_LEVELS, QUAD_LEVELS + 1)]
+    sums = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(QUAD_LEVELS + 1):
-            h, prev = 2.0 ** -k, total
-            nodes = [_de_nodes(a, b, k) for a, b in pieces]
-            x = np.concatenate([n[0] for n in nodes])
-            g = np.concatenate([n[1] for n in nodes])
+        for first, last in batches:
+            tab = _de_table(first, last, len(pieces))
+            nodes = [_de_nodes(a, b, tab) for a, b in pieces]
+            x, g = nodes[0]
+            if len(nodes) == 2:
+                x, g = (np.where(tab.second, y, z) for y, z in zip(nodes[1], nodes[0]))
             keep = (x > lo) & (x < hi) & (x != mid)
-            v, top = f(x[keep])
-            g[~keep] = 0.0
-            g[keep] *= v
-            total = 0.5 * prev + h * float(g.sum())
-            size = 0.5 * size + h * float(np.abs(g).sum())
-            log_max = max(log_max, top)
-            if not math.isfinite(total):
-                return total  # the callers refuse an infinite normalizer
-            if k and abs(total - prev) <= QUAD_EPSREL * size:
+            rows, log_abs = f(x[keep])
+            n = len(rows)
+            terms = np.zeros((2 * n, x.size))
+            terms[:n, keep] = rows * g[keep]
+            terms[n:] = np.abs(terms[:n])
+            top = np.zeros(x.size)
+            top[keep] = log_abs
+            if sums is None:
+                sums = [_Sum() for _ in range(n)]
+            tops = np.maximum.reduceat(top, [start for _, start, _ in tab.levels])
+            for (k, start, stop), level_top in zip(tab.levels, tops.tolist()):
+                # Each row sums pairwise over its contiguous slice, in the
+                # order one factor's level alone would be summed.
+                level = terms[:, start:stop].sum(axis=1).tolist()
+                for s, total, size in zip(sums, level, level[n:]):
+                    if not s.done:
+                        s.add(k, total, size, level_top)
+            if all(s.done for s in sums):
                 break
-    err = abs(total - prev) + _UNIT_ROUNDOFF * log_max * abs(total)
-    tol = 1e-8 * size
-    if not err <= tol:
-        raise ConvergenceError(
-            f"quadrature error estimate {err:.3e} exceeds the "
-            f"tolerance {tol:.3e} on [{lo}, {hi}]"
-        )
-    return total
+    return [s.value(lo, hi) for s in sums]
 
 
 # exp() underflows to 0.0 below roughly -745; a log weight under this
@@ -340,19 +426,20 @@ def _quad_split(f, lo: float, hi: float, mid: float) -> float:
 _LOG_FLOOR = -745.0
 
 
-def _weighted_integrand(logf, shift: float, factor=None):
-    """Array integrand exp(logf(th) - shift) * factor(th), tail-safe, and
-    the largest |logf| where it is not floored (the size of its round-off).
-    ``_quad_split`` holds the floating-point error state around its calls."""
+def _weighted_integrand(logf, shift: float, factors):
+    """Array integrand: one row exp(logf(th) - shift) * factor(th) per
+    factor (None is the plain density), tail-safe, and |logf| where it is
+    not floored, 0 elsewhere (the size of its round-off).  ``_quad_split``
+    holds the floating-point error state around its calls."""
 
-    def f(th: np.ndarray) -> tuple[np.ndarray, float]:
+    def f(th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lv = np.asarray(logf(th), dtype=float)
         live = lv - shift > _LOG_FLOOR  # not nan, -inf, or deep underflow
-        v = np.zeros(th.shape)
-        v[live] = np.exp(lv[live] - shift)
-        if factor is not None:
-            v[live] *= factor(th[live])
-        return v, float(np.abs(lv[live]).max(initial=0.0))
+        w = np.exp(lv[live] - shift)
+        rows = np.zeros((len(factors), th.size))
+        for row, factor in zip(rows, factors):
+            row[live] = w if factor is None else w * factor(th[live])
+        return rows, np.where(live, np.abs(lv), 0.0)
 
     return f
 
@@ -414,13 +501,12 @@ def _peak_integrals(logf, lo: float, hi: float, *factors):
     """Integrals of exp(logf - m) * factor over (lo, hi), one per factor.
 
     A factor of None integrates the plain density.  ``m`` is the scanned
-    peak of logf, and each integral is split at the peak's location.
+    peak of logf, and one quadrature pass, split at the peak's location,
+    integrates every factor on the same nodes.
     Returns ``(m, values)``; m cancels in any ratio of the values.
     """
     mode, m = _peak(logf, lo, hi)
-    values = [_quad_split(_weighted_integrand(logf, m, f), lo, hi, mode)
-              for f in factors]
-    return m, values
+    return m, _quad_split(_weighted_integrand(logf, m, factors), lo, hi, mode)
 
 
 def predictive_mean_quadrature(fam: FamilySpec, prior: ConjugatePrior, x: float,

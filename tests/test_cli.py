@@ -453,6 +453,21 @@ class TestExitCodes:
         assert err.endswith("gives an improper posterior for binomial_logit(5): "
                             "it violates alpha - lambda - x + 5 > 0\n")
 
+    @pytest.mark.parametrize("scale,rounded", [("1e17", "5.0"), ("1e308", "inf")])
+    def test_a_predictive_mean_rounded_to_the_range_end_names_the_scale(
+            self, capsys, scale, rounded):
+        # The posterior is proper (the row alpha - lambda - x + 5 is 3), but
+        # 5*(lambda + x)/(alpha + 5) rounds to 5.0 at 1e17 and overflows at 1e308.
+        rc, out, err = run_cli(capsys, [
+            "bayes", "--family", "binomial(5)", "--x", "2",
+            "--prior", f"a={scale},l={scale}",
+        ])
+        assert (rc, out) == (2, "")
+        assert err == (f"gminimax: configuration error: the predictive mean at x=2.0 "
+                       f"with (alpha={float(scale)}, lambda={float(scale)}) rounds to "
+                       f"{rounded}, at or past an end of the mean range (0.0, 5.0) of "
+                       "binomial_logit(5), at that scale of the hyper-parameters\n")
+
     def test_prgm_box_needs_x(self, capsys):
         rc, _, err = run_cli(capsys, [
             "prgm", "--family", "exponential", "--box", "a=1:3,l=1:2",

@@ -289,8 +289,9 @@ class TestKLQuadrature:
         assert five == pytest.approx(5.0 * one, rel=1e-10)
 
     @pytest.mark.parametrize("name", ["normal", "exponential"])
-    def test_three_quadratures_per_interval_call(self, name, monkeypatch):
-        # Z(theta) and E_theta[stat], then Z(delta) alone.
+    def test_two_quadratures_per_interval_call(self, name, monkeypatch):
+        # Z(theta) together with E_theta[stat] on the same nodes, then
+        # Z(delta) alone.
         calls = []
         quad_split = priors._quad_split
 
@@ -300,7 +301,7 @@ class TestKLQuadrature:
 
         monkeypatch.setattr(priors, "_quad_split", counted)
         kl_quadrature(builtin_family(name), 2.0, 3.0)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_quadrature_failure_states_what_it_measured(self, normal):
         # Round-off in a log integrand of size theta^2/2; no prior involved.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gminimax import priors
 from gminimax import (
     ConjugatePrior,
     ConvergenceError,
+    DomainError,
     MixturePath,
     ProprietyError,
     SpecificationError,
@@ -250,8 +252,11 @@ class TestProprietyRows:
 
     def test_overflowed_update_is_not_called_improper(self, exponential):
         # lam + x overflows; the row in alpha alone must not read 0 * inf = nan.
+        # The predictive mean then rounds to inf, the end of the mean range,
+        # which is refused as a matter of scale, not of propriety.
         prior = conjugate_prior(exponential, 1.0, 1e308)
-        assert posterior_predictive_mean(exponential, prior, 1e308) == math.inf
+        with pytest.raises(DomainError, match="rounds to inf, at or past an end"):
+            posterior_predictive_mean(exponential, prior, 1e308)
 
     @pytest.mark.parametrize("name,flavor", [
         ("normal", "standard"), ("exponential", "standard"),
@@ -344,6 +349,78 @@ class TestQuadratureRule:
     def test_mass_the_nodes_cannot_reach_is_refused(self, logf, lo, hi):
         with pytest.raises(ConvergenceError, match="exceeds the tolerance"):
             _log_integral(logf, lo, hi)
+
+    # Each factor alone and all of them on shared nodes.  The first six
+    # levels are one evaluation of the integrand, each later level one more.
+    @staticmethod
+    def _integrate(monkeypatch, logf, lo, hi, *factors):
+        calls = []
+        weighted = priors._weighted_integrand
+
+        def counted(*args):
+            f = weighted(*args)
+
+            def g(th):
+                calls.append(th.size)
+                return f(th)
+
+            return g
+
+        monkeypatch.setattr(priors, "_weighted_integrand", counted)
+        m, values = priors._peak_integrals(logf, lo, hi, *factors)
+        return m, values, len(calls)
+
+    @pytest.mark.parametrize("case", ["gamma", "normal_t6", "exponential_mean"])
+    def test_joint_factors_match_each_factor_alone(self, monkeypatch, case):
+        exponential = builtin_family("exponential")
+        logf, lo, hi, factor, later = {
+            # Stops within the first six levels, with and without the factor.
+            "gamma": (lambda t: 2.0 * np.log(t) - t, 0.0, math.inf,
+                      lambda t: t, False),
+            # E[t^6] of the standard normal, 15: t^6 needs level 6.
+            "normal_t6": (lambda t: -0.5 * t * t, -math.inf, math.inf,
+                          lambda t: t ** 6, True),
+            # The exponential's posterior Gamma(1.15, rate 2) at x = 1; times
+            # the mean function 1/theta, theta^-0.85 e^(-2 theta) needs level 6.
+            "exponential_mean": (
+                priors._log_posterior_integrand(
+                    exponential, conjugate_prior(exponential, -0.85, 1.0), 1.0),
+                0.0, math.inf, exponential.mean, True),
+        }[case]
+        m, (den, num), joint_calls = self._integrate(monkeypatch, logf, lo, hi,
+                                                     None, factor)
+        m_den, (den_alone,), den_calls = self._integrate(monkeypatch, logf, lo, hi, None)
+        m_num, (num_alone,), num_calls = self._integrate(monkeypatch, logf, lo, hi, factor)
+        assert (m.hex(), den.hex(), num.hex()) == (
+            m_den.hex(), den_alone.hex(), num_alone.hex())
+        assert m_num == m
+        assert den_calls == 1
+        assert num_calls == joint_calls == (2 if later else 1)
+
+    @pytest.mark.parametrize("case", ["density", "mean"])
+    def test_one_factor_failing_is_refused_as_alone(self, case):
+        exponential = builtin_family("exponential")
+        if case == "density":
+            # t^-0.95 e^-t leaves mass the nodes cannot reach; t^0.05 e^-t not.
+            logf, lo, hi = (lambda t: -0.95 * np.log(t) - t), 0.0, math.inf
+            factors, failing = (None, lambda t: t), None
+        else:
+            # The posterior Gamma(1.1, rate 2) converges; times the mean
+            # function 1/theta, theta^-0.9 e^(-2 theta) misses the tolerance
+            # at the last level.
+            prior = conjugate_prior(exponential, 0.1, 1.0, "jcp")
+            logf = priors._log_posterior_integrand(exponential, prior, 1.0)
+            lo, hi = exponential.support
+            factors, failing = (None, exponential.mean), exponential.mean
+        good = next(f for f in factors if f is not failing)
+        priors._peak_integrals(logf, lo, hi, good)
+        with pytest.raises(ConvergenceError) as alone:
+            priors._peak_integrals(logf, lo, hi, failing)
+        with pytest.raises(ConvergenceError) as joint:
+            priors._peak_integrals(logf, lo, hi, *factors)
+        assert str(joint.value) == str(alone.value)
+        assert re.fullmatch(r"quadrature error estimate \S+ exceeds the tolerance "
+                            r"\S+ on \[0\.0, inf\]", str(joint.value))
 
 
 class TestMixtures:
