@@ -49,6 +49,7 @@ from .losses import posterior_regret
 from .priors import (
     ConjugatePrior,
     PriorBox,
+    _predictive_means,
     posterior_predictive_mean,
     predictive_mean_quadrature,
     require_same_family,
@@ -162,15 +163,20 @@ def _corner_bayes(fam: FamilySpec, box: PriorBox, x: float,
     and monotone in alpha for fixed lambda, so its extremes over the box
     (hence the extreme Bayes estimates) land on corners.  Which corner
     wins depends on the sign of lambda + stat(x); taking the min and max
-    over all four sidesteps that case split.  ``predictive(fam, prior,
-    x)`` gives each corner's posterior mean of the mean function; None
-    means ``posterior_predictive_mean``, looked up at call time so that a
-    wrapper installed on that module name (a profiler's) sees the calls.
+    over all four sidesteps that case split.  With no ``predictive`` the
+    corners' closed-form posterior means come from one pass over the box,
+    ``priors._predictive_means``.  Otherwise ``predictive(fam, prior, x)``
+    gives each corner's, one call per corner, so that a wrapper installed
+    on the function passed in (a profiler's) sees the calls.
     """
     require_same_family(fam, box.fam, "box")
-    predictive = predictive or posterior_predictive_mean
-    corners = (ConjugatePrior(fam, a, l, box.flavor) for a, l in box.corners())
-    return [mean_inverse(fam, predictive(fam, prior, x)) for prior in corners]
+    corners = box.corners()
+    if predictive is None:
+        means = _predictive_means(fam, box.flavor, corners, corners, x)
+    else:
+        means = [predictive(fam, ConjugatePrior(fam, a, l, box.flavor), x)
+                 for a, l in corners]
+    return [mean_inverse(fam, pm) for pm in means]
 
 
 def prgm_conjugate_box(fam: FamilySpec, box: PriorBox, x: float) -> EstimateReport:

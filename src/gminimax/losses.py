@@ -48,8 +48,10 @@ def _kl_rule() -> tuple[np.ndarray, np.ndarray]:
 def intrinsic_loss(fam: FamilySpec, theta, delta):
     """KL divergence from the model at ``theta`` to the model at ``delta``.
 
-    Vectorized in both arguments.  Nonnegative, zero exactly on the
-    diagonal, and strictly convex in ``delta`` for fixed ``theta``.
+    Vectorized in both arguments.  Nonnegative, and strictly convex in
+    ``delta`` for fixed ``theta``.  Exactly 0 on the diagonal, on the
+    float and the array path alike, even where the closed form's terms
+    leave the float range.
     Where the closed form cancels, a 16-point Gauss-Legendre rule gives
     ``h^2 * integral_0^1 (1 - u) I(theta + h*u) du``, ``h = delta - theta``;
     where ``I`` underflows to 0 there, a DomainError says so.
@@ -57,6 +59,8 @@ def intrinsic_loss(fam: FamilySpec, theta, delta):
     require_in_support(fam, theta)
     require_in_support(fam, delta, what="delta")
     if isinstance(theta, float) and isinstance(delta, float):
+        if theta == delta:
+            return 0.0
         # Errors and near-diagonal pairs fall through to the array path.
         th, de = float(theta), float(delta)
         with np.errstate(all="ignore"):
@@ -77,20 +81,24 @@ def intrinsic_loss(fam: FamilySpec, theta, delta):
         # Round-off bound of the sum; nan and +-inf fail the test too.
         slack = ROUNDOFF * (abs(psi_th) + abs(psi_de) + abs(lin))
         ok = (val >= -slack) & (val < np.inf)
-        if not ok.all():  # name the first offending pair
-            finite = np.isfinite(val)
-            i = int(np.argmax(~finite if not finite.all() else ~ok))
-            t, d = (float(np.broadcast_to(a, val.shape).flat[i]) for a in (th, de))
-            if not finite.all():
-                raise DomainError(f"intrinsic loss for {fam.name} at theta={t!r}, "
-                                  f"delta={d!r} overflows the float range")
-            raise DomainError(
-                f"negative intrinsic loss for {fam.name} at theta={t!r}, "
-                f"delta={d!r}: the mean function is inconsistent with log_norm, "
-                "or log_norm loses precision there")
+        if not ok.all():
+            # A model against itself loses 0, whatever its terms give.
+            diag = dh == 0
+            val, ok = np.where(diag, 0.0, val), ok | diag
+            if not ok.all():  # name the first offending pair
+                finite = np.isfinite(val)
+                i = int(np.argmax(~finite if not finite.all() else ~ok))
+                t, d = (float(np.broadcast_to(a, val.shape).flat[i]) for a in (th, de))
+                if not finite.all():
+                    raise DomainError(f"intrinsic loss for {fam.name} at theta={t!r}, "
+                                      f"delta={d!r} overflows the float range")
+                raise DomainError(
+                    f"negative intrinsic loss for {fam.name} at theta={t!r}, "
+                    f"delta={d!r}: the mean function is inconsistent with log_norm, "
+                    "or log_norm loses precision there")
         near = slack > RESOLUTION * val
-        if near.any():
-            near &= dh != 0  # a zero-width integral is the closed form's 0
+        # A zero-width integral is the closed form's 0: none reaches the rule.
+        if near.any() and (near := near & (dh != 0)).any():
             (u, w), val, h = _kl_rule(), np.array(val), dh[near]
             th_near = np.broadcast_to(th, dh.shape)[near]
             nodes = th_near[:, None] + h[:, None] * u

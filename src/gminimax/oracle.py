@@ -2,8 +2,12 @@
 
 Nothing in this module trusts the estimator formulas.  The minimax
 oracle enumerates Bayes estimates over a hyper-parameter lattice and
-sweeps a padded action grid.  The posterior regret against a lattice
-Bayes action b is ``psi(b) - psi(d) + (d - b)*mean(b)``: a line in the
+sweeps a padded action grid.  The lattice's closed-form predictive
+means come from one pass over the box, which checks propriety at the
+box's four corners: every propriety rule is linear in the
+hyper-parameters, so the corners bound every lattice point.  The
+posterior regret against a lattice Bayes action b is
+``psi(b) - psi(d) + (d - b)*mean(b)``: a line in the
 action d, ``A_b + B_b*d`` with ``A_b = psi(b) - b*mean(b)`` and
 ``B_b = mean(b)``, minus the ``psi(d)`` that every lattice point shares.
 So the lattice supremum is the upper envelope of those lines less one
@@ -35,8 +39,7 @@ import numpy as np
 from .errors import DomainError, SpecificationError
 from .families import FamilySpec, interior_clamp, mean_inverse, require_in_support
 from .losses import RESOLUTION, ROUNDOFF, posterior_regret
-from .priors import (ConjugatePrior, PriorBox, _peak_integrals,
-                     posterior_predictive_mean, require_same_family)
+from .priors import PriorBox, _peak_integrals, _predictive_means, require_same_family
 
 __all__ = [
     "OracleResult",
@@ -72,16 +75,15 @@ class OracleResult:
 
 
 def _lattice_estimates(fam: FamilySpec, box: PriorBox, x: float) -> np.ndarray:
+    """The distinct Bayes actions, sorted, of the N_CORNER x N_CORNER
+    lattice of the box.  Their closed-form predictive means come from one
+    pass over the box, whose corners bound the propriety of every point."""
     require_same_family(fam, box.fam, "box")
-    alphas = np.linspace(box.alpha_lo, box.alpha_hi, N_CORNER)
-    lams = np.linspace(box.lam_lo, box.lam_hi, N_CORNER)
-    ests = []
-    for a in alphas:
-        for l in lams:
-            prior = ConjugatePrior(fam, float(a), float(l), box.flavor)
-            pm = posterior_predictive_mean(fam, prior, x)
-            ests.append(mean_inverse(fam, pm))
-    return np.unique(np.asarray(ests, dtype=float))
+    alphas = np.linspace(box.alpha_lo, box.alpha_hi, N_CORNER).tolist()
+    lams = np.linspace(box.lam_lo, box.lam_hi, N_CORNER).tolist()
+    points = [(a, l) for a in alphas for l in lams]
+    means = _predictive_means(fam, box.flavor, box.corners(), points, x)
+    return np.unique(np.asarray([mean_inverse(fam, pm) for pm in means], dtype=float))
 
 
 class _Envelope(NamedTuple):

@@ -105,19 +105,25 @@ def to_standard(prior: ConjugatePrior) -> ConjugatePrior:
     """Rewrite a jcp prior as the equivalent standard-flavor prior.
 
     Standard priors pass through unchanged.  Requires the family to
-    declare its Jeffreys shift.  This is the one place the shift is
-    applied; boxes and mixtures shift through it too.
+    declare its Jeffreys shift.  ``_jeffreys_shift`` is the one place the
+    shift is read: boxes and mixtures shift through this function, and
+    the closed-form predictive means through ``_jeffreys_shift`` itself.
     """
     if prior.flavor == "standard":
         return prior
-    shift = prior.fam.jeffreys_shift
-    if shift is None:
+    da, dl = _jeffreys_shift(prior.fam)
+    return ConjugatePrior(prior.fam, prior.alpha + da, prior.lam + dl, "standard")
+
+
+def _jeffreys_shift(fam: FamilySpec) -> tuple[float, float]:
+    """What a jcp prior adds to ``(alpha, lambda)`` to become its
+    standard-flavor equivalent; refused when the family declares none."""
+    if fam.jeffreys_shift is None:
         raise SpecificationError(
-            f"family {prior.fam.name} declares no Jeffreys shift; the jcp "
+            f"family {fam.name} declares no Jeffreys shift; the jcp "
             "prior has no standard-flavor equivalent"
         )
-    return ConjugatePrior(prior.fam, prior.alpha + shift[0],
-                          prior.lam + shift[1], "standard")
+    return fam.jeffreys_shift
 
 
 def require_same_family(fam: FamilySpec, other: FamilySpec, what: str) -> None:
@@ -129,7 +135,19 @@ def require_same_family(fam: FamilySpec, other: FamilySpec, what: str) -> None:
 
 
 def posterior_predictive_mean(fam: FamilySpec, prior: ConjugatePrior, x: float) -> float:
-    """Closed-form posterior expectation of the mean function.
+    """Closed-form posterior expectation of the mean function: the
+    one-point case of ``_predictive_means``, which gives the formula and
+    its refusals."""
+    require_same_family(fam, prior.fam, "prior")
+    point = [(prior.alpha, prior.lam)]
+    return _predictive_means(fam, prior.flavor, point, point, x)[0]
+
+
+def _predictive_means(fam: FamilySpec, flavor: str, corners, points,
+                      x: float) -> list[float]:
+    """Closed-form posterior expectations of the mean function at the
+    ``(alpha, lambda)`` ``points`` of ``flavor``, which lie in the box
+    spanned by ``corners``.
 
     The conjugate update takes the standard-flavor ``(alpha, lambda)`` to
     ``(alpha + obs_units, lambda + stat(x))``; the result is the predictive
@@ -138,20 +156,40 @@ def posterior_predictive_mean(fam: FamilySpec, prior: ConjugatePrior, x: float) 
     updates whose posterior would be improper, and, with a DomainError,
     hyper-parameters so large that the quotient rounds onto or past an
     end of the mean range.
+
+    Propriety is checked at the corners alone: every rule is linear in
+    ``(alpha, lambda)``, so corners that keep it bound every point of the
+    box.  Where a corner breaks one, each point is checked in turn, so
+    the refusal names the first point that breaks it.
     """
-    require_same_family(fam, prior.fam, "prior")
-    std = to_standard(prior)
+    if flavor != "standard":
+        da, dl = _jeffreys_shift(fam)
+        corners = [(a + da, l + dl) for a, l in corners]
+        # A shifted corner stays finite, as a standard prior must.
+        _check_hypers("standard", [v for c in corners for v in c], "hyper-parameters")
     r = float(fam.stat(x))
-    jcp = None if std is prior else (prior.alpha, prior.lam)
-    check_posterior_ok(fam, std.alpha, std.lam, x, r, jcp)
-    pm = fam.obs_units * (std.lam + r) / (std.alpha + fam.obs_units)
+    try:
+        for a, l in corners:
+            check_posterior_ok(fam, a, l, x, r)
+        each = False
+    except ProprietyError:
+        each = True
+    u = fam.obs_units
     lo, hi = fam.mean_range or (-math.inf, math.inf)
-    if not lo < pm < hi:
-        raise DomainError(
-            f"the predictive mean at x={x} with {_prior_text(std.alpha, std.lam, jcp)} "
-            f"rounds to {pm}, at or past an end of the mean range ({lo}, {hi}) of "
-            f"{fam.name}, at that scale of the hyper-parameters")
-    return pm
+    means = []
+    for a, l in points:
+        jcp = None if flavor == "standard" else (a, l)
+        sa, sl = (a, l) if jcp is None else (a + da, l + dl)
+        if each:
+            check_posterior_ok(fam, sa, sl, x, r, jcp)
+        pm = u * (sl + r) / (sa + u)
+        if not lo < pm < hi:
+            raise DomainError(
+                f"the predictive mean at x={x} with {_prior_text(sa, sl, jcp)} "
+                f"rounds to {pm}, at or past an end of the mean range ({lo}, {hi}) "
+                f"of {fam.name}, at that scale of the hyper-parameters")
+        means.append(pm)
+    return means
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,16 @@ class TestEstimateCommands:
         ])
         assert payload["loss"] == 0.0
 
+    @pytest.mark.parametrize("family,value", [
+        ("normal", "1e200"), ("exponential", "5e-324"), ("poisson", "-800"),
+    ])
+    def test_loss_on_the_diagonal_where_the_closed_form_overflows(self, capsys,
+                                                                  family, value):
+        payload = run_json(capsys, [
+            "loss", "--family", family, f"--theta={value}", f"--delta={value}",
+        ])
+        assert payload["loss"] == 0.0 and payload["theta"] == float(value)
+
     def test_loss_below_what_the_information_resolves(self, capsys):
         rc, out, err = run_cli(capsys, [
             "loss", "--family", "exponential", "--theta", "1e200",

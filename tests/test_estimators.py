@@ -400,6 +400,34 @@ class TestTransformedScaleSolve:
             assert rep_eta.method == "prgm_root_find"
             assert rep_eta.diagnostics["degenerate"] is degenerate
 
+    @pytest.mark.parametrize("name,edges,flavor,x,spec,estimate,evaluations", [
+        ("exponential", (1.0, 3.0, 1.0, 2.0), "jcp", 2.0, "reciprocal",
+         2.1640425613334444, 12),
+        ("exponential", (1.5, 3.0, 1.0, 2.0), "standard", 2.0, "reciprocal",
+         3.8829698373538695, 13),
+        ("exponential", (1.0, 3.0, 1.0, 2.0), "jcp", 0.5, "log",
+         -0.2172621852328347, 11),
+        ("poisson", (1.0, 2.0, 0.5, 1.5), "jcp", 3.0, "affine(2,1)",
+         -0.2694012567137372, 12),
+        ("poisson", (1.0, 2.0, 0.5, 1.5), "standard", 3.0, "affine(-1,0.5)",
+         1.0182312554045585, 12),
+        ("binomial_logit(5)", (2.0, 4.0, 1.0, 2.0), "jcp", 2.0, "logit_to_p",
+         0.45556743851036785, 11),
+        ("normal", (1.0, 2.0, -0.5, 1.0), "jcp", 0.7, "affine(3,-2)",
+         -1.3250000000000008, 7),
+        ("normal", (1.0, 1.0, -0.5, 1.0), "standard", 0.7, "affine(3,-2)",
+         -1.3250000000000008, 7),
+    ])
+    def test_estimates_and_evaluations_are_pinned(self, name, edges, flavor, x, spec,
+                                                  estimate, evaluations):
+        # The gap is 0 at the bracket end whose action is a Bayes estimate,
+        # with no integral behind it; the root and its cost stay put.
+        fam = builtin_family(name)
+        rep = eta_scale_prgm(fam, prior_box(fam, *edges, flavor), x,
+                             make_transform(spec, fam))
+        assert rep.estimate == estimate
+        assert rep.diagnostics["solver"]["evaluations"] == evaluations
+
     @pytest.mark.parametrize("flavor,a_lo,bits", [
         ("jcp", 1.0, "0x1.14ff58be0a23dp+1"),
         ("standard", 1.5, "0x1.f10527d765081p+1"),

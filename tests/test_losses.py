@@ -112,6 +112,43 @@ def test_diagonal_is_zero_at_extreme_scale(exponential, scale):
         assert got[1] == pytest.approx(0.5e-18, rel=1e-6)  # h^2/2 - h^3/3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name,theta", [
+    ("normal", 1e200), ("exponential", 5e-324), ("poisson", -800.0),
+])
+def test_diagonal_is_zero_where_the_closed_form_overflows(name, theta):
+    # log_norm or mean leaves the float range at theta, so the closed form
+    # is inf - inf or 0 * inf there; a model against itself still loses 0.
+    fam = builtin_family(name)
+    assert intrinsic_loss(fam, theta, theta) == 0.0
+    got = intrinsic_loss(fam, np.array([theta, 1.0]), np.array([theta, 2.0]))
+    assert got.tolist() == [0.0, intrinsic_loss(fam, np.array([1.0]), np.array([2.0]))[0]]
+    assert intrinsic_loss(fam, np.full(3, theta), theta).tolist() == [0.0] * 3
+    # Off the diagonal the same pair still overflows, named as before.
+    far = 2.0 * theta
+    with pytest.raises(DomainError, match="overflows the float range"):
+        intrinsic_loss(fam, np.array([theta, theta]), np.array([theta, far]))
+
+
+def test_no_exact_diagonal_pair_reaches_the_integral(monkeypatch):
+    # The invariance suite evaluates the regret gap at both ends of its
+    # bracket, where the action is a Bayes estimate itself.  Only the one
+    # pair of the suite that is near, not on, the diagonal is integrated.
+    from gminimax import losses
+    from gminimax.verify import run_suite
+
+    calls = []
+    fisher_info = losses.fisher_info
+
+    def counted(fam, nodes):
+        calls.append(np.size(nodes))
+        return fisher_info(fam, nodes)
+
+    monkeypatch.setattr(losses, "fisher_info", counted)
+    run_suite("invariance", 42, 10)
+    assert len(calls) == 1 and calls[0] > 0
+
+
 @given(st.floats(0.05, 40.0), st.floats(0.05, 40.0))
 @settings(max_examples=300, deadline=None)
 def test_nonnegative_exponential(theta, delta):

@@ -8,16 +8,19 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from gminimax import priors
+from gminimax import estimators, oracle, priors
 from gminimax import (
     ConjugatePrior,
     ConvergenceError,
     DomainError,
     MixturePath,
+    PriorBox,
     ProprietyError,
     SpecificationError,
     builtin_family,
     conjugate_prior,
+    family_from_config,
+    mean_inverse,
     posterior_predictive_mean,
     predictive_mean_quadrature,
     prior_box,
@@ -176,6 +179,90 @@ class TestPriorBox:
             prior_box(fam, 1.0, 3.0, 1.0, 2.0, "jcp")
         with pytest.raises(SpecificationError, match="declares no Jeffreys shift"):
             conjugate_prior(fam, 2.0, 1.0, "jcp")
+
+
+# The README's config family, with mean and mean_deriv derived, and a box
+# (alpha_lo, alpha_hi, lam_lo, lam_hi) and observation per family that keep
+# both flavors proper.
+_MY_EXP = {"name": "my_exp", "support": [0, None], "log_norm": "log(theta)",
+           "mean_range": [0, None], "jeffreys_shift": [-1, 0]}
+_BOX_PASS_CASES = [
+    ("normal", (1.0, 3.0, -0.5, 1.0), 0.7),
+    ("exponential", (1.0, 3.0, 1.0, 2.0), 2.0),
+    ("binomial_logit(5)", (2.0, 4.0, 1.0, 2.0), 2.0),
+    ("poisson", (1.0, 2.0, 0.5, 1.5), 3.0),
+    ("my_exp", (1.0, 3.0, 1.0, 2.0), 2.0),
+]
+
+
+def _shapes(a_lo, a_hi, l_lo, l_hi):
+    """The box, a box one part in 1e12 wide, and the box with a flat lambda edge."""
+    return {"full": (a_lo, a_hi, l_lo, l_hi),
+            "near_point": (a_lo, a_lo + 1e-12 * a_lo, l_lo, l_lo + 1e-12 * abs(l_lo)),
+            "flat_edge": (a_lo, a_hi, l_hi, l_hi)}
+
+
+class TestBoxPass:
+    """The corner and lattice Bayes actions come from one pass over the box;
+    each must equal, bit for bit, the action of its own prior."""
+
+    @staticmethod
+    def _bayes(fam, a, l, flavor, x):
+        prior = ConjugatePrior(fam, a, l, flavor)
+        pm = posterior_predictive_mean(fam, prior, x)
+        # The conjugate update written out, on the standard equivalent.
+        std = to_standard(prior)
+        assert pm == fam.obs_units * (std.lam + float(fam.stat(x))) / (
+            std.alpha + fam.obs_units)
+        return mean_inverse(fam, pm)
+
+    @pytest.mark.parametrize("shape", ["full", "near_point", "flat_edge"])
+    @pytest.mark.parametrize("flavor", ["standard", "jcp"])
+    @pytest.mark.parametrize("name,edges,x", _BOX_PASS_CASES)
+    def test_matches_the_per_prior_path(self, name, edges, x, flavor, shape):
+        fam = family_from_config(_MY_EXP) if name == "my_exp" else builtin_family(name)
+        box = PriorBox(fam, *_shapes(*edges)[shape], flavor)
+        want = [self._bayes(fam, a, l, flavor, x) for a, l in box.corners()]
+        assert estimators._corner_bayes(fam, box, x) == want
+        lattice = [self._bayes(fam, a, l, flavor, x)
+                   for a in np.linspace(box.alpha_lo, box.alpha_hi, oracle.N_CORNER).tolist()
+                   for l in np.linspace(box.lam_lo, box.lam_hi, oracle.N_CORNER).tolist()]
+        got = oracle._lattice_estimates(fam, box, x)
+        assert got.tolist() == np.unique(lattice).tolist()
+
+    # Each refusal names the prior that a point-by-point pass named first:
+    # on this binomial box the rule alpha - lambda - x + 5 > 0 first breaks
+    # at the corner (1, 1.5), and, in the lattice's order, at (1, 1).
+    _IMPROPER = ("observation x=5.0 with {} gives an improper posterior for "
+                 "binomial_logit(5): it violates alpha - lambda - x + 5 > 0")
+    _JCP = "the jcp prior (alpha={}, lambda={}), whose standard equivalent is {},"
+    _HUGE = ("the predictive mean at x=2.0 with {} rounds to 5.0, at or past an end "
+             "of the mean range (0.0, 5.0) of binomial_logit(5), at that scale of the "
+             "hyper-parameters")
+
+    @pytest.mark.parametrize("edges,flavor,x,error,corner,lattice", [
+        ((1.0, 2.0, 0.5, 1.5), "standard", 5.0, ProprietyError,
+         _IMPROPER.format("(alpha=1.0, lambda=1.5)"),
+         _IMPROPER.format("(alpha=1.0, lambda=1.0)")),
+        ((0.0, 1.0, 0.0, 1.0), "jcp", 5.0, ProprietyError,
+         _IMPROPER.format(_JCP.format(0.0, 1.0, "(alpha=1.0, lambda=1.5)")),
+         _IMPROPER.format(_JCP.format(0.0, 0.5, "(alpha=1.0, lambda=1.0)"))),
+        ((1e17, 1e17, 1e17, 1e17), "standard", 2.0, DomainError,
+         _HUGE.format("(alpha=1e+17, lambda=1e+17)"),
+         _HUGE.format("(alpha=1e+17, lambda=1e+17)")),
+        ((1e17, 2e17, 1e17, 1e17), "jcp", 2.0, DomainError,
+         _HUGE.format(_JCP.format(1e17, 1e17, "(alpha=1e+17, lambda=1e+17)")),
+         _HUGE.format(_JCP.format(1e17, 1e17, "(alpha=1e+17, lambda=1e+17)"))),
+    ], ids=["improper", "improper_jcp", "huge", "huge_jcp"])
+    def test_refusal_names_the_first_prior(self, binomial5, edges, flavor, x, error,
+                                           corner, lattice):
+        box = PriorBox(binomial5, *edges, flavor)
+        with pytest.raises(error) as info:
+            estimators._corner_bayes(binomial5, box, x)
+        assert str(info.value) == corner
+        with pytest.raises(error) as info:
+            oracle._lattice_estimates(binomial5, box, x)
+        assert str(info.value) == lattice
 
 
 def _written_out(fam):
