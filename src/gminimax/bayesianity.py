@@ -24,7 +24,7 @@ constancy spread.
 
 The path witness takes its corner Bayes actions from the estimators'
 own corner sweep (``estimators._corner_bayes``), a jcp box is shifted
-only by ``priors.to_standard``, and every integral goes through the one
+only by ``priors._jeffreys_shift``, and every integral goes through the one
 quadrature routine in ``priors``.
 """
 

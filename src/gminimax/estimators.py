@@ -14,11 +14,12 @@ a ratio of two positive losses, as accurate as ``intrinsic_loss``.
 Collapsed bounds give the midpoint.  ``eta_scale_prgm`` finds the root
 of the regret gap instead, with the ITP bracketing solver in ``families``
 and no closed-form starting guess, so the invariance check compares
-against an independent solver.  The corner Bayes estimates all come
-from ``_corner_bayes``.
+against an independent solver.  The closed-form corner Bayes estimates
+all come from ``_corner_bayes``; only a standard box re-elicited on a
+transformed scale integrates its corners, in ``eta_scale_prgm``.
 
 A ``jcp`` box is solved as its standard-flavor equivalent; the Jeffreys
-shift is applied in one place, ``priors.to_standard``.  That flavor
+shift is read in one place, ``priors._jeffreys_shift``.  That flavor
 earns its keep here: the class of sqrt-Fisher-corrected conjugate priors
 is the same set of measures in every smooth one-to-one
 reparameterization, so the box-minimax estimate of ``h(theta)`` is ``h``
@@ -32,7 +33,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -155,27 +155,20 @@ def prgm_from_bounds(fam: FamilySpec, d_lo: float, d_hi: float) -> EstimateRepor
                           {"degenerate": False, "residual": residual})
 
 
-def _corner_bayes(fam: FamilySpec, box: PriorBox, x: float,
-                  predictive: Callable | None = None) -> list[float]:
+def _corner_bayes(fam: FamilySpec, box: PriorBox, x: float) -> list[float]:
     """Bayes estimates at the four hyper-parameter corners.
 
     The posterior predictive mean is monotone in lambda for fixed alpha
     and monotone in alpha for fixed lambda, so its extremes over the box
     (hence the extreme Bayes estimates) land on corners.  Which corner
     wins depends on the sign of lambda + stat(x); taking the min and max
-    over all four sidesteps that case split.  With no ``predictive`` the
-    corners' closed-form posterior means come from one pass over the box,
-    ``priors._predictive_means``.  Otherwise ``predictive(fam, prior, x)``
-    gives each corner's, one call per corner, so that a wrapper installed
-    on the function passed in (a profiler's) sees the calls.
+    over all four sidesteps that case split.  The corners' closed-form
+    posterior means come from one pass over the box,
+    ``priors._predictive_means``.
     """
     require_same_family(fam, box.fam, "box")
     corners = box.corners()
-    if predictive is None:
-        means = _predictive_means(fam, box.flavor, corners, corners, x)
-    else:
-        means = [predictive(fam, ConjugatePrior(fam, a, l, box.flavor), x)
-                 for a, l in corners]
+    means = _predictive_means(fam, box.flavor, corners, corners, x)
     return [mean_inverse(fam, pm) for pm in means]
 
 
@@ -365,11 +358,13 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
     the new scale carries the Jacobian of the map as an extra density
     factor, and the corner posterior means are integrated numerically.
     """
-    predictive = None
     if box.flavor == "standard":
-        predictive = partial(predictive_mean_quadrature,
-                             extra_log_weight=tr.log_abs_deriv)
-    theta_corners = _corner_bayes(fam, box, x, predictive)
+        require_same_family(fam, box.fam, "box")
+        means = [predictive_mean_quadrature(fam, ConjugatePrior(fam, a, l), x,
+                                            tr.log_abs_deriv) for a, l in box.corners()]
+        theta_corners = [mean_inverse(fam, pm) for pm in means]
+    else:
+        theta_corners = _corner_bayes(fam, box, x)
     e_lo, e_hi = sorted(float(tr.forward(d)) for d in (min(theta_corners),
                                                        max(theta_corners)))
     t_lo, t_hi = float(tr.inverse(e_lo)), float(tr.inverse(e_hi))

@@ -248,7 +248,7 @@ def _number(v, key: str, unbounded: float | None = None) -> float:
             return unbounded
         if isinstance(v, str) and v.strip().lower() in _INFINITIES:
             return _INFINITIES[v.strip().lower()]
-    if isinstance(v, (int, float)):
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
         return float(v)
     if unbounded is None:
         raise SpecificationError(f"bad {key} entry {v!r}; expected a number")

@@ -230,34 +230,10 @@ def _expand_bracket(fam: FamilySpec, target: float) -> tuple[float, float]:
     return ends[0], ends[1]
 
 
-def _bisect(above: Callable[[float], bool | None], a: float, b: float,
-            width: float = 0.0, rel: float = 0.0) -> float:
-    """Halve the bracket between ``a`` and ``b`` onto a sign change.
-
-    ``above(mid)`` is True when the root lies beyond ``mid`` as seen from
-    ``a`` (``a`` moves to ``mid``), False when it does not (``b`` moves),
-    and None to accept ``mid`` as the root.  ``a`` may exceed ``b``.  The
-    loop stops once ``|b - a| <= width + rel * max(1, |a|, |b|)`` or after
-    BISECT_MAX_STEPS halvings, and returns the final midpoint (or the
-    accepted point).
-    """
-    for _ in range(BISECT_MAX_STEPS):
-        mid = 0.5 * (a + b)
-        side = above(mid)
-        if side is None:
-            return mid
-        if side:
-            a = mid
-        else:
-            b = mid
-        if abs(b - a) <= width + rel * max(1.0, abs(a), abs(b)):
-            break
-    return 0.5 * (a + b)
-
-
 def _itp(f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
          width: float) -> tuple[float, int]:
-    """Root of ``f`` on a bracket with ``f(a) >= 0 >= f(b)``, by ITP.
+    """Root of ``f`` on a bracket with ``f(a) >= 0 >= f(b)``, by ITP: the
+    package's one shared bracketing solver.
 
     Interpolate, truncate, project (Oliveira & Takahashi, ACM TOMS 47(1),
     2020) with kappa1 = 0.2/|b - a|, kappa2 = 2 and n0 = 1: each step
@@ -303,9 +279,13 @@ def _itp(f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
 def mean_inverse(fam: FamilySpec, t: float) -> float:
     """Solve mean(theta) = t for theta.
 
-    Uses the family's analytic inverse when present, otherwise bisection
-    after a geometric bracket expansion.  Bisection converges on any
-    strictly monotone continuous mean function; no derivative is trusted.
+    Uses the family's analytic inverse when present, otherwise halves a
+    bracket from ``_expand_bracket`` until the mean is within
+    ``INVERT_RTOL * |t| + INVERT_ATOL`` of ``t``, or the bracket is within
+    1e-16 * max(1, |a|, |b|), or after BISECT_MAX_STEPS halvings; then
+    the best point seen is accepted if within 100 times that tolerance.
+    Bisection converges on any strictly monotone continuous mean
+    function; no derivative is trusted.
     """
     t = float(t)
     if not math.isfinite(t):
@@ -325,18 +305,17 @@ def mean_inverse(fam: FamilySpec, t: float) -> float:
     a, b = _expand_bracket(fam, t)
     tol = INVERT_RTOL * abs(t) + INVERT_ATOL
     best, best_res = a, abs(float(fam.mean(a)) - t)
-
-    def above(mid: float) -> bool | None:
-        nonlocal best, best_res
+    for _ in range(BISECT_MAX_STEPS):
+        mid = 0.5 * (a + b)
         val = float(fam.mean(mid))
         res = abs(val - t)
-        if res < best_res or res <= tol:
+        if res <= tol:
+            return mid
+        if res < best_res:
             best, best_res = mid, res
-        return None if res <= tol else val > t
-
-    # A point within tol ends the search.  If the bracket runs out of
-    # float resolution first, the best point seen is accepted when close.
-    _bisect(above, a, b, rel=1e-16)
+        a, b = (mid, b) if val > t else (a, mid)
+        if abs(b - a) <= 1e-16 * max(1.0, abs(a), abs(b)):
+            break
     if best_res <= 100.0 * tol:
         return best
     raise ConvergenceError(

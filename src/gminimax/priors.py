@@ -18,9 +18,10 @@ of the Fisher information.  When the family declares a Jeffreys shift
 every closed form above applies after shifting.
 
 Everything here that is not closed-form (mixtures, the quadrature
-cross-checks) runs on double-exponential quadrature over the natural
-parameter, with the integrand handled in log space so normalizers never
-overflow.
+cross-checks) runs on ``_peak_integrals``, the package's one quadrature
+routine: double-exponential quadrature over the natural parameter, split
+at the integrand's scanned peak, with the integrand handled in log space
+so normalizers never overflow.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def to_standard(prior: ConjugatePrior) -> ConjugatePrior:
 
     Standard priors pass through unchanged.  Requires the family to
     declare its Jeffreys shift.  ``_jeffreys_shift`` is the one place the
-    shift is read: boxes and mixtures shift through this function, and
+    shift is read: mixtures shift through this function, and boxes and
     the closed-form predictive means through ``_jeffreys_shift`` itself.
     """
     if prior.flavor == "standard":
@@ -235,13 +236,13 @@ class PriorBox:
         """The same class of priors as a standard-flavor box.
 
         A jcp box moves by the family's Jeffreys shift, which must be
-        declared; a standard box keeps its corners.
+        declared; a standard box is returned as it is.
         """
-        lo = to_standard(
-            ConjugatePrior(self.fam, self.alpha_lo, self.lam_lo, self.flavor))
-        hi = to_standard(
-            ConjugatePrior(self.fam, self.alpha_hi, self.lam_hi, self.flavor))
-        return PriorBox(self.fam, lo.alpha, hi.alpha, lo.lam, hi.lam, "standard")
+        if self.flavor == "standard":
+            return self
+        da, dl = _jeffreys_shift(self.fam)
+        return PriorBox(self.fam, self.alpha_lo + da, self.alpha_hi + da,
+                        self.lam_lo + dl, self.lam_hi + dl, "standard")
 
 
 def prior_box(fam: FamilySpec, alpha_lo: float, alpha_hi: float,
@@ -397,89 +398,12 @@ class _Sum:
 # overhead more than its arithmetic.
 _FIRST_LEVELS = 6
 
-
-def _quad_split(f, lo: float, hi: float, mid: float) -> list[float]:
-    """Double-exponential quadrature split at an interior peak location.
-
-    The one quadrature routine of the package: every integral goes
-    through it, and its error estimates are checked here.  Each piece ends
-    at the split, so the nodes cluster double-exponentially at the peak
-    whatever its width (the whole line always splits at a finite ``mid``
-    into two half-lines).  ``f`` maps an array of nodes to one row of the
-    integrand per factor, and |log| of the integrand on its live nodes.
-    The step halves until two levels agree to ``QUAD_EPSREL``; the first
-    six levels run in one call of ``f``, and the later ones one call per
-    level.  Every factor shares the nodes but keeps its own sums: it stops
-    at its own level and gets its own error check, so its value is the
-    one it would get integrated alone.  Returns one value per factor.
-
-    The error estimate is the last difference of levels plus the largest
-    |log| so far times the unit round-off times the integral; it must be
-    within 1e-8 of the integral of |f|.  Nodes that round onto an end of
-    their piece are skipped.  Where the integrand has not died out at the
-    outermost nodes (the window's edge, or an end whose nearest nodes are
-    skipped), their terms move each level's sum, so that difference shows
-    it.
-    """
-    mid = min(max(mid, lo), hi)
-    pieces = [(lo, mid), (mid, hi)] if lo < mid < hi else [(lo, hi)]
-    batches = [(0, _FIRST_LEVELS - 1)] + [(k, k) for k in
-                                           range(_FIRST_LEVELS, QUAD_LEVELS + 1)]
-    sums = None
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for first, last in batches:
-            tab = _de_table(first, last, len(pieces))
-            nodes = [_de_nodes(a, b, tab) for a, b in pieces]
-            x, g = nodes[0]
-            if len(nodes) == 2:
-                x, g = (np.where(tab.second, y, z) for y, z in zip(nodes[1], nodes[0]))
-            keep = (x > lo) & (x < hi) & (x != mid)
-            rows, log_abs = f(x[keep])
-            n = len(rows)
-            terms = np.zeros((2 * n, x.size))
-            terms[:n, keep] = rows * g[keep]
-            terms[n:] = np.abs(terms[:n])
-            top = np.zeros(x.size)
-            top[keep] = log_abs
-            if sums is None:
-                sums = [_Sum() for _ in range(n)]
-            tops = np.maximum.reduceat(top, [start for _, start, _ in tab.levels])
-            for (k, start, stop), level_top in zip(tab.levels, tops.tolist()):
-                # Each row sums pairwise over its contiguous slice, in the
-                # order one factor's level alone would be summed.
-                level = terms[:, start:stop].sum(axis=1).tolist()
-                for s, total, size in zip(sums, level, level[n:]):
-                    if not s.done:
-                        s.add(k, total, size, level_top)
-            if all(s.done for s in sums):
-                break
-    return [s.value(lo, hi) for s in sums]
-
-
 # exp() underflows to 0.0 below roughly -745; a log weight under this
 # floor is an exact float zero no matter what bounded-growth factor it
 # multiplies, so the factor must not be evaluated there (it may overflow
 # in tail regions the posterior has already left, e.g. exp(-theta)
 # means on an unbounded support).
 _LOG_FLOOR = -745.0
-
-
-def _weighted_integrand(logf, shift: float, factors):
-    """Array integrand: one row exp(logf(th) - shift) * factor(th) per
-    factor (None is the plain density), tail-safe, and |logf| where it is
-    not floored, 0 elsewhere (the size of its round-off).  ``_quad_split``
-    holds the floating-point error state around its calls."""
-
-    def f(th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lv = np.asarray(logf(th), dtype=float)
-        live = lv - shift > _LOG_FLOOR  # not nan, -inf, or deep underflow
-        w = np.exp(lv[live] - shift)
-        rows = np.zeros((len(factors), th.size))
-        for row, factor in zip(rows, factors):
-            row[live] = w if factor is None else w * factor(th[live])
-        return rows, np.where(live, np.abs(lv), 0.0)
-
-    return f
 
 
 def _log_weight(fam: FamilySpec, prior: ConjugatePrior):
@@ -536,15 +460,65 @@ def _peak(logf, lo: float, hi: float) -> tuple[float, float]:
 
 
 def _peak_integrals(logf, lo: float, hi: float, *factors):
-    """Integrals of exp(logf - m) * factor over (lo, hi), one per factor.
+    """Integrals of exp(logf - m) * factor over (lo, hi), one per factor:
+    the one quadrature routine of the package, which every integral goes
+    through and where every error estimate is checked.
 
     A factor of None integrates the plain density.  ``m`` is the scanned
-    peak of logf, and one quadrature pass, split at the peak's location,
-    integrates every factor on the same nodes.
+    peak of logf (``_peak``).  Double-exponential quadrature splits at the
+    peak's location, so the nodes cluster there whatever its width (the
+    whole line always splits into two half-lines).  The step halves until
+    two levels agree to ``QUAD_EPSREL``; the first six levels take one
+    evaluation of logf, and the later ones one each.  Every factor shares
+    the nodes but keeps its own sums: it stops at its own level and gets
+    its own error check, so its value is the one it would get alone.
+    Nodes where logf - m is under ``_LOG_FLOOR`` (or nan) weigh exactly 0,
+    and their factor is not evaluated.
+
+    The error estimate is the last difference of levels plus the largest
+    |logf| so far times the unit round-off times the integral; it must be
+    within 1e-8 of the integral of |integrand|.  Nodes that round onto an
+    end of their piece are skipped.  Where the integrand has not died out
+    at the outermost nodes (the window's edge, or an end whose nearest
+    nodes are skipped), their terms move each level's sum, so that
+    difference shows it.
     Returns ``(m, values)``; m cancels in any ratio of the values.
     """
-    mode, m = _peak(logf, lo, hi)
-    return m, _quad_split(_weighted_integrand(logf, m, factors), lo, hi, mode)
+    mid, m = _peak(logf, lo, hi)
+    pieces = [(lo, mid), (mid, hi)] if lo < mid < hi else [(lo, hi)]
+    batches = [(0, _FIRST_LEVELS - 1)] + [(k, k) for k in
+                                           range(_FIRST_LEVELS, QUAD_LEVELS + 1)]
+    n = len(factors)
+    sums = [_Sum() for _ in factors]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for first, last in batches:
+            tab = _de_table(first, last, len(pieces))
+            nodes = [_de_nodes(a, b, tab) for a, b in pieces]
+            x, g = nodes[0]
+            if len(nodes) == 2:
+                x, g = (np.where(tab.second, y, z) for y, z in zip(nodes[1], nodes[0]))
+            keep = np.flatnonzero((x > lo) & (x < hi) & (x != mid))
+            lv = np.asarray(logf(x[keep]), dtype=float)
+            live = lv - m > _LOG_FLOOR  # not nan, -inf, or deep underflow
+            keep, lv = keep[live], lv[live]
+            th, w = x[keep], np.exp(lv - m)
+            terms = np.zeros((2 * n, x.size))
+            for row, factor in zip(terms, factors):
+                row[keep] = (w if factor is None else w * factor(th)) * g[keep]
+            terms[n:] = np.abs(terms[:n])
+            top = np.zeros(x.size)
+            top[keep] = np.abs(lv)
+            tops = np.maximum.reduceat(top, [start for _, start, _ in tab.levels])
+            for (k, start, stop), level_top in zip(tab.levels, tops.tolist()):
+                # Each row sums pairwise over its contiguous slice, in the
+                # order one factor's level alone would be summed.
+                level = terms[:, start:stop].sum(axis=1).tolist()
+                for s, total, size in zip(sums, level, level[n:]):
+                    if not s.done:
+                        s.add(k, total, size, level_top)
+            if all(s.done for s in sums):
+                break
+    return m, [s.value(lo, hi) for s in sums]
 
 
 def predictive_mean_quadrature(fam: FamilySpec, prior: ConjugatePrior, x: float,

@@ -746,7 +746,11 @@ class TestFamilyFile:
          "bad support endpoint {}; expected a number, null or 'inf'"),
         ({"mean_range": [0, "x"]},
          "bad mean_range endpoint 'x'; expected a number, null or 'inf'"),
-    ], ids=["shift_string", "shift_null", "support_mapping", "mean_range_string"])
+        ({"support": [False, None]},
+         "bad support endpoint False; expected a number, null or 'inf'"),
+        ({"jeffreys_shift": [-1, True]}, "bad jeffreys_shift entry True; expected a number"),
+    ], ids=["shift_string", "shift_null", "support_mapping", "mean_range_string",
+            "support_false", "shift_true"])
     def test_config_numbers_are_checked_by_key(self, capsys, tmp_path, entry, message):
         cfg = {"name": "my_exp", "support": [0, None], "log_norm": "log(theta)", **entry}
         path = tmp_path / "my_exp.json"

@@ -287,6 +287,19 @@ class TestFamilyFromConfig:
         with pytest.raises(SpecificationError, match="jeffreys_shift"):
             family_from_config(dict(EXP_CLONE, jeffreys_shift=[1.0]))
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("support", [False, None],
+         "bad support endpoint False; expected a number, null or 'inf'"),
+        ("mean_range", [False, True],
+         "bad mean_range endpoint False; expected a number, null or 'inf'"),
+        ("jeffreys_shift", [-1, False], "bad jeffreys_shift entry False; expected a number"),
+    ], ids=["support", "mean_range", "jeffreys_shift"])
+    def test_booleans_are_not_numbers(self, key, value, message):
+        # A JSON true or false is a Python bool, which is an int.
+        with pytest.raises(SpecificationError) as info:
+            family_from_config(dict(EXP_CLONE, **{key: value}))
+        assert str(info.value) == message
+
     def test_inconsistent_mean_is_rejected(self):
         cfg = dict(EXP_CLONE, name="bad", mean="1/theta + 0.05")
         with pytest.raises(SpecificationError, match="failed validation"):

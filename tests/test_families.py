@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from gminimax import (
+    ConvergenceError,
     DomainError,
     SpecificationError,
     builtin_family,
@@ -26,6 +27,10 @@ from gminimax.families import (
     require_in_support,
     support_grid,
 )
+
+# The README's my_exp config, its mean and mean_deriv derived.
+MY_EXP = dict(name="my_exp", support=[0, None], log_norm="log(theta)",
+              mean_range=[0, None], jeffreys_shift=[-1, 0])
 
 
 class TestBuiltinLookup:
@@ -78,6 +83,23 @@ class TestMeanFunction:
         for t in (0.3, 1.9, 4.4):
             got = mean_inverse(numeric, t)
             assert float(binomial5.mean(got)) == pytest.approx(t, rel=1e-10)
+
+    @pytest.mark.parametrize("t,want", [
+        (0.7, "0x1.6db6db6db8000p+0"),
+        (3.0, "0x1.5555555556000p-2"),
+        (123.456, "0x1.096c28e003400p-7"),
+    ])
+    def test_numeric_inverse_bits(self, t, want):
+        # Bisection's stop rule and best point, pinned to the bit.
+        assert mean_inverse(family_from_config(MY_EXP), t).hex() == want
+
+    @pytest.mark.parametrize("t", [1e8, 2.5e8, 5e8, 1e9])
+    def test_numeric_inverse_stalls_at_large_targets(self, t):
+        # Theta near 1/t lies below the bracket's 1e-16 stop width; the
+        # benchmark counts these failures by this message.
+        with pytest.raises(ConvergenceError,
+                           match="bisection stalled inverting the mean function"):
+            mean_inverse(family_from_config(MY_EXP), t)
 
     @pytest.mark.parametrize("support,log_norm,t,want", [
         ([None, 0], "log(-theta)", -2.0, -0.5000000000004547),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from gminimax import oracle, priors
+from gminimax import oracle
 from gminimax import (
     ConjugatePrior,
     ConvergenceError,
@@ -293,13 +293,13 @@ class TestKLQuadrature:
         # Z(theta) together with E_theta[stat] on the same nodes, then
         # Z(delta) alone.
         calls = []
-        quad_split = priors._quad_split
+        peak_integrals = oracle._peak_integrals
 
         def counted(*args):
             calls.append(args[1:])
-            return quad_split(*args)
+            return peak_integrals(*args)
 
-        monkeypatch.setattr(priors, "_quad_split", counted)
+        monkeypatch.setattr(oracle, "_peak_integrals", counted)
         kl_quadrature(builtin_family(name), 2.0, 3.0)
         assert len(calls) == 2
 

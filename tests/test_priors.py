@@ -438,23 +438,25 @@ class TestQuadratureRule:
             _log_integral(logf, lo, hi)
 
     # Each factor alone and all of them on shared nodes.  The first six
-    # levels are one evaluation of the integrand, each later level one more.
+    # levels are one evaluation of logf after the peak scan, each later
+    # level one more.
     @staticmethod
     def _integrate(monkeypatch, logf, lo, hi, *factors):
-        calls = []
-        weighted = priors._weighted_integrand
+        calls, scanned = [], []
+        peak = priors._peak
 
-        def counted(*args):
-            f = weighted(*args)
+        def marked(*args):
+            found = peak(*args)
+            scanned.append(True)
+            return found
 
-            def g(th):
+        def counted(th):
+            if scanned:
                 calls.append(th.size)
-                return f(th)
+            return logf(th)
 
-            return g
-
-        monkeypatch.setattr(priors, "_weighted_integrand", counted)
-        m, values = priors._peak_integrals(logf, lo, hi, *factors)
+        monkeypatch.setattr(priors, "_peak", marked)
+        m, values = priors._peak_integrals(counted, lo, hi, *factors)
         return m, values, len(calls)
 
     @pytest.mark.parametrize("case", ["gamma", "normal_t6", "exponential_mean"])
