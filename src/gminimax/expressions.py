@@ -12,7 +12,8 @@ Grammar (whitespace-insensitive)::
 variable (``theta`` for parameter mappings, ``x`` for the statistic).
 Parsing either succeeds completely or raises a
 :class:`~gminimax.errors.SpecificationError` pointing at the offending
-position.  A parsed expression is compiled once to Python bytecode.
+position.  A parsed expression is compiled once to two Python functions:
+a float body over ``math`` and an array body over numpy.
 """
 
 from __future__ import annotations
@@ -33,19 +34,32 @@ _NUMBER = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
 _OUTSIDE = re.compile(r"[^A-Za-z0-9_.+\-*/^()\s]|(?<=\*)\*")
 _BINARY_AST = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
-_FUNCTIONS = {"exp": np.exp, "log": np.log}
+_FUNCTIONS = ("exp", "log")
 _OPERATORS = {symbol: op for op, symbol in _BINARY_AST.items() if symbol != "^"}
-# What compiled code calls, under names that no variable can take.
-_GLOBALS = {"__builtins__": {}, "np.power": np.power,
-            **{f"np.{name}": fn for name, fn in _FUNCTIONS.items()}}
+# What each compiled body calls, under names that no variable can take.
+_GLOBALS = {"__builtins__": {}, "np.exp": np.exp, "np.log": np.log, "np.power": np.power,
+            "math.exp": math.exp, "math.log": math.log, "math.pow": math.pow}
+_POWER = {"np": "np.power", "math": "math.pow"}
+# What the float body raises where the array body returns inf or nan.
+_MATH_REFUSALS = (OverflowError, ValueError, ZeroDivisionError)
+_KEYWORDS = object()  # no positional value: the variables come as keywords
 
 
 class Expression:
-    """Parsed expression: callable with keyword variables.
+    """Parsed expression: callable with keyword variables, or with its one
+    variable positionally.
 
     The tree, with literal-only subtrees folded to their values, is
-    compiled once to a function of the variables.  A call passes each as a
-    numpy float or float array, never a Python float: 1/theta at 0 is inf.
+    compiled once to two functions of the variables.  The float body calls
+    ``math.exp``, ``math.log`` and ``math.pow``; the array body calls
+    ``np.exp``, ``np.log`` and ``np.power``.  Both run ``+ - * /`` as
+    Python's operators, which round alike on Python and numpy floats.
+    A call whose variables are all floats (``np.float64`` included) runs
+    the float body on Python floats and returns a Python float.  Where
+    ``math`` refuses (an overflow, a log of 0, a division by 0), the array
+    body answers the same call instead, with numpy's ``inf`` or ``nan``
+    and its warning.  Any other call runs the array body on numpy floats
+    or float arrays.
     """
 
     def __init__(self, source: str, tree, variables: frozenset[str]):
@@ -57,39 +71,65 @@ class Expression:
                 f"expression {source!r} divides by zero in a literal term") from None
         self.variables = variables
         self._names = sorted(variables)
-        self._run = _compiled(self._ast, self._names)
+        self._float = _compiled(self._ast, self._names, "math")
+        self._array = _compiled(self._ast, self._names, "np")
 
-    def __call__(self, /, **env):
+    def __call__(self, value=_KEYWORDS, /, **env):
+        if value is _KEYWORDS or env or len(self._names) != 1:
+            return self._call_keywords(value, env)
+        if isinstance(value, float):
+            try:
+                return self._float(float(value))
+            except _MATH_REFUSALS:
+                pass
+        return self._array(np.asarray(value, dtype=float)[()])
+
+    def _call_keywords(self, value, env):
+        """``__call__`` with the variables as keywords, by the same rule.
+        A positional value comes here only with keywords or with other
+        than one variable, and is refused."""
+        if value is not _KEYWORDS:
+            raise SpecificationError(
+                f"expression {self.source!r} takes one positional value only "
+                f"with one variable; its variables are {self._names}")
         try:
-            args = [np.asarray(env[name], dtype=float)[()] for name in self._names]
+            values = [env[name] for name in self._names]
         except KeyError:
             raise SpecificationError(
                 f"expression {self.source!r} needs variable(s) "
                 f"{sorted(self.variables - env.keys())}; got {sorted(env)}") from None
-        return self._run(*args)
+        if all(isinstance(v, float) for v in values):
+            try:
+                return self._float(*[float(v) for v in values])
+            except _MATH_REFUSALS:
+                pass
+        return self._array(*[np.asarray(v, dtype=float)[()] for v in values])
 
     def __repr__(self):
         return f"Expression({self.source!r})"
 
 
-def _python(node) -> ast.expr:
-    """The tree as a Python expression node; ``^`` calls ``np.power``."""
+def _python(node, lib: str) -> ast.expr:
+    """The tree as a Python expression node over ``lib``, ``"np"`` or
+    ``"math"``: its ``exp`` and ``log``, and its power function for ``^``."""
     kind, *args = node
     if kind in ("num", "var"):
         return ast.Constant(*args) if kind == "num" else ast.Name(*args, ast.Load())
     if kind == "neg":
-        return ast.UnaryOp(ast.USub(), _python(*args))
+        return ast.UnaryOp(ast.USub(), _python(*args, lib))
     if kind in _OPERATORS:
-        return ast.BinOp(_python(args[0]), _OPERATORS[kind](), _python(args[1]))
-    fn = "np.power" if kind == "^" else "np." + args.pop(0)
-    return ast.Call(ast.Name(fn, ast.Load()), [_python(a) for a in args], [])
+        return ast.BinOp(_python(args[0], lib), _OPERATORS[kind](), _python(args[1], lib))
+    fn = _POWER[lib] if kind == "^" else f"{lib}.{args.pop(0)}"
+    return ast.Call(ast.Name(fn, ast.Load()), [_python(a, lib) for a in args], [])
 
 
-def _compiled(tree, names):
-    """The tree compiled to a Python function of ``names``, in that order."""
+def _compiled(tree, names, lib: str):
+    """The tree compiled to a Python function of ``names``, in that order,
+    over ``lib``'s functions (see ``_python``)."""
     params = ast.arguments(posonlyargs=[], args=[ast.arg(n) for n in names],
                            kwonlyargs=[], kw_defaults=[], defaults=[])
-    code = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, _python(tree))))
+    body = ast.Lambda(params, _python(tree, lib))
+    code = ast.fix_missing_locations(ast.Expression(body))
     return eval(compile(code, "<expression>", "eval"), _GLOBALS)
 
 
@@ -101,10 +141,10 @@ def _fold(node):
     node = node[:head] + tuple(_fold(a) for a in node[head:])
     if any(a[0] != "num" for a in node[head:]):
         return node
-    # Compiled code on Python floats: inf and nan as a call would give, but a
-    # literal division by zero raises ZeroDivisionError.
+    # The array body on Python floats: inf and nan as an array call would
+    # give, but a literal division by zero raises ZeroDivisionError.
     with np.errstate(all="ignore"):
-        return ("num", float(_compiled(node, [])()))
+        return ("num", float(_compiled(node, [], "np")()))
 
 
 # Tree builders for derivatives.  They fold the literals 0 and 1, and
@@ -292,9 +332,11 @@ def family_from_config(cfg: dict) -> FamilySpec:
     Required keys: ``name``, ``support`` (two endpoints, ``null`` for
     infinite) and ``log_norm`` (an expression in ``theta``).  Optional:
     ``mean`` and ``mean_deriv`` (the exact derivatives of ``log_norm``
-    and ``mean`` when omitted), ``stat`` (expression in ``x``, default
-    ``"x"``), ``mean_range``, ``jeffreys_shift``.  The constructed family
-    is spot-checked; violations are reported as configuration errors.
+    and ``mean`` when omitted), ``stat`` (expression in ``x``; ``"x"``
+    when omitted or ``null``), ``mean_range``, ``jeffreys_shift``.  The
+    name is a nonempty string.  The family's mappings are the parsed
+    expressions themselves.  The constructed family is spot-checked;
+    violations are reported as configuration errors.
     """
     if not isinstance(cfg, dict):
         raise SpecificationError("family config must be a mapping")
@@ -305,11 +347,15 @@ def family_from_config(cfg: dict) -> FamilySpec:
     if missing := _REQUIRED_KEYS - set(cfg):
         raise SpecificationError(f"family config missing key(s) {sorted(missing)}")
 
+    name = cfg["name"]
+    if not isinstance(name, str) or not name:
+        raise SpecificationError(f"bad name entry {name!r}; expected a nonempty string")
     support = _interval(cfg["support"], "support")
     log_norm = _mapping(cfg["log_norm"], "log_norm")
     mean = _mapping(cfg.get("mean"), "mean", antiderivative=log_norm)
     mean_deriv = _mapping(cfg.get("mean_deriv"), "mean_deriv", antiderivative=mean)
-    stat = _mapping(cfg.get("stat") or "x", "stat", "x")
+    stat = cfg.get("stat")  # absent or null: the observation itself
+    stat = _mapping("x" if stat is None else stat, "stat", "x")
 
     mr, js = cfg.get("mean_range"), cfg.get("jeffreys_shift")
     mean_range = None if mr is None else _interval(mr, "mean_range")
@@ -317,12 +363,12 @@ def family_from_config(cfg: dict) -> FamilySpec:
                                           for v in _pair(js, "jeffreys_shift"))
 
     fam = FamilySpec(
-        name=str(cfg["name"]),
+        name=name,
         support=support,
-        log_norm=lambda th: log_norm(theta=th),
-        mean=lambda th: mean(theta=th),
-        mean_deriv=lambda th: mean_deriv(theta=th),
-        stat=lambda x: stat(x=x),
+        log_norm=log_norm,
+        mean=mean,
+        mean_deriv=mean_deriv,
+        stat=stat,
         mean_range=mean_range,
         jeffreys_shift=shift,
     )

@@ -729,6 +729,18 @@ class TestFamilyFile:
             "gminimax: configuration error: family my_exp declares no Jeffreys "
             "shift; the jcp prior has no standard-flavor equivalent"]
 
+    @pytest.mark.parametrize("name", [None, ["a"]], ids=["null", "list"])
+    def test_a_name_that_is_no_string_fails_in_one_stderr_line(self, capsys, tmp_path,
+                                                               name):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(dict(name=name, support=[0, None],
+                                        log_norm="log(theta)")), encoding="utf-8")
+        rc, out, err = run_cli(capsys, ["prgm", "--family-file", str(path),
+                                        "--bounds", "0.5:1.5"])
+        assert (rc, out) == (2, "")
+        assert err == (f"gminimax: configuration error: bad name entry {name!r}; "
+                       "expected a nonempty string\n")
+
     def test_bytes_that_are_not_utf8_are_a_configuration_error(self, capsys, tmp_path):
         path = tmp_path / "utf16.json"
         path.write_bytes(b'\xff\xfe{"a":1}')

@@ -1,8 +1,11 @@
 """Expression language and expression-defined families."""
 
+import dataclasses
 import json
+import math
 import operator
 import warnings
+from collections import Counter
 
 import hypothesis.strategies as st
 import numpy as np
@@ -300,6 +303,57 @@ class TestFamilyFromConfig:
             family_from_config(dict(EXP_CLONE, **{key: value}))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("stat", [0, False, "", 1], ids=["zero", "false", "empty", "one"])
+    def test_a_stat_other_than_null_is_parsed(self, stat):
+        # A falsy stat is not the default "x": the parser refuses it.
+        with pytest.raises(SpecificationError) as info:
+            family_from_config(dict(EXP_CLONE, stat=stat))
+        assert str(info.value) == "expression must be a nonempty string"
+
+    def test_null_stat_is_the_observation(self):
+        fam = family_from_config(dict(EXP_CLONE, stat=None))
+        assert fam.stat.source == "x" and fam.stat(1.5) == 1.5
+
+    @pytest.mark.parametrize("name", [None, ["a"], "", 5, False],
+                             ids=["null", "list", "empty", "number", "false"])
+    def test_name_must_be_a_nonempty_string(self, name):
+        with pytest.raises(SpecificationError) as info:
+            family_from_config(dict(EXP_CLONE, name=name))
+        assert str(info.value) == f"bad name entry {name!r}; expected a nonempty string"
+
+    def test_mappings_are_the_expressions(self):
+        fam = family_from_config(dict(EXP_CLONE, stat="2*x"))
+        assert [getattr(fam, key).source for key in
+                ("log_norm", "mean", "mean_deriv", "stat")] == [
+            "log(theta)", "1/theta", "-1/theta^2", "2*x"]
+
+    def test_every_mapping_call_passes_through_call(self, monkeypatch):
+        # What a tracer patched onto Expression.__call__ counts is every call
+        # a config family's mappings take, on floats and on arrays.
+        fam = family_from_config(dict(EXP_CLONE, stat="2*x"))
+        keys = ("log_norm", "mean", "mean_deriv", "stat")
+        taken, counted = Counter(), Counter()
+
+        def spy(key):
+            mapping = getattr(fam, key)
+            return lambda value: taken.update([mapping.source]) or mapping(value)
+
+        call = Expression.__call__
+
+        def counting(self, *args, **env):
+            counted[self.source] += 1
+            return call(self, *args, **env)
+
+        traced = dataclasses.replace(fam, **{key: spy(key) for key in keys})
+        monkeypatch.setattr(Expression, "__call__", counting)
+        bayes_estimate(traced, ConjugatePrior(traced, 2.0, 1.0), 3.0)
+        prgm_from_bounds(traced, 1.0, 2.0)
+        for theta in (0.5, np.array([0.5, 2.0])):
+            for key in keys:
+                getattr(traced, key)(theta)
+        assert counted == taken
+        assert all(taken[getattr(fam, key).source] > 0 for key in keys)
+
     def test_inconsistent_mean_is_rejected(self):
         cfg = dict(EXP_CLONE, name="bad", mean="1/theta + 0.05")
         with pytest.raises(SpecificationError, match="failed validation"):
@@ -419,18 +473,28 @@ class TestDerivatives:
 _REFERENCE = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv, "^": np.power, "neg": operator.neg,
               "exp": np.exp, "log": np.log}
+_MATH_REFERENCE = dict(_REFERENCE, **{"^": math.pow, "exp": math.exp, "log": math.log})
 
 
-def reference(node, env):
-    """Value of a parsed tree by a plain walk, numbers as ``np.float64``."""
+def reference(node, env, functions=_REFERENCE, number=np.float64):
+    """Value of a parsed tree by a plain walk, numbers as ``number``."""
     kind = node[0]
     if kind == "num":
-        return np.float64(node[1])
+        return number(node[1])
     if kind == "var":
         return env[node[1]]
-    if kind == "call":
-        return _REFERENCE[node[1]](reference(node[2], env))
-    return _REFERENCE[kind](*(reference(a, env) for a in node[1:]))
+    args = [reference(a, env, functions, number) for a in node[2 if kind == "call" else 1:]]
+    return functions[node[1] if kind == "call" else kind](*args)
+
+
+def float_reference(node, env):
+    """The walk on Python floats over ``math``; where ``math`` refuses, the
+    walk over numpy on numpy floats."""
+    try:
+        return reference(node, {k: float(v) for k, v in env.items()}, _MATH_REFERENCE,
+                         float)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return reference(node, {k: np.float64(v) for k, v in env.items()})
 
 
 _values = st.floats(allow_nan=True, allow_infinity=True)
@@ -440,18 +504,77 @@ _values = st.floats(allow_nan=True, allow_infinity=True)
 @given(tree=_trees(), theta=st.lists(_values, min_size=3, max_size=3),
        x=st.lists(_values, min_size=3, max_size=3))
 def test_compiled_expression_matches_a_reference_walk(tree, theta, x):
-    # Bit for bit, nan payloads and signed zeros included, on numpy floats
-    # and on 3-element arrays.
+    # Bit for bit, nan payloads and signed zeros included: numpy floats and
+    # Python floats against the walk over math, 0-d and 3-element arrays
+    # against the walk over numpy.  Literal-only subtrees fold through
+    # numpy for both bodies, so the walk over math takes the folded tree.
     try:
         expr = Expression("tree", tree, frozenset({"theta", "x"}))
     except SpecificationError:  # a literal-only subtree divides by zero
         return
-    for env in ({"theta": np.float64(theta[0]), "x": np.float64(x[0])},
-                {"theta": np.array(theta), "x": np.array(x)}):
+    scalars = {"theta": np.float64(theta[0]), "x": np.float64(x[0])}
+    for env, walk, node in (
+            (scalars, float_reference, expr._ast),
+            ({k: float(v) for k, v in scalars.items()}, float_reference, expr._ast),
+            ({k: np.array(v) for k, v in scalars.items()}, reference, tree),
+            ({"theta": np.array(theta), "x": np.array(x)}, reference, tree)):
         with np.errstate(all="ignore"):
-            got, want = expr(**env), reference(tree, env)
+            got, want = expr(**env), walk(node, env)
         assert np.shape(got) == np.shape(want)
         assert np.asarray(got, float).tobytes() == np.asarray(want, float).tobytes()
+
+
+class TestFloatBody:
+    def test_a_float_call_returns_a_float(self):
+        expr = parse_expression("-5*log(1 + exp(-theta))")
+        for theta in (0.7, np.float64(0.7)):
+            assert type(expr(theta)) is float and type(expr(theta=theta)) is float
+        for theta in (np.array([0.7, 1.0]), np.ones((2, 2))):
+            assert type(expr(theta)) is np.ndarray and expr(theta).shape == theta.shape
+        # 0-d arrays and ints take the array body, as numpy floats
+        assert type(expr(np.array(0.7))) is np.float64 and type(expr(1)) is np.float64
+
+    @pytest.mark.parametrize("source,theta", [
+        ("exp(-theta)", -800.0), ("log(theta)", 0.0), ("log(theta)", -1.0),
+        ("1/theta", 0.0), ("theta^-1", 0.0), ("theta^(1/3)", -8.0),
+    ])
+    def test_where_math_refuses_the_array_body_answers(self, source, theta):
+        expr = parse_expression(source)
+        with pytest.raises((OverflowError, ValueError, ZeroDivisionError)):
+            expr._float(theta)
+        with pytest.warns(RuntimeWarning) as got_warnings:
+            got = expr(theta)
+        with pytest.warns(RuntimeWarning) as want_warnings:
+            want = expr(np.array(theta))
+        assert repr(got) == repr(want) and not math.isfinite(got)
+        assert ([str(w.message) for w in got_warnings]
+                == [str(w.message) for w in want_warnings])
+
+    @pytest.mark.parametrize("key", sorted(TWINS))
+    def test_twin_means_agree_with_the_array_body(self, key):
+        fam = family_from_config(dict(TWINS[key]))
+        grid = support_grid(fam)
+        want = fam.mean(grid)
+        got = np.array([fam.mean(float(theta)) for theta in grid])
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("call", [
+        lambda expr: expr(1.0),
+        lambda expr: expr(1.0, x=2.0),
+    ], ids=["alone", "with_a_keyword"])
+    def test_a_positional_call_needs_one_variable(self, call):
+        expr = parse_expression("theta*x")
+        with pytest.raises(SpecificationError) as info:
+            call(expr)
+        assert str(info.value) == ("expression 'theta*x' takes one positional value "
+                                   "only with one variable; its variables are "
+                                   "['theta', 'x']")
+        with pytest.raises(TypeError):  # Python's refusal of a second value
+            expr(1.0, 2.0)
+
+    def test_a_positional_call_takes_no_keywords(self):
+        with pytest.raises(SpecificationError, match="one positional value only"):
+            parse_expression("theta")(1.0, theta=1.0)
 
 
 # Binding levels of the grammar: sum 1, term 2, unary 3, power 4, atom 5.

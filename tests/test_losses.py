@@ -19,6 +19,7 @@ from gminimax import (
     posterior_regret,
     prgm_from_bounds,
 )
+from gminimax.losses import RESOLUTION
 
 
 @pytest.mark.parametrize("name,theta", [
@@ -235,10 +236,14 @@ def test_overflow_is_a_domain_error(name, theta, delta):
                                    f"delta={delta!r} overflows the float range")
 
 
-# The float branch of intrinsic_loss must give the bits of the array path
-# on 0-d arrays, the path floats took before the branch existed.  (A
-# 1-element array is no reference: expit rounds scalars through math.exp,
-# so binomial_logit can differ from it in the last place on either path.)
+# On the built-ins, the float branch of intrinsic_loss must give the bits
+# of the array path on 0-d arrays, the path floats took before the branch
+# existed.  (A 1-element array is no reference: expit rounds scalars
+# through math.exp, so binomial_logit can differ from it in the last place
+# on either path.)  A config family's float calls run math's exp and log,
+# which may round otherwise than numpy's: where the float branch answers,
+# the twin's loss keeps the 38 bits the branch promises, and where it
+# falls through to the array path, the bits.
 _BINOMIAL_TWIN = family_from_config({
     "name": "binomial_twin", "support": [None, None],
     "log_norm": "-5*log(1 + exp(-theta))", "mean": "5/(1 + exp(theta))",
@@ -271,9 +276,15 @@ def test_float_path_matches_array_path(fam, lo, hi, theta, step):
         with pytest.raises(DomainError, match=re.escape(str(exc).split(" at theta=")[0])):
             intrinsic_loss(fam, theta, delta)
         return
-    got = intrinsic_loss(fam, theta, delta)
+    arguments = []
+    spy = dataclasses.replace(
+        fam, log_norm=lambda th: arguments.append(th) or fam.log_norm(th))
+    got = intrinsic_loss(spy, theta, delta)
     assert type(got) is float
-    assert got.hex() == want.hex()
+    if fam is _BINOMIAL_TWIN and not any(type(a) is np.ndarray for a in arguments):
+        assert abs(got - want) <= 4 * RESOLUTION * want
+    else:
+        assert got.hex() == want.hex()
 
 
 def test_cancelling_log_norm_is_refused_at_a_named_pair():
