@@ -33,8 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .errors import DomainError, SpecificationError
 from .estimators import _corner_bayes, bayes_estimate, prgm_conjugate_box
 from .families import FamilySpec, mean_inverse, require_in_support
@@ -125,8 +123,8 @@ def connected_path_witness(fam: FamilySpec, box: PriorBox, x: float,
     require_in_support(fam, target_estimate, what="target_estimate")
     corners = box.corners()
     ests = _corner_bayes(fam, box, x)
-    i_min = int(np.argmin(ests))
-    i_max = int(np.argmax(ests))
+    i_min = min(range(len(ests)), key=ests.__getitem__)  # the first, on ties
+    i_max = max(range(len(ests)), key=ests.__getitem__)
     e_min, e_max = ests[i_min], ests[i_max]
     scale = max(1.0, abs(target_estimate))
 
@@ -193,6 +191,8 @@ def data_independent_alpha(fam: FamilySpec, box: PriorBox,
             "every observation in the grid collapses the box to a single "
             "Bayes action; the witness alpha is undetermined"
         )
+    import numpy as np
+
     alphas = np.asarray(alphas)
     return BayesianityCertificate(
         kind="data_independent",

@@ -16,10 +16,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import warnings
-
-import numpy as np
 
 from .bayesianity import connected_path_witness, data_independent_alpha
 from .errors import ConvergenceError, GMinimaxError, SpecificationError
@@ -196,8 +195,10 @@ def cmd_certify(args) -> dict:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise SpecificationError(f"bad --x-grid {args.x_grid!r}")
-    if n < 2 or not -np.inf < lo < hi < np.inf:
+    if n < 2 or not -math.inf < lo < hi < math.inf:
         raise SpecificationError("--x-grid needs finite lo < hi and n >= 2")
+    import numpy as np
+
     return data_independent_alpha(fam, box, np.linspace(lo, hi, n)).to_json_dict()
 
 
@@ -355,7 +356,8 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"gminimax: numeric error: {exc}", file=sys.stderr)
         return 3
-    except GMinimaxError as exc:  # every other error is a configuration error
+    except (GMinimaxError, Warning) as exc:  # every other error is a configuration
+        # error, and so is a warning that a filter turned into one
         print(f"gminimax: configuration error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -35,17 +35,18 @@ import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError, SpecificationError
 from .families import (
     FamilySpec,
+    _exp,
     _itp,
+    _log,
+    _log1p_exp,
     mean_inverse,
     require_in_support,
     support_grid,
 )
-from .losses import posterior_regret
+from .losses import _float_loss
 from .priors import (
     ConjugatePrior,
     PriorBox,
@@ -121,7 +122,9 @@ def prgm_from_bounds(fam: FamilySpec, d_lo: float, d_hi: float) -> EstimateRepor
 
     ``d_lo`` and ``d_hi`` must lie inside the support with
     ``d_lo <= d_hi``.  The answer is the ratio of two losses given in the
-    module docstring; collapsed bounds return the midpoint.
+    module docstring; collapsed bounds return the midpoint.  The bounds
+    are checked once, here, and the four losses take the float path
+    unchecked: the estimate lies between the bounds.
     """
     d_lo, d_hi = float(d_lo), float(d_hi)
     require_in_support(fam, d_lo, what="delta_lo")
@@ -134,15 +137,15 @@ def prgm_from_bounds(fam: FamilySpec, d_lo: float, d_hi: float) -> EstimateRepor
         return EstimateReport(0.5 * (d_lo + d_hi), d_lo, d_hi, 0.0, METHOD_CLOSED,
                               {"degenerate": True, "residual": 0.0})
 
-    down, up = posterior_regret(fam, [d_hi, d_lo], [d_lo, d_hi]).tolist()
+    down, up = _float_loss(fam, d_hi, d_lo), _float_loss(fam, d_lo, d_hi)
     total = down + up
     if not 0.0 < total < math.inf:
         raise DomainError(
             f"the regrets on [{d_lo}, {d_hi}] for {fam.name} sum to {total}, "
             "outside the float range; these bounds cannot be resolved")
     width = d_hi - d_lo
-    est = d_lo + width * (down / total)
-    r_lo, r_hi = posterior_regret(fam, [d_lo, d_hi], est).tolist()
+    est = min(d_lo + width * (down / total), d_hi)  # not an ulp past d_hi
+    r_lo, r_hi = _float_loss(fam, d_lo, est), _float_loss(fam, d_hi, est)
     residual = abs(r_lo - r_hi)
     # No float action equalizes closer than one ulp times the gap's slope.
     if residual > (EQUALIZE_TOL * max(1.0, r_lo, r_hi)
@@ -239,7 +242,7 @@ def make_transform(spec: str, fam: FamilySpec) -> Reparameterization:
             "reciprocal",
             forward=lambda th: 1.0 / th,
             inverse=lambda e: 1.0 / e,
-            log_abs_deriv=lambda th: -2.0 * np.log(th),
+            log_abs_deriv=lambda th: -2.0 * _log(th),
         )
     m = (-1.0,) if s == "log" else _match_call(s, "neg_log_over_a", 1)
     if m is not None:
@@ -249,9 +252,9 @@ def make_transform(spec: str, fam: FamilySpec) -> Reparameterization:
         _require_positive_support(fam, s)
         return Reparameterization(
             s if s == "log" else f"neg_log_over_a({a:g})",
-            forward=lambda th: -np.log(th) / a,
-            inverse=lambda e: np.exp(-a * e),
-            log_abs_deriv=lambda th: -math.log(abs(a)) - np.log(th),
+            forward=lambda th: -_log(th) / a,
+            inverse=lambda e: _exp(-a * e),
+            log_abs_deriv=lambda th: -math.log(abs(a)) - _log(th),
         )
     m = _match_call(s, "affine", 2)
     if m is not None:
@@ -262,14 +265,14 @@ def make_transform(spec: str, fam: FamilySpec) -> Reparameterization:
             f"affine({a:g},{b:g})",
             forward=lambda th: a * th + b,
             inverse=lambda e: (e - b) / a,
-            log_abs_deriv=lambda th: math.log(abs(a)) + 0.0 * np.asarray(th),
+            log_abs_deriv=lambda th: math.log(abs(a)) + 0.0 * th,
         )
     if s == "logit_to_p":
         return Reparameterization(
             "logit_to_p",
-            forward=lambda th: 1.0 / (1.0 + np.exp(th)),
-            inverse=lambda p: np.log((1.0 - p) / p),
-            log_abs_deriv=lambda th: -np.logaddexp(0.0, th) - np.logaddexp(0.0, -th),
+            forward=lambda th: 1.0 / (1.0 + _exp(th)),
+            inverse=lambda p: _log((1.0 - p) / p),
+            log_abs_deriv=lambda th: -_log1p_exp(th) - _log1p_exp(-th),
         )
     raise SpecificationError(
         f"unknown transform {spec!r}; catalog: reciprocal, log, "
@@ -298,6 +301,8 @@ def _match_call(s: str, name: str, n_args: int):
 
 def validate_transform(tr: Reparameterization, fam: FamilySpec) -> list[str]:
     """Round-trip and strict monotonicity checks on the working grid."""
+    import numpy as np
+
     grid = support_grid(fam)
     problems = []
     fwd = np.asarray(tr.forward(grid), dtype=float)
@@ -374,9 +379,13 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
         return EstimateReport(0.5 * (e_lo + e_hi), e_lo, e_hi, 0.0, METHOD_ROOT,
                               {"transform": tr.label, "degenerate": True})
 
-    def gap(d: float) -> float:  # d is pulled back once
+    for t in (t_lo, t_hi):
+        require_in_support(fam, t, what="pulled-back bound")
+
+    def gap(d: float) -> float:  # d is pulled back, and checked, once
         theta = float(tr.inverse(d))
-        return posterior_regret(fam, t_hi, theta) - posterior_regret(fam, t_lo, theta)
+        require_in_support(fam, theta, what="pulled-back action")
+        return _float_loss(fam, t_hi, theta) - _float_loss(fam, t_lo, theta)
 
     g_lo, g_hi = gap(e_lo), gap(e_hi)
     if not g_lo >= 0 >= g_hi:
@@ -386,7 +395,8 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
         )
     est, evaluations = _itp(gap, e_lo, e_hi, g_lo, g_hi, 1e-15 * scale)
     theta = float(tr.inverse(est))
-    r_lo, r_hi = posterior_regret(fam, t_lo, theta), posterior_regret(fam, t_hi, theta)
+    require_in_support(fam, theta, what="pulled-back action")
+    r_lo, r_hi = _float_loss(fam, t_lo, theta), _float_loss(fam, t_hi, theta)
     return EstimateReport(
         estimate=est,
         delta_lo=e_lo,

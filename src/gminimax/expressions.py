@@ -22,8 +22,6 @@ import ast
 import math
 import re
 
-import numpy as np
-
 from .errors import SpecificationError
 from .families import FamilySpec, validate_family
 
@@ -36,9 +34,10 @@ _BINARY_AST = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow:
 
 _FUNCTIONS = ("exp", "log")
 _OPERATORS = {symbol: op for op, symbol in _BINARY_AST.items() if symbol != "^"}
-# What each compiled body calls, under names that no variable can take.
-_GLOBALS = {"__builtins__": {}, "np.exp": np.exp, "np.log": np.log, "np.power": np.power,
-            "math.exp": math.exp, "math.log": math.log, "math.pow": math.pow}
+# What each compiled body calls, under names that no variable can take;
+# numpy's three join at the first compile (see ``_compiled``).
+_GLOBALS = {"__builtins__": {}, "math.exp": math.exp, "math.log": math.log,
+            "math.pow": math.pow}
 _POWER = {"np": "np.power", "math": "math.pow"}
 # What the float body raises where the array body returns inf or nan.
 _MATH_REFUSALS = (OverflowError, ValueError, ZeroDivisionError)
@@ -82,6 +81,8 @@ class Expression:
                 return self._float(float(value))
             except _MATH_REFUSALS:
                 pass
+        import numpy as np
+
         return self._array(np.asarray(value, dtype=float)[()])
 
     def _call_keywords(self, value, env):
@@ -103,6 +104,8 @@ class Expression:
                 return self._float(*[float(v) for v in values])
             except _MATH_REFUSALS:
                 pass
+        import numpy as np
+
         return self._array(*[np.asarray(v, dtype=float)[()] for v in values])
 
     def __repr__(self):
@@ -126,6 +129,10 @@ def _python(node, lib: str) -> ast.expr:
 def _compiled(tree, names, lib: str):
     """The tree compiled to a Python function of ``names``, in that order,
     over ``lib``'s functions (see ``_python``)."""
+    if "np.exp" not in _GLOBALS:
+        import numpy as np
+
+        _GLOBALS.update({"np.exp": np.exp, "np.log": np.log, "np.power": np.power})
     params = ast.arguments(posonlyargs=[], args=[ast.arg(n) for n in names],
                            kwonlyargs=[], kw_defaults=[], defaults=[])
     body = ast.Lambda(params, _python(tree, lib))
@@ -143,6 +150,8 @@ def _fold(node):
         return node
     # The array body on Python floats: inf and nan as an array call would
     # give, but a literal division by zero raises ZeroDivisionError.
+    import numpy as np
+
     with np.errstate(all="ignore"):
         return ("num", float(_compiled(node, [], "np")()))
 

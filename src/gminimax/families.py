@@ -37,11 +37,12 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import ConvergenceError, DomainError, ProprietyError, SpecificationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["FamilySpec", "builtin_family", "fisher_info", "mean_inverse",
            "validate_family"]
@@ -89,6 +90,11 @@ class FamilySpec:
     holding anything else convert it first.  Each returns its argument's
     shape, constant or not (a config ``mean_deriv`` of ``"-1"`` works as
     written): a scalar for a float, an array of that shape for an array.
+    A built-in mapping computes a Python float (an ``np.float64`` too)
+    with ``math`` and returns a Python float, so the closed-form path
+    never loads numpy; an array goes through numpy.  ``math`` and numpy
+    may round ``exp`` and ``log`` differently in the last place, so a
+    mapping's float value may differ from its array value there.
     """
 
     name: str
@@ -128,6 +134,8 @@ def require_in_support(fam: FamilySpec, theta: float, what: str = "theta") -> No
     if isinstance(theta, float):
         ok = lo < theta < hi  # nan and +-inf fail too
     else:
+        import numpy as np
+
         th = np.asarray(theta, dtype=float)
         ok = ((th > lo) & (th < hi)).all()
     if not ok:
@@ -173,22 +181,35 @@ def interval_grid(lo: float, hi: float, n: int, cap: float) -> np.ndarray:
         a += max(pad, 1e-9 * (b - a))
     if math.isfinite(hi):
         b -= max(pad, 1e-9 * (b - a))
+    import numpy as np
+
     return np.linspace(a, b, n)
 
 
 def fisher_info(fam: FamilySpec, theta):
-    """Fisher information: the negated derivative of the mean function."""
+    """Fisher information: the negated derivative of the mean function.
+    A float gives a Python float, an array an array."""
     require_in_support(fam, theta)
-    th = theta if isinstance(theta, float) else np.asarray(theta, dtype=float)
+    if isinstance(theta, float):
+        info = -float(fam.mean_deriv(float(theta)))
+        if 0.0 < info < math.inf:
+            return info
+        raise _not_decreasing(fam, float(theta))
+    import numpy as np
+
+    th = np.asarray(theta, dtype=float)
     info = -np.asarray(fam.mean_deriv(th), dtype=float)
     ok = (info > 0.0) & (info < np.inf)
     if not ok.all():
-        raise SpecificationError(
-            f"family {fam.name} reports non-positive Fisher information at "
-            f"theta={float(np.asarray(th)[~ok][0])!r}; its mean function is not "
-            "strictly decreasing there"
-        )
-    return float(info) if np.ndim(theta) == 0 else info
+        raise _not_decreasing(fam, float(th[~ok][0]))
+    return float(info) if th.ndim == 0 else info
+
+
+def _not_decreasing(fam: FamilySpec, theta: float) -> SpecificationError:
+    """The refusal of a Fisher information that is not positive and finite."""
+    return SpecificationError(
+        f"family {fam.name} reports non-positive Fisher information at "
+        f"theta={theta!r}; its mean function is not strictly decreasing there")
 
 
 def _initial_point(fam: FamilySpec) -> float:
@@ -333,6 +354,8 @@ def jeffreys_shift_residual(fam: FamilySpec) -> float:
     """
     if fam.jeffreys_shift is None:
         raise SpecificationError(f"family {fam.name} declares no Jeffreys shift")
+    import numpy as np
+
     a, b = fam.jeffreys_shift
     grid = support_grid(fam)
     g = (0.5 * np.log(fisher_info(fam, grid))
@@ -340,7 +363,6 @@ def jeffreys_shift_residual(fam: FamilySpec) -> float:
     return float(np.std(g))
 
 
-@np.errstate(all="ignore")  # a refusal lists its problems, with no numpy warnings
 def validate_family(fam: FamilySpec) -> list[str]:
     """Spot-check the structural requirements on the working grid.
 
@@ -350,47 +372,51 @@ def validate_family(fam: FamilySpec) -> list[str]:
     config has that shape.  Checks: mean strictly decreasing (a constant
     mean is refused), mean_deriv negative and consistent with a finite
     difference of mean, mean consistent with a finite difference of
-    log_norm, inverse round-trip, and the declared Jeffreys shift.
+    log_norm, inverse round-trip, and the declared Jeffreys shift.  A
+    refusal lists its problems, with no numpy warnings.
     """
-    grid = support_grid(fam)
-    mean_vals = np.asarray(fam.mean(grid), dtype=float)
-    deriv = np.asarray(fam.mean_deriv(grid), dtype=float)
-    for name, vals in (("mean", mean_vals), ("mean_deriv", deriv)):
-        if vals.shape != grid.shape:
-            return [f"{name} returns shape {vals.shape} on a grid of shape {grid.shape}"]
+    import numpy as np
 
-    problems: list[str] = []
-    if not np.all(np.diff(mean_vals) < 0):
-        problems.append("mean function is not strictly decreasing on the working grid")
-    if not np.all(deriv < 0):
-        problems.append("mean_deriv is not strictly negative on the working grid")
+    with np.errstate(all="ignore"):
+        grid = support_grid(fam)
+        mean_vals = np.asarray(fam.mean(grid), dtype=float)
+        deriv = np.asarray(fam.mean_deriv(grid), dtype=float)
+        for name, vals in (("mean", mean_vals), ("mean_deriv", deriv)):
+            if vals.shape != grid.shape:
+                return [f"{name} returns shape {vals.shape} on a grid of shape {grid.shape}"]
 
-    h = 1e-6 * np.maximum(1.0, np.abs(grid))
-    inner = (grid - h > fam.support[0]) & (grid + h < fam.support[1])
-    g, hh = grid[inner], h[inner]
-    for f, df, name, of in ((fam.mean, deriv, "mean_deriv", "mean"),
-                            (fam.log_norm, mean_vals, "mean", "log_norm")):
-        fd = (np.asarray(f(g + hh)) - np.asarray(f(g - hh))) / (2 * hh)
-        scale = np.maximum(1.0, np.abs(df[inner]))
-        if not np.all(np.abs(fd - df[inner]) <= 1e-4 * scale):
-            problems.append(f"{name} disagrees with a finite difference of {of}")
+        problems: list[str] = []
+        if not np.all(np.diff(mean_vals) < 0):
+            problems.append("mean function is not strictly decreasing on the working grid")
+        if not np.all(deriv < 0):
+            problems.append("mean_deriv is not strictly negative on the working grid")
 
-    if fam.mean_inv is not None:
-        back = np.array([float(fam.mean_inv(v)) for v in mean_vals])
-        if not np.allclose(back, grid, rtol=1e-9, atol=1e-9):
-            problems.append("mean_inv does not invert mean on the working grid")
+        h = 1e-6 * np.maximum(1.0, np.abs(grid))
+        inner = (grid - h > fam.support[0]) & (grid + h < fam.support[1])
+        g, hh = grid[inner], h[inner]
+        for f, df, name, of in ((fam.mean, deriv, "mean_deriv", "mean"),
+                                (fam.log_norm, mean_vals, "mean", "log_norm")):
+            fd = (np.asarray(f(g + hh)) - np.asarray(f(g - hh))) / (2 * hh)
+            scale = np.maximum(1.0, np.abs(df[inner]))
+            if not np.all(np.abs(fd - df[inner]) <= 1e-4 * scale):
+                problems.append(f"{name} disagrees with a finite difference of {of}")
 
-    if fam.jeffreys_shift is not None:
-        try:
-            sd = jeffreys_shift_residual(fam)
-        except SpecificationError as exc:
-            problems.append(str(exc))
-        else:
-            if sd > 1e-8:
-                problems.append(
-                    f"declared Jeffreys shift is not constant (sd={sd:.3e})"
-                )
-    return problems
+        if fam.mean_inv is not None:
+            back = np.array([float(fam.mean_inv(v)) for v in mean_vals])
+            if not np.allclose(back, grid, rtol=1e-9, atol=1e-9):
+                problems.append("mean_inv does not invert mean on the working grid")
+
+        if fam.jeffreys_shift is not None:
+            try:
+                sd = jeffreys_shift_residual(fam)
+            except SpecificationError as exc:
+                problems.append(str(exc))
+            else:
+                if sd > 1e-8:
+                    problems.append(
+                        f"declared Jeffreys shift is not constant (sd={sd:.3e})"
+                    )
+        return problems
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +428,14 @@ def _normal_family() -> FamilySpec:
     return FamilySpec(
         name="normal_mean_unitvar",
         support=(-math.inf, math.inf),
-        log_norm=lambda th: -0.5 * np.square(th),
+        log_norm=lambda th: -0.5 * (th * th),
         mean=lambda th: -th,
-        mean_deriv=lambda th: np.full_like(th, -1.0),
+        mean_deriv=lambda th: _full(th, -1.0),
         stat=lambda x: -x,
         mean_inv=lambda t: -t,
         mean_range=(-math.inf, math.inf),
         jeffreys_shift=(0.0, 0.0),
-        log_carrier=lambda x: -0.5 * np.square(x) - 0.5 * math.log(2.0 * math.pi),
+        log_carrier=lambda x: -0.5 * (x * x) - 0.5 * math.log(2.0 * math.pi),
         sample_space=(-math.inf, math.inf, False),
         propriety=((1.0, 0.0, 0.0, True),),  # prior N(-lambda/alpha, 1/alpha)
     )
@@ -420,40 +446,105 @@ def _exponential_family() -> FamilySpec:
     return FamilySpec(
         name="exponential_rate",
         support=(0.0, math.inf),
-        log_norm=lambda th: np.log(th),
+        log_norm=lambda th: _log(th),
         mean=lambda th: 1.0 / th,
-        mean_deriv=lambda th: -1.0 / np.square(th),
+        mean_deriv=lambda th: -_recip(th * th),
         stat=lambda x: x,
         mean_inv=lambda t: 1.0 / t,
         mean_range=(0.0, math.inf),
         jeffreys_shift=(-1.0, 0.0),
-        log_carrier=lambda x: np.zeros_like(x),
+        log_carrier=lambda x: _full(x, 0.0),
         sample_space=(0.0, math.inf, False),
         # prior Gamma(alpha + 1, rate lambda)
         propriety=((1.0, 0.0, 1.0, True), (0.0, 1.0, 0.0, True)),
     )
 
 
+# The functions the built-in mappings and catalog transforms are written
+# over.  A Python float (an np.float64 too) is computed with math and gives
+# a Python float, with numpy's inf or nan, and no warning, where math would
+# raise; anything else is an array, computed with numpy (imported here, on
+# first use), whose exp and log may round otherwise in the last place.
+
+_LOG2 = math.log(2.0)
+
+
+def _exp(t):
+    """``exp``: an overflow is inf."""
+    if isinstance(t, float):
+        try:
+            return math.exp(t)
+        except OverflowError:
+            return math.inf
+    import numpy as np
+
+    return np.exp(t)
+
+
+def _log(t):
+    """``log``: 0 gives -inf, a negative number nan."""
+    if isinstance(t, float):
+        if t > 0.0 or t != t:
+            return math.log(t)
+        return -math.inf if t == 0.0 else math.nan
+    import numpy as np
+
+    return np.log(t)
+
+
+def _log1p_exp(t):
+    """``log(1 + exp(t))``, numpy's ``logaddexp(0, t)`` and its branches:
+    no exponential that can overflow is taken."""
+    if isinstance(t, float):
+        if t == 0.0:
+            return _LOG2
+        if t < 0.0:
+            return math.log1p(math.exp(t))
+        return t + math.log1p(math.exp(-t))  # nan too
+    import numpy as np
+
+    return np.logaddexp(0.0, t)
+
+
+def _recip(t):
+    """``1/t``: 1/0 is inf, where Python's float division would raise."""
+    if isinstance(t, float) and t == 0.0:
+        return math.copysign(math.inf, t)
+    return 1.0 / t
+
+
+def _full(t, value: float):
+    """``value`` in the shape of ``t``."""
+    if isinstance(t, float):
+        return value
+    import numpy as np
+
+    return np.full_like(t, value)
+
+
 def expit(t):
     """Logistic sigmoid ``1/(1+exp(-t))``.
 
     The formula of ``scipy.special.expit``, written out here so that the
-    closed-form path never imports scipy (cold start).  Scalars go
+    closed-form path never imports scipy (cold start).  A float goes
     through ``math.exp``, which rounds like scipy's C ``exp``: the result
     is bitwise equal to scipy's.  Arrays go through ``np.exp`` and may
     differ from scipy in the last place.
     """
-    if np.ndim(t) == 0:
-        try:
-            return np.float64(1.0 / (1.0 + math.exp(-float(t))))
-        except OverflowError:
-            return np.float64(0.0)
+    if isinstance(t, float):
+        return 1.0 / (1.0 + _exp(-t))
+    import numpy as np
+
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-np.asarray(t, dtype=float)))
 
 
 def _lgamma(x):
     """log Gamma, elementwise: the log factorials in the count carriers."""
+    if isinstance(x, float):
+        return math.lgamma(x)
+    import numpy as np
+
     return np.fromiter(map(math.lgamma, np.ravel(x).tolist()), float).reshape(np.shape(x))
 
 
@@ -472,7 +563,7 @@ def _binomial_family(n: int) -> FamilySpec:
     return FamilySpec(
         name=f"binomial_logit({n})",
         support=(-math.inf, math.inf),
-        log_norm=lambda th: -nf * np.logaddexp(0.0, -th),
+        log_norm=lambda th: -nf * _log1p_exp(-th),
         mean=lambda th: nf * expit(-th),
         mean_deriv=lambda th: -nf * expit(th) * expit(-th),
         stat=lambda x: x,
@@ -499,9 +590,9 @@ def _poisson_family() -> FamilySpec:
     return FamilySpec(
         name="poisson_neglograte",
         support=(-math.inf, math.inf),
-        log_norm=lambda th: -np.exp(-th),
-        mean=lambda th: np.exp(-th),
-        mean_deriv=lambda th: -np.exp(-th),
+        log_norm=lambda th: -_exp(-th),
+        mean=lambda th: _exp(-th),
+        mean_deriv=lambda th: -_exp(-th),
         stat=lambda x: x,
         mean_inv=lambda t: -math.log(t),
         mean_range=(0.0, math.inf),

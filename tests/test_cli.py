@@ -711,6 +711,30 @@ class TestFamilyFile:
             f"gminimax: warning: family my_exp has no propriety predicate; {warning}"]
         assert json.loads(proc.stdout)["estimate"] > 0
 
+    @pytest.mark.parametrize("cfg,argv,message", [
+        (dict(name="my_exp", support=[0, None], log_norm="log(theta)",
+              mean_range=[0, None], jeffreys_shift=[-1, 0]),
+         ["bayes", "--x", "2", "--prior", "a=1,l=1"],
+         "family my_exp has no propriety predicate; accepting (alpha=1.0, "
+         "lambda=1.0) unchecked"),
+        # math refuses exp(800) in the float body; numpy's body warns.
+        (dict(name="pois", support=[None, None], log_norm="-exp(-theta)"),
+         ["loss", "--theta", "-800", "--delta", "1"],
+         "overflow encountered in exp"),
+    ], ids=["unchecked_prior", "float_body_fallback"])
+    def test_a_warning_raised_as_an_error_exits_2_in_one_stderr_line(
+            self, tmp_path, cfg, argv, message):
+        import os
+
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gminimax", argv[0], "--family-file", str(path),
+             *argv[1:]], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONWARNINGS": "error"})
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines() == [f"gminimax: configuration error: {message}"]
+
     @pytest.mark.parametrize("argv", [
         ["iprgm", "--x", "2", "--box", "a=1:3,l=1:2"],
         ["bayes", "--x", "2", "--prior", "a=1,l=1", "--flavor", "jcp"],
@@ -864,31 +888,48 @@ import contextlib, io, json, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+def numpy_loaded():
+    return "numpy" in sys.modules
+
 import gminimax
 from gminimax.cli import main
 after_import = scipy_modules()
-def polynomial_modules():
-    return sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))
-polynomial = polynomial_modules()
-commands = [
+numpy_after_import = numpy_loaded()
+closed_form = [
     ["bayes", "--family", "exponential", "--x", "2", "--prior", "a=2,l=1"],
     ["prgm", "--family", "exponential", "--x", "2", "--box", "a=1:3,l=1:2"],
     ["prgm", "--family", "binomial_logit(5)", "--bounds=-0.5:0.25"],
     ["iprgm", "--family", "exponential", "--x", "3", "--box", "a=1:3,l=1:2",
      "--transform", "reciprocal"],
+    ["iprgm", "--family", "binomial_logit(5)", "--x", "3", "--box", "a=4:6,l=1:2",
+     "--transform", "logit_to_p"],
     ["loss", "--family", "binomial_logit(5)", "--theta", "0.3", "--delta", "-0.4"],
+    # the closed form cancels: the 16-point rule integrates, on floats
+    ["loss", "--family", "exponential", "--theta", "100", "--delta", "100.00001"],
     ["certify", "--family", "normal", "--x", "0.7", "--box", "a=1:3,l=-0.5:0.5"],
-    ["regret-curve", "--family", "exponential", "--x", "2", "--box", "a=1:3,l=1:2",
-     "--grid-n", "50"],
 ]
-codes = []
-for argv in commands:
+codes, numpy_after_command = [], []
+for argv in closed_form:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
+    numpy_after_command.append(numpy_loaded())
+rule = gminimax.losses._kl_rule.cache_info()
+gminimax.prgm_from_bounds(gminimax.builtin_family("exponential"), 1.0, 1.0 + 1e-9)
+rule_in_bounds = gminimax.losses._kl_rule.cache_info().hits > rule.hits
+numpy_after_bounds = numpy_loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(main(["regret-curve", "--family", "exponential", "--x", "2",
+                       "--box", "a=1:3,l=1:2", "--grid-n", "50"]))
+numpy_after_curve = numpy_loaded()
 after_cli = scipy_modules()
-# integrated, since the closed form cancels, without loading numpy.polynomial
-gminimax.intrinsic_loss(gminimax.builtin_family("exponential"), 100.0, 100.00001)
-polynomial += polynomial_modules()
+# integrated on an array, since the closed form cancels, without loading
+# numpy.polynomial
+def polynomial_modules():
+    return sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))
+import numpy as np
+gminimax.intrinsic_loss(gminimax.builtin_family("exponential"), np.array([100.0]),
+                        np.array([100.00001]))
+polynomial = polynomial_modules()
 
 from gminimax import (builtin_family, conjugate_prior, kl_quadrature,
                       predictive_mean_quadrature)
@@ -902,6 +943,11 @@ after_kl = scipy_modules()
 fam = builtin_family("exponential")
 pm = predictive_mean_quadrature(fam, conjugate_prior(fam, 2.0, 1.0), 1.5)
 print(json.dumps(dict(after_import=after_import, polynomial=polynomial,
+                      numpy_after_import=numpy_after_import,
+                      numpy_after_command=numpy_after_command,
+                      rule_in_bounds=rule_in_bounds,
+                      numpy_after_bounds=numpy_after_bounds,
+                      numpy_after_curve=numpy_after_curve,
                       after_cli=after_cli, codes=codes,
                       after_sums=after_sums, after_kl=after_kl, kl=kl, pm=pm,
                       scipy_loaded=bool(scipy_modules()))))
@@ -924,15 +970,22 @@ def _run_with_package(script, cwd):
 
 
 def test_closed_form_path_imports_no_scipy(tmp_path):
-    """numpy is the only scientific import, also once quadrature and the
-    oracles run; the loss integrates near the diagonal without loading
+    """The closed-form commands, and an equalizer whose losses take the
+    near-diagonal rule, load no numpy; ``regret-curve`` loads it.  numpy
+    is the only scientific import, also once quadrature and the oracles
+    run; the array loss integrates near the diagonal without loading
     numpy.polynomial."""
     proc = _run_with_package(_COLD_START_SCRIPT, tmp_path)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["after_import"] == []
+    assert got["numpy_after_import"] is False
+    assert got["numpy_after_command"] == [False] * 8
+    assert got["rule_in_bounds"] is True
+    assert got["numpy_after_bounds"] is False
+    assert got["numpy_after_curve"] is True
     assert got["polynomial"] == []
-    assert got["codes"] == [0] * 7
+    assert got["codes"] == [0] * 9
     assert got["after_cli"] == []
     # The KL oracle sums the count families and integrates on intervals,
     # and the posterior mean integrates, all without scipy.
