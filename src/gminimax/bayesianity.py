@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 
 from .errors import DomainError, SpecificationError
 from .estimators import _corner_bayes, bayes_estimate, prgm_conjugate_box
-from .families import FamilySpec, mean_inverse, require_in_support
+from .families import FamilySpec, mean_inverse, np, require_in_support
 from .priors import (
     ConjugatePrior,
     MixturePath,
@@ -191,8 +191,6 @@ def data_independent_alpha(fam: FamilySpec, box: PriorBox,
             "every observation in the grid collapses the box to a single "
             "Bayes action; the witness alpha is undetermined"
         )
-    import numpy as np
-
     alphas = np.asarray(alphas)
     return BayesianityCertificate(
         kind="data_independent",

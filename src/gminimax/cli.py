@@ -31,7 +31,7 @@ from .estimators import (
     transport,
 )
 from .expressions import family_from_config
-from .families import FamilySpec, builtin_family
+from .families import FamilySpec, builtin_family, np
 from .losses import intrinsic_loss
 from .oracle import regret_curve
 from .priors import PriorBox, conjugate_prior, prior_box
@@ -197,8 +197,6 @@ def cmd_certify(args) -> dict:
         raise SpecificationError(f"bad --x-grid {args.x_grid!r}")
     if n < 2 or not -math.inf < lo < hi < math.inf:
         raise SpecificationError("--x-grid needs finite lo < hi and n >= 2")
-    import numpy as np
-
     return data_independent_alpha(fam, box, np.linspace(lo, hi, n)).to_json_dict()
 
 

@@ -43,6 +43,7 @@ from .families import (
     _log,
     _log1p_exp,
     mean_inverse,
+    np,
     require_in_support,
     support_grid,
 )
@@ -301,8 +302,6 @@ def _match_call(s: str, name: str, n_args: int):
 
 def validate_transform(tr: Reparameterization, fam: FamilySpec) -> list[str]:
     """Round-trip and strict monotonicity checks on the working grid."""
-    import numpy as np
-
     grid = support_grid(fam)
     problems = []
     fwd = np.asarray(tr.forward(grid), dtype=float)

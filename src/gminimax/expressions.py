@@ -23,7 +23,7 @@ import math
 import re
 
 from .errors import SpecificationError
-from .families import FamilySpec, validate_family
+from .families import FamilySpec, np, validate_family
 
 __all__ = ["Expression", "family_from_config"]
 
@@ -35,7 +35,7 @@ _BINARY_AST = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow:
 _FUNCTIONS = ("exp", "log")
 _OPERATORS = {symbol: op for op, symbol in _BINARY_AST.items() if symbol != "^"}
 # What each compiled body calls, under names that no variable can take;
-# numpy's three join at the first compile (see ``_compiled``).
+# numpy's three join at the first compile, whose read of ``np`` loads numpy.
 _GLOBALS = {"__builtins__": {}, "math.exp": math.exp, "math.log": math.log,
             "math.pow": math.pow}
 _POWER = {"np": "np.power", "math": "math.pow"}
@@ -81,8 +81,6 @@ class Expression:
                 return self._float(float(value))
             except _MATH_REFUSALS:
                 pass
-        import numpy as np
-
         return self._array(np.asarray(value, dtype=float)[()])
 
     def _call_keywords(self, value, env):
@@ -104,8 +102,6 @@ class Expression:
                 return self._float(*[float(v) for v in values])
             except _MATH_REFUSALS:
                 pass
-        import numpy as np
-
         return self._array(*[np.asarray(v, dtype=float)[()] for v in values])
 
     def __repr__(self):
@@ -130,8 +126,6 @@ def _compiled(tree, names, lib: str):
     """The tree compiled to a Python function of ``names``, in that order,
     over ``lib``'s functions (see ``_python``)."""
     if "np.exp" not in _GLOBALS:
-        import numpy as np
-
         _GLOBALS.update({"np.exp": np.exp, "np.log": np.log, "np.power": np.power})
     params = ast.arguments(posonlyargs=[], args=[ast.arg(n) for n in names],
                            kwonlyargs=[], kw_defaults=[], defaults=[])
@@ -150,8 +144,6 @@ def _fold(node):
         return node
     # The array body on Python floats: inf and nan as an array call would
     # give, but a literal division by zero raises ZeroDivisionError.
-    import numpy as np
-
     with np.errstate(all="ignore"):
         return ("num", float(_compiled(node, [], "np")()))
 
@@ -298,7 +290,10 @@ def _number(v, key: str, unbounded: float | None = None) -> float:
         if isinstance(v, str) and v.strip().lower() in _INFINITIES:
             return _INFINITIES[v.strip().lower()]
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
+        try:
+            return float(v)
+        except OverflowError:  # an integer past the largest float
+            pass
     if unbounded is None:
         raise SpecificationError(f"bad {key} entry {v!r}; expected a number")
     raise SpecificationError(

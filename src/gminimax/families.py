@@ -37,12 +37,9 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .errors import ConvergenceError, DomainError, ProprietyError, SpecificationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["FamilySpec", "builtin_family", "fisher_info", "mean_inverse",
            "validate_family"]
@@ -92,9 +89,10 @@ class FamilySpec:
     written): a scalar for a float, an array of that shape for an array.
     A built-in mapping computes a Python float (an ``np.float64`` too)
     with ``math`` and returns a Python float, so the closed-form path
-    never loads numpy; an array goes through numpy.  ``math`` and numpy
-    may round ``exp`` and ``log`` differently in the last place, so a
-    mapping's float value may differ from its array value there.
+    never loads numpy; an array goes through numpy, read from the ``np``
+    handle, which loads numpy at its first attribute read.  ``math`` and
+    numpy may round ``exp`` and ``log`` differently in the last place, so
+    a mapping's float value may differ from its array value there.
     """
 
     name: str
@@ -117,8 +115,16 @@ class FamilySpec:
             raise SpecificationError(
                 f"support must be an interval with lo < hi, got {self.support}"
             )
-        if self.obs_units <= 0:
-            raise SpecificationError("obs_units must be positive")
+        if self.mean_range is not None and not self.mean_range[0] < self.mean_range[1]:
+            raise SpecificationError(
+                f"mean_range must be an interval with lo < hi, got {self.mean_range}")
+        shift = self.jeffreys_shift
+        if shift is not None and not all(map(math.isfinite, shift)):
+            raise SpecificationError(
+                f"jeffreys_shift must be two finite numbers, got {shift}")
+        if not 0 < self.obs_units < math.inf:
+            raise SpecificationError(
+                f"obs_units must be positive and finite, got {self.obs_units}")
         if self.propriety is not None and self.sample_space is None:
             raise SpecificationError(f"{self.name}: propriety rows need a sample space")
 
@@ -134,8 +140,6 @@ def require_in_support(fam: FamilySpec, theta: float, what: str = "theta") -> No
     if isinstance(theta, float):
         ok = lo < theta < hi  # nan and +-inf fail too
     else:
-        import numpy as np
-
         th = np.asarray(theta, dtype=float)
         ok = ((th > lo) & (th < hi)).all()
     if not ok:
@@ -181,8 +185,6 @@ def interval_grid(lo: float, hi: float, n: int, cap: float) -> np.ndarray:
         a += max(pad, 1e-9 * (b - a))
     if math.isfinite(hi):
         b -= max(pad, 1e-9 * (b - a))
-    import numpy as np
-
     return np.linspace(a, b, n)
 
 
@@ -195,8 +197,6 @@ def fisher_info(fam: FamilySpec, theta):
         if 0.0 < info < math.inf:
             return info
         raise _not_decreasing(fam, float(theta))
-    import numpy as np
-
     th = np.asarray(theta, dtype=float)
     info = -np.asarray(fam.mean_deriv(th), dtype=float)
     ok = (info > 0.0) & (info < np.inf)
@@ -354,8 +354,6 @@ def jeffreys_shift_residual(fam: FamilySpec) -> float:
     """
     if fam.jeffreys_shift is None:
         raise SpecificationError(f"family {fam.name} declares no Jeffreys shift")
-    import numpy as np
-
     a, b = fam.jeffreys_shift
     grid = support_grid(fam)
     g = (0.5 * np.log(fisher_info(fam, grid))
@@ -375,8 +373,6 @@ def validate_family(fam: FamilySpec) -> list[str]:
     log_norm, inverse round-trip, and the declared Jeffreys shift.  A
     refusal lists its problems, with no numpy warnings.
     """
-    import numpy as np
-
     with np.errstate(all="ignore"):
         grid = support_grid(fam)
         mean_vals = np.asarray(fam.mean(grid), dtype=float)
@@ -412,7 +408,7 @@ def validate_family(fam: FamilySpec) -> list[str]:
             except SpecificationError as exc:
                 problems.append(str(exc))
             else:
-                if sd > 1e-8:
+                if not sd <= 1e-8:  # nan too
                     problems.append(
                         f"declared Jeffreys shift is not constant (sd={sd:.3e})"
                     )
@@ -460,11 +456,30 @@ def _exponential_family() -> FamilySpec:
     )
 
 
+class _Numpy:
+    """numpy, imported at the first attribute read: the package's one
+    import of it, which every module reads as ``np``.  Each attribute read
+    is stored on the handle, so later reads never reach ``__getattr__``.
+    A name that starts with ``_`` is refused without loading numpy: tools
+    probe objects for such names (``inspect.unwrap`` reads ``__wrapped__``)."""
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _Numpy()
+
 # The functions the built-in mappings and catalog transforms are written
 # over.  A Python float (an np.float64 too) is computed with math and gives
 # a Python float, with numpy's inf or nan, and no warning, where math would
-# raise; anything else is an array, computed with numpy (imported here, on
-# first use), whose exp and log may round otherwise in the last place.
+# raise; anything else is an array, computed with numpy (``np``, loaded at
+# its first read), whose exp and log may round otherwise in the last place.
 
 _LOG2 = math.log(2.0)
 
@@ -476,8 +491,6 @@ def _exp(t):
             return math.exp(t)
         except OverflowError:
             return math.inf
-    import numpy as np
-
     return np.exp(t)
 
 
@@ -487,8 +500,6 @@ def _log(t):
         if t > 0.0 or t != t:
             return math.log(t)
         return -math.inf if t == 0.0 else math.nan
-    import numpy as np
-
     return np.log(t)
 
 
@@ -501,8 +512,6 @@ def _log1p_exp(t):
         if t < 0.0:
             return math.log1p(math.exp(t))
         return t + math.log1p(math.exp(-t))  # nan too
-    import numpy as np
-
     return np.logaddexp(0.0, t)
 
 
@@ -517,8 +526,6 @@ def _full(t, value: float):
     """``value`` in the shape of ``t``."""
     if isinstance(t, float):
         return value
-    import numpy as np
-
     return np.full_like(t, value)
 
 
@@ -533,8 +540,6 @@ def expit(t):
     """
     if isinstance(t, float):
         return 1.0 / (1.0 + _exp(-t))
-    import numpy as np
-
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-np.asarray(t, dtype=float)))
 
@@ -543,8 +548,6 @@ def _lgamma(x):
     """log Gamma, elementwise: the log factorials in the count carriers."""
     if isinstance(x, float):
         return math.lgamma(x)
-    import numpy as np
-
     return np.fromiter(map(math.lgamma, np.ravel(x).tolist()), float).reshape(np.shape(x))
 
 

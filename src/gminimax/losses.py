@@ -21,7 +21,7 @@ import sys
 from functools import cache
 
 from .errors import DomainError, SpecificationError
-from .families import FamilySpec, fisher_info, require_in_support
+from .families import FamilySpec, fisher_info, np, require_in_support
 
 __all__ = ["intrinsic_loss", "posterior_regret"]
 
@@ -111,8 +111,6 @@ def _float_loss(fam: FamilySpec, th: float, de: float) -> float:
 
 def _array_loss(fam: FamilySpec, theta, delta):
     """``intrinsic_loss`` on arrays, without the support check."""
-    import numpy as np
-
     th = np.asarray(theta, dtype=float)
     de = np.asarray(delta, dtype=float)
     with np.errstate(all="ignore"):
@@ -160,8 +158,6 @@ def _refuse_underflow(fam: FamilySpec, theta, delta, nodes) -> None:
     at a node while the mean moves between theta and delta by less than
     the smallest normal float times their distance: the information
     underflowed there, and the family is not at fault."""
-    import numpy as np
-
     moved = np.abs(np.asarray(fam.mean(delta)) - np.asarray(fam.mean(theta)))
     lost = ((fam.mean_deriv(nodes) == 0.0).any(axis=1) & (moved > 0.0)
             & (moved < _TINY * np.abs(delta - theta)))

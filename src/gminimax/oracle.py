@@ -32,15 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import DomainError, SpecificationError
-from .families import FamilySpec, _exp, interior_clamp, mean_inverse, require_in_support
+from .families import FamilySpec, _exp, interior_clamp, mean_inverse, np, require_in_support
 from .losses import RESOLUTION, ROUNDOFF, posterior_regret
 from .priors import PriorBox, _peak_integrals, _predictive_means, require_same_family
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "OracleResult",
@@ -79,8 +76,6 @@ def _lattice_estimates(fam: FamilySpec, box: PriorBox, x: float) -> np.ndarray:
     """The distinct Bayes actions, sorted, of the N_CORNER x N_CORNER
     lattice of the box.  Their closed-form predictive means come from one
     pass over the box, whose corners bound the propriety of every point."""
-    import numpy as np
-
     require_same_family(fam, box.fam, "box")
     alphas = np.linspace(box.alpha_lo, box.alpha_hi, N_CORNER).tolist()
     lams = np.linspace(box.lam_lo, box.lam_hi, N_CORNER).tolist()
@@ -115,8 +110,6 @@ def _sweep(fam: FamilySpec, lattice: np.ndarray, n_delta: int) -> _Envelope:
     if n_delta < 3:
         raise SpecificationError(
             f"the action grid needs at least 3 points, got n_delta={n_delta}")
-    import numpy as np
-
     d_min, d_max = float(lattice[0]), float(lattice[-1])
     width = d_max - d_min
     if width > 0:
@@ -220,8 +213,6 @@ def regret_curve(fam: FamilySpec, box: PriorBox, x: float, n_delta: int = 2000):
 def _count_terms(logf, lo: int, hi: float):
     """The integers of [lo, hi] with their log terms.  An unbounded range
     is cut once the terms, past their peak, drop below e^-60 times it."""
-    import numpy as np
-
     ks = lv = np.empty(0)
     for n in 2 ** np.arange(6, 21):
         new = np.arange(lo + ks.size, min(hi, lo + n - 1) + 1, dtype=float)
@@ -242,8 +233,6 @@ def _log_partition(fam: FamilySpec, t: float, with_mean: bool = True):
         return fam.log_carrier(x) - t * fam.stat(x)
 
     if integers:
-        import numpy as np
-
         ks, lv = _count_terms(logf, lo, hi)
         m = float(lv.max())
         w = np.exp(lv - m)

@@ -30,7 +30,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, ProprietyError, SpecificationError
 from .families import (
@@ -42,10 +42,8 @@ from .families import (
     check_posterior_ok,
     check_prior_ok,
     interval_grid,
+    np,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "ConjugatePrior",
@@ -331,8 +329,6 @@ def _de_table(first: int, last: int, pieces: int) -> _Table:
     q = 1/(1 + e^(2|s|)) of a finite piece between it and its nearer end,
     and the exp-sinh offsets e^(+-s) from the finite end of a half-line,
     each with its derivative in t."""
-    import numpy as np
-
     chunks, levels, n = [], [], 0
     for k in range(first, last + 1):
         j = np.arange(1 if k else 0, math.floor(_DE_WINDOW * 2 ** k) + 1, 2 if k else 1)
@@ -354,8 +350,6 @@ def _de_nodes(a: float, b: float, tab: _Table) -> tuple[np.ndarray, np.ndarray]:
     their weights in t: tanh-sinh on a finite piece, exp-sinh on a
     half-line."""
     if math.isfinite(a) and math.isfinite(b):
-        import numpy as np
-
         u = (b - a) * tab.q
         return np.where(tab.neg, a + u, b - u), (b - a) * tab.dq
     if math.isfinite(a):
@@ -444,8 +438,6 @@ def _peak(logf, lo: float, hi: float) -> tuple[float, float]:
     under 1e9); the grid cells around a peak found that way are then
     rescanned twice.
     """
-    import numpy as np
-
     cap, zooms = _SCAN_CAP, 0
     grid = interval_grid(lo, hi, _SCAN_POINTS, cap)
     while True:
@@ -492,8 +484,6 @@ def _peak_integrals(logf, lo: float, hi: float, *factors):
     difference shows it.
     Returns ``(m, values)``; m cancels in any ratio of the values.
     """
-    import numpy as np
-
     mid, m = _peak(logf, lo, hi)
     pieces = [(lo, mid), (mid, hi)] if lo < mid < hi else [(lo, hi)]
     batches = [(0, _FIRST_LEVELS - 1)] + [(k, k) for k in
@@ -549,8 +539,6 @@ def predictive_mean_quadrature(fam: FamilySpec, prior: ConjugatePrior, x: float,
     else:
         def logf(th):
             return base_logf(th) + extra_log_weight(th)
-    import numpy as np
-
     for end, inward in zip(fam.support, (1.0, -1.0)):
         if math.isfinite(end):
             th = end + inward * np.array([1e-12, 1e-9]) * max(1.0, abs(end))

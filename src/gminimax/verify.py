@@ -35,7 +35,7 @@ from .estimators import (
     prgm_from_bounds,
     transport,
 )
-from .families import builtin_family
+from .families import builtin_family, np
 from .losses import intrinsic_loss, posterior_regret
 from .oracle import CORNER_TOL, grid_minimax, kl_quadrature
 from .priors import MixturePath, PriorBox, conjugate_prior
@@ -113,8 +113,6 @@ def _draw_instance(rng):
 
 def minimax_suite(seed: int, n_instances: int) -> list[CheckRecord]:
     """Closed-form box minimax against the brute-force sweep."""
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     records = []
     for i in range(n_instances):
@@ -155,8 +153,6 @@ _INVARIANCE_COMBOS = (
 def invariance_suite(seed: int, n_instances: int) -> list[CheckRecord]:
     """Transport of the invariant estimate vs a native transformed-scale
     solve, plus the plain-conjugate control that must disagree."""
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     records = []
     idx = 0
@@ -197,8 +193,6 @@ def invariance_suite(seed: int, n_instances: int) -> list[CheckRecord]:
 
 def bayesianity_suite(seed: int, n_instances: int) -> list[CheckRecord]:
     """Witness constructions for box-minimax actions."""
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     records = []
 

@@ -785,8 +785,23 @@ class TestFamilyFile:
         ({"support": [False, None]},
          "bad support endpoint False; expected a number, null or 'inf'"),
         ({"jeffreys_shift": [-1, True]}, "bad jeffreys_shift entry True; expected a number"),
+        # integers past the largest float
+        ({"support": [0, 10 ** 400]},
+         f"bad support endpoint {10 ** 400}; expected a number, null or 'inf'"),
+        ({"mean_range": [0, 10 ** 400]},
+         f"bad mean_range endpoint {10 ** 400}; expected a number, null or 'inf'"),
+        ({"jeffreys_shift": [-10 ** 400, 0]},
+         f"bad jeffreys_shift entry {-10 ** 400}; expected a number"),
+        # JSON NaN and Infinity where they have no meaning
+        ({"jeffreys_shift": [-1, math.nan]},
+         "jeffreys_shift must be two finite numbers, got (-1.0, nan)"),
+        ({"jeffreys_shift": [-1, math.inf]},
+         "jeffreys_shift must be two finite numbers, got (-1.0, inf)"),
+        ({"mean_range": [math.nan, None]},
+         "mean_range must be an interval with lo < hi, got (nan, inf)"),
     ], ids=["shift_string", "shift_null", "support_mapping", "mean_range_string",
-            "support_false", "shift_true"])
+            "support_false", "shift_true", "support_past_float", "mean_range_past_float",
+            "shift_past_float", "shift_nan", "shift_inf", "mean_range_nan"])
     def test_config_numbers_are_checked_by_key(self, capsys, tmp_path, entry, message):
         cfg = {"name": "my_exp", "support": [0, None], "log_norm": "log(theta)", **entry}
         path = tmp_path / "my_exp.json"
@@ -997,6 +1012,52 @@ def test_closed_form_path_imports_no_scipy(tmp_path):
     for name, value in want.items():
         assert got["kl"][name] == pytest.approx(value, rel=1e-12), name
     assert got["pm"] == pytest.approx(2.5 / 3.0, rel=1e-12)
+
+
+def test_numpy_is_imported_in_one_place():
+    """The package imports numpy at one site, inside the lazy ``np`` handle
+    of ``families``, and names no ``TYPE_CHECKING``.  Every other module
+    reads ``np`` from there, so numpy loads at the first attribute read;
+    ``test_closed_form_path_imports_no_scipy`` checks that no float path
+    makes one."""
+    import ast
+    from pathlib import Path
+
+    import gminimax
+
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [a.name for a in node.names]
+        return [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+
+    sites, type_checking = [], []
+    for path in sorted(Path(gminimax.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), path.name)
+        for node in ast.walk(tree):
+            if any(m.split(".")[0] == "numpy" for m in imported(node)):
+                sites.append((path.name, node))
+            # a Name, an attribute such as typing.TYPE_CHECKING, an imported alias
+            if "TYPE_CHECKING" in (getattr(node, k, None) for k in ("id", "attr", "name")):
+                type_checking.append(path.name)
+        if path.name == "families.py":
+            handle = next(n for n in tree.body
+                          if isinstance(n, ast.ClassDef) and n.name == "_Numpy")
+    assert type_checking == []
+    assert [name for name, _ in sites] == ["families.py"]
+    assert any(node is sites[0][1] for node in ast.walk(handle))
+
+
+def test_a_probe_of_the_numpy_handle_loads_no_numpy(tmp_path):
+    """Tools that look for a private or special name on every object of a
+    module (``inspect.unwrap`` reads ``__wrapped__``) find none on the
+    handle and leave numpy unloaded; a public name loads it."""
+    script = ("import inspect, sys; from gminimax.families import np\n"
+              "inspect.unwrap(np); hasattr(np, '_marker')\n"
+              "print('numpy' in sys.modules, np.pi == 3.141592653589793, "
+              "'numpy' in sys.modules)")
+    proc = _run_with_package(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True"]
 
 
 _NO_SCIPY_SCRIPT = r"""

@@ -303,6 +303,21 @@ class TestFamilyFromConfig:
             family_from_config(dict(EXP_CLONE, **{key: value}))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("jeffreys_shift", [-1, math.nan],
+         "jeffreys_shift must be two finite numbers, got (-1.0, nan)"),
+        ("jeffreys_shift", [math.inf, 0],
+         "jeffreys_shift must be two finite numbers, got (inf, 0.0)"),
+        ("mean_range", [math.nan, None],
+         "mean_range must be an interval with lo < hi, got (nan, inf)"),
+        ("mean_range", [1, 0], "mean_range must be an interval with lo < hi, got (1.0, 0.0)"),
+    ], ids=["shift_nan", "shift_inf", "mean_range_nan", "mean_range_reversed"])
+    def test_numbers_without_meaning_are_refused(self, key, value, message):
+        # Refused as built, before a Bayes action or a jcp box blames another input.
+        with pytest.raises(SpecificationError) as info:
+            family_from_config(dict(EXP_CLONE, **{key: value}))
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("stat", [0, False, "", 1], ids=["zero", "false", "empty", "one"])
     def test_a_stat_other_than_null_is_parsed(self, stat):
         # A falsy stat is not the default "x": the parser refuses it.

@@ -292,6 +292,19 @@ class TestValidation:
         with pytest.raises(SpecificationError, match="obs_units must be positive"):
             dataclasses.replace(exponential, obs_units=0)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("obs_units", math.nan, "obs_units must be positive and finite, got nan"),
+        ("obs_units", math.inf, "obs_units must be positive and finite, got inf"),
+        ("jeffreys_shift", (0.0, math.nan),
+         "jeffreys_shift must be two finite numbers, got (0.0, nan)"),
+        ("mean_range", (math.nan, math.inf),
+         "mean_range must be an interval with lo < hi, got (nan, inf)"),
+    ], ids=["obs_units_nan", "obs_units_inf", "shift_nan", "mean_range_nan"])
+    def test_non_finite_fields_are_refused(self, normal, field, value, message):
+        with pytest.raises(SpecificationError) as info:
+            dataclasses.replace(normal, **{field: value})
+        assert str(info.value) == message
+
     def test_shift_residual_needs_a_declared_shift(self):
         fam = family_from_config(dict(name="no_shift", support=[0, None],
                                       log_norm="log(theta)"))
