@@ -30,18 +30,18 @@ and their minimax estimate genuinely moves.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 from .errors import ConvergenceError, DomainError, SpecificationError
+from .expressions import Expression, _derivative, _log_abs, parse_expression
 from .families import (
     FamilySpec,
-    _exp,
     _itp,
-    _log,
-    _log1p_exp,
     mean_inverse,
     np,
     require_in_support,
@@ -212,7 +212,8 @@ class Reparameterization:
 
     ``log_abs_deriv`` is log |d forward / d theta|: a plain conjugate
     class re-elicited on the transformed scale carries it as a Jacobian
-    weight on the prior density.
+    weight on the prior density.  A catalog map is an ``Expression`` pair,
+    and its ``log_abs_deriv`` is derived from ``forward``, never written.
     """
 
     label: str
@@ -221,12 +222,15 @@ class Reparameterization:
     log_abs_deriv: Callable
 
 
-def _require_positive_support(fam: FamilySpec, label: str) -> None:
-    if fam.support[0] < 0.0:
-        raise SpecificationError(
-            f"transform {label} needs a positive natural parameter; "
-            f"family {fam.name} has support {fam.support}"
-        )
+# name: (arguments, forward in theta, inverse in eta, needs theta > 0).  The
+# arguments enter both expressions as literals; the first is a scale, never 0.
+_CATALOG = {
+    "reciprocal": ((), "1/theta", "1/eta", True),
+    "log": ((), "log(theta)", "exp(eta)", True),
+    "neg_log_over_a": (("a",), "-log(theta)/a", "exp(-a*eta)", True),
+    "affine": (("a", "b"), "a*theta + b", "(eta - b)/a", False),
+    "logit_to_p": ((), "1/(1 + exp(theta))", "log((1 - eta)/eta)", False),
+}
 
 
 def make_transform(spec: str, fam: FamilySpec) -> Reparameterization:
@@ -237,67 +241,44 @@ def make_transform(spec: str, fam: FamilySpec) -> Reparameterization:
     are rejected for families whose support is not contained in (0, inf).
     """
     s = spec.strip().lower().replace(" ", "")
-    if s == "reciprocal":
-        _require_positive_support(fam, s)
-        return Reparameterization(
-            "reciprocal",
-            forward=lambda th: 1.0 / th,
-            inverse=lambda e: 1.0 / e,
-            log_abs_deriv=lambda th: -2.0 * _log(th),
-        )
-    m = (-1.0,) if s == "log" else _match_call(s, "neg_log_over_a", 1)
-    if m is not None:
-        (a,) = m
-        if a == 0:
-            raise SpecificationError("neg_log_over_a needs a != 0")
-        _require_positive_support(fam, s)
-        return Reparameterization(
-            s if s == "log" else f"neg_log_over_a({a:g})",
-            forward=lambda th: -_log(th) / a,
-            inverse=lambda e: _exp(-a * e),
-            log_abs_deriv=lambda th: -math.log(abs(a)) - _log(th),
-        )
-    m = _match_call(s, "affine", 2)
-    if m is not None:
-        a, b = m
-        if a == 0:
-            raise SpecificationError("affine needs a != 0")
-        return Reparameterization(
-            f"affine({a:g},{b:g})",
-            forward=lambda th: a * th + b,
-            inverse=lambda e: (e - b) / a,
-            log_abs_deriv=lambda th: math.log(abs(a)) + 0.0 * th,
-        )
-    if s == "logit_to_p":
-        return Reparameterization(
-            "logit_to_p",
-            forward=lambda th: 1.0 / (1.0 + _exp(th)),
-            inverse=lambda p: _log((1.0 - p) / p),
-            log_abs_deriv=lambda th: -_log1p_exp(th) - _log1p_exp(-th),
-        )
-    raise SpecificationError(
-        f"unknown transform {spec!r}; catalog: reciprocal, log, "
-        "neg_log_over_a(a), affine(a,b), logit_to_p"
-    )
-
-
-def _match_call(s: str, name: str, n_args: int):
-    if not (s.startswith(name + "(") and s.endswith(")")):
-        return None
-    inner = s[len(name) + 1:-1]
-    parts = inner.split(",")
-    if len(parts) != n_args:
+    m = re.fullmatch(r"(\w+)(?:\((.*)\))?", s)
+    entry = _CATALOG.get(m[1]) if m else None
+    if entry is None or (m[2] is None) != (not entry[0]):
         raise SpecificationError(
-            f"transform {name} takes {n_args} argument(s), got {inner!r}"
+            f"unknown transform {spec!r}; catalog: reciprocal, log, "
+            "neg_log_over_a(a), affine(a,b), logit_to_p"
         )
+    tr = _catalog_transform(s, m[1], m[2])
+    if entry[3] and fam.support[0] < 0.0:
+        raise SpecificationError(
+            f"transform {s} needs a positive natural parameter; "
+            f"family {fam.name} has support {fam.support}"
+        )
+    return tr
+
+
+@functools.lru_cache(maxsize=64)
+def _catalog_transform(s: str, name: str, inner: str | None) -> Reparameterization:
+    """Catalog map ``name`` at the arguments ``inner``, built once per spec ``s``."""
+    params, forward, inverse, _ = _CATALOG[name]
+    args = inner.split(",") if params else []
+    if len(args) != len(params):
+        raise SpecificationError(
+            f"transform {name} takes {len(params)} argument(s), got {inner!r}")
     try:
-        args = tuple(float(p) for p in parts)
+        args = [float(v) for v in args]
     except ValueError as exc:
         raise SpecificationError(f"bad numeric argument in {s!r}") from exc
     if not all(map(math.isfinite, args)):
-        raise SpecificationError(
-            f"transform {name} needs finite arguments, got {inner!r}")
-    return args
+        raise SpecificationError(f"transform {name} needs finite arguments, got {inner!r}")
+    if args and args[0] == 0.0:
+        raise SpecificationError(f"{name} needs a != 0")
+    literals = dict(zip(params, args))
+    fwd, inv = parse_expression(forward, literals), parse_expression(inverse, literals)
+    jacobian = Expression(f"log|d/dtheta({forward})|",
+                          _log_abs(_derivative(fwd._ast, "theta")), fwd.variables)
+    label = f"{name}({','.join(f'{v:g}' for v in args)})" if args else name
+    return Reparameterization(label, fwd, inv, jacobian)
 
 
 def validate_transform(tr: Reparameterization, fam: FamilySpec) -> list[str]:
@@ -353,8 +334,10 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
     on the new scale are known the equalizer is found there as the root
     of the signed regret gap, never reusing the theta-scale ratio.  The
     ITP bracketing solver (``families._itp``) starts from the gap at the
-    two extremes and stops at a bracket of 1e-15 times the scale; the
-    diagnostics' ``solver`` entry counts every gap evaluation.
+    two extremes and stops at a bracket of 1e-15 times the larger |extreme|
+    (one ulp of it if more), with no absolute floor; extremes within 1e-10
+    of it give the midpoint.
+    The diagnostics' ``solver`` entry counts every gap evaluation.
 
     For a ``jcp`` box the prior class is the same set of measures on
     either scale, so the extreme Bayes estimates are the transported
@@ -373,8 +356,8 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
                                                        max(theta_corners)))
     t_lo, t_hi = float(tr.inverse(e_lo)), float(tr.inverse(e_hi))
 
-    scale = max(1.0, abs(e_lo), abs(e_hi))
-    if e_hi - e_lo < DEGENERATE_REL_WIDTH * scale:
+    scale = max(abs(e_lo), abs(e_hi))
+    if e_hi - e_lo <= DEGENERATE_REL_WIDTH * scale:
         return EstimateReport(0.5 * (e_lo + e_hi), e_lo, e_hi, 0.0, METHOD_ROOT,
                               {"transform": tr.label, "degenerate": True})
 
@@ -392,7 +375,9 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
             f"regret gap lost its sign change on [{e_lo}, {e_hi}]; the mean "
             "function may not be strictly decreasing"
         )
-    est, evaluations = _itp(gap, e_lo, e_hi, g_lo, g_hi, 1e-15 * scale)
+    # one ulp at least: 1e-15 of a subnormal scale may round to 0
+    width = max(1e-15 * scale, math.ulp(scale))
+    est, evaluations = _itp(gap, e_lo, e_hi, g_lo, g_hi, width)
     theta = float(tr.inverse(est))
     require_in_support(fam, theta, what="pulled-back action")
     r_lo, r_hi = _float_loss(fam, t_lo, theta), _float_loss(fam, t_hi, theta)

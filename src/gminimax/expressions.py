@@ -12,8 +12,9 @@ Grammar (whitespace-insensitive)::
 variable (``theta`` for parameter mappings, ``x`` for the statistic).
 Parsing either succeeds completely or raises a
 :class:`~gminimax.errors.SpecificationError` pointing at the offending
-position.  A parsed expression is compiled once to two Python functions:
-a float body over ``math`` and an array body over numpy.
+position.  A parsed expression is compiled to two Python functions: a
+float body over ``math`` at once, and an array body over numpy at its
+first call, so an expression only ever called on floats loads no numpy.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ _BINARY_AST = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow:
 _FUNCTIONS = ("exp", "log")
 _OPERATORS = {symbol: op for op, symbol in _BINARY_AST.items() if symbol != "^"}
 # What each compiled body calls, under names that no variable can take;
-# numpy's three join at the first compile, whose read of ``np`` loads numpy.
+# numpy's three join at the first array body, whose read of ``np`` loads numpy.
 _GLOBALS = {"__builtins__": {}, "math.exp": math.exp, "math.log": math.log,
             "math.pow": math.pow}
 _POWER = {"np": "np.power", "math": "math.pow"}
@@ -49,10 +50,12 @@ class Expression:
     variable positionally.
 
     The tree, with literal-only subtrees folded to their values, is
-    compiled once to two functions of the variables.  The float body calls
+    compiled to two functions of the variables: the float body at once,
+    the array body at the first call that needs it.  The float body calls
     ``math.exp``, ``math.log`` and ``math.pow``; the array body calls
     ``np.exp``, ``np.log`` and ``np.power``.  Both run ``+ - * /`` as
     Python's operators, which round alike on Python and numpy floats.
+    A constant of one variable is ``c + 0*var``, c in its argument's shape.
     A call whose variables are all floats (``np.float64`` included) runs
     the float body on Python floats and returns a Python float.  Where
     ``math`` refuses (an overflow, a log of 0, a division by 0), the array
@@ -68,10 +71,11 @@ class Expression:
         except ZeroDivisionError:
             raise SpecificationError(
                 f"expression {source!r} divides by zero in a literal term") from None
+        if self._ast[0] == "num" and len(variables) == 1:
+            self._ast = ("+", self._ast, ("*", _ZERO, ("var", *variables)))
         self.variables = variables
         self._names = sorted(variables)
         self._float = _compiled(self._ast, self._names, "math")
-        self._array = _compiled(self._ast, self._names, "np")
 
     def __call__(self, value=_KEYWORDS, /, **env):
         if value is _KEYWORDS or env or len(self._names) != 1:
@@ -104,6 +108,10 @@ class Expression:
                 pass
         return self._array(*[np.asarray(v, dtype=float)[()] for v in values])
 
+    def _array(self, *values):  # compiled at the first call, then shadowed by it
+        self._array = _compiled(self._ast, self._names, "np")
+        return self._array(*values)
+
     def __repr__(self):
         return f"Expression({self.source!r})"
 
@@ -125,7 +133,7 @@ def _python(node, lib: str) -> ast.expr:
 def _compiled(tree, names, lib: str):
     """The tree compiled to a Python function of ``names``, in that order,
     over ``lib``'s functions (see ``_python``)."""
-    if "np.exp" not in _GLOBALS:
+    if lib == "np" and "np.exp" not in _GLOBALS:
         _GLOBALS.update({"np.exp": np.exp, "np.log": np.log, "np.power": np.power})
     params = ast.arguments(posonlyargs=[], args=[ast.arg(n) for n in names],
                            kwonlyargs=[], kw_defaults=[], defaults=[])
@@ -142,10 +150,13 @@ def _fold(node):
     node = node[:head] + tuple(_fold(a) for a in node[head:])
     if any(a[0] != "num" for a in node[head:]):
         return node
-    # The array body on Python floats: inf and nan as an array call would
-    # give, but a literal division by zero raises ZeroDivisionError.
-    with np.errstate(all="ignore"):
-        return ("num", float(_compiled(node, [], "np")()))
+    # As a float call evaluates: math, and where it refuses, numpy on Python
+    # floats; a literal division by zero raises ZeroDivisionError in both.
+    try:
+        return ("num", _compiled(node, [], "math")())
+    except _MATH_REFUSALS:
+        with np.errstate(all="ignore"):
+            return ("num", float(_compiled(node, [], "np")()))
 
 
 # Tree builders for derivatives.  They fold the literals 0 and 1, and
@@ -213,13 +224,28 @@ def _derivative(node, var: str):
     return _mul(node, _add(_mul(db, ("call", "log", a)), _mul(b, _div(da, a))))
 
 
+def _log_abs(node):
+    """log|node| as a new tree, a sum of one log per factor of its products,
+    quotients, negations and ``exp``, so no factor under- or overflows the
+    others; any other factor must be positive wherever the tree is used."""
+    kind = node[0]
+    if kind in ("*", "/"):
+        return _add(_log_abs(node[1]), _log_abs(node[2]), 1.0 if kind == "*" else -1.0)
+    if kind == "neg":
+        return _log_abs(node[1])
+    if kind == "num":
+        return ("num", math.log(abs(node[1])))
+    return node[2] if node[:2] == ("call", "exp") else ("call", "log", node)
+
+
 def _fail(source: str, pos: int, message: str):
     raise SpecificationError(f"parse error at position {pos}: {message}\n"
                              f"    {source}\n    {' ' * pos}^")
 
 
-def parse_expression(source: str) -> Expression:
+def parse_expression(source: str, literals: dict[str, float] | None = None) -> Expression:
     """Parse to a vectorized callable, or fail with a position marker.
+    Each name in ``literals`` is a number leaf of its value, not a variable.
 
     CPython's parser reads the grammar once ``^`` is spelled ``**``: the
     two agree on precedence, on right-associative powers and on
@@ -245,6 +271,8 @@ def parse_expression(source: str) -> Expression:
                 return (_BINARY_AST[type(op)], walk(a), walk(b))
             case ast.UnaryOp(op=ast.USub(), operand=a):
                 return ("neg", walk(a))
+            case ast.Name(id=name) if name in (literals or {}):
+                return ("num", literals[name])
             case ast.Name(id=name) if name != "__debug__":  # Python's constant
                 variables.add(name)
                 return ("var", name)
@@ -324,9 +352,8 @@ def _mapping(source, label: str, var: str = "theta",
     if extra := expr.variables - {var}:
         raise SpecificationError(
             f"{label} may only use the variable {var!r}; found {sorted(extra)}")
-    if expr._ast[0] == "num":  # c + 0*var returns c in its argument's shape
-        expr = Expression(expr.source, ("+", expr._ast, ("*", _ZERO, ("var", var))),
-                          frozenset({var}))
+    if not expr.variables:  # a constant, of var (see Expression)
+        expr = Expression(expr.source, expr._ast, frozenset({var}))
     return expr
 
 

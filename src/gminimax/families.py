@@ -370,8 +370,9 @@ def validate_family(fam: FamilySpec) -> list[str]:
     config has that shape.  Checks: mean strictly decreasing (a constant
     mean is refused), mean_deriv negative and consistent with a finite
     difference of mean, mean consistent with a finite difference of
-    log_norm, inverse round-trip, and the declared Jeffreys shift.  A
-    refusal lists its problems, with no numpy warnings.
+    log_norm, mean inside the open ``mean_range``, inverse round-trip,
+    and the declared Jeffreys shift.  A refusal lists its problems, with
+    no numpy warnings.
     """
     with np.errstate(all="ignore"):
         grid = support_grid(fam)
@@ -396,6 +397,12 @@ def validate_family(fam: FamilySpec) -> list[str]:
             scale = np.maximum(1.0, np.abs(df[inner]))
             if not np.all(np.abs(fd - df[inner]) <= 1e-4 * scale):
                 problems.append(f"{name} disagrees with a finite difference of {of}")
+
+        if fam.mean_range is not None:
+            lo, hi = fam.mean_range
+            if not np.all((mean_vals > lo) & (mean_vals < hi)):
+                problems.append(f"mean leaves the open mean_range ({lo}, {hi}) "
+                                "on the working grid")
 
         if fam.mean_inv is not None:
             back = np.array([float(fam.mean_inv(v)) for v in mean_vals])
@@ -475,10 +482,9 @@ class _Numpy:
 
 np = _Numpy()
 
-# The functions the built-in mappings and catalog transforms are written
-# over.  A Python float (an np.float64 too) is computed with math and gives
-# a Python float, with numpy's inf or nan, and no warning, where math would
-# raise; anything else is an array, computed with numpy (``np``, loaded at
+# The functions the built-in mappings are written over.  A Python float (an
+# np.float64 too) is computed with math, giving numpy's inf or nan and no
+# warning where math would raise; anything else with numpy (``np``, loaded at
 # its first read), whose exp and log may round otherwise in the last place.
 
 _LOG2 = math.log(2.0)

@@ -811,6 +811,18 @@ class TestFamilyFile:
         assert (rc, out) == (2, "")
         assert err == f"gminimax: configuration error: {message}\n"
 
+    def test_a_mean_outside_the_declared_mean_range_is_refused(self, capsys, tmp_path):
+        # 1/theta covers (0, inf) on the grid, not the declared (5, 10): the
+        # config is refused, and no later refusal blames the prior.
+        cfg = dict(name="e", support=[0, None], log_norm="log(theta)", mean_range=[5, 10])
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        rc, out, err = run_cli(capsys, ["bayes", "--family-file", str(path),
+                                        "--x", "2", "--prior", "a=1,l=1"])
+        assert (rc, out) == (2, "")
+        assert err == ("gminimax: configuration error: family 'e' failed validation: "
+                       "mean leaves the open mean_range (5.0, 10.0) on the working grid\n")
+
     def test_warning_format_is_restored(self, capsys, tmp_path):
         formatter = warnings.formatwarning
         run_cli(capsys, ["loss", "--family", "normal", "--theta", "0", "--delta", "1"])
@@ -918,6 +930,11 @@ closed_form = [
      "--transform", "reciprocal"],
     ["iprgm", "--family", "binomial_logit(5)", "--x", "3", "--box", "a=4:6,l=1:2",
      "--transform", "logit_to_p"],
+    # a negative argument folds a negated literal, on floats
+    ["iprgm", "--family", "exponential", "--x", "3", "--box", "a=1:3,l=1:2",
+     "--transform", "neg_log_over_a(-0.5)"],
+    ["iprgm", "--family", "exponential", "--x", "3", "--box", "a=1:3,l=1:2",
+     "--transform", "affine(2,-1)"],
     ["loss", "--family", "binomial_logit(5)", "--theta", "0.3", "--delta", "-0.4"],
     # the closed form cancels: the 16-point rule integrates, on floats
     ["loss", "--family", "exponential", "--theta", "100", "--delta", "100.00001"],
@@ -995,12 +1012,12 @@ def test_closed_form_path_imports_no_scipy(tmp_path):
     got = json.loads(proc.stdout)
     assert got["after_import"] == []
     assert got["numpy_after_import"] is False
-    assert got["numpy_after_command"] == [False] * 8
+    assert got["numpy_after_command"] == [False] * 10
     assert got["rule_in_bounds"] is True
     assert got["numpy_after_bounds"] is False
     assert got["numpy_after_curve"] is True
     assert got["polynomial"] == []
-    assert got["codes"] == [0] * 9
+    assert got["codes"] == [0] * 11
     assert got["after_cli"] == []
     # The KL oracle sums the count families and integrates on intervals,
     # and the posterior mean integrates, all without scipy.

@@ -38,6 +38,7 @@ from gminimax import (
 )
 from gminimax import verify
 from gminimax.estimators import EstimateReport, Reparameterization, validate_transform
+from gminimax.families import support_grid
 from gminimax.priors import mixture_components
 
 
@@ -323,6 +324,34 @@ class TestTransformCatalog:
         with pytest.raises(SpecificationError, match="needs finite arguments"):
             make_transform(spec, exponential)
 
+    @pytest.mark.parametrize("spec,closed_form", [
+        ("reciprocal", lambda th: -2.0 * np.log(th)),
+        ("log", lambda th: -np.log(th)),
+        ("neg_log_over_a(2)", lambda th: -np.log(2.0) - np.log(th)),
+        ("neg_log_over_a(-0.5)", lambda th: -np.log(0.5) - np.log(th)),
+        ("affine(-3,2)", lambda th: np.log(3.0) + 0.0 * th),
+        ("logit_to_p", lambda th: -np.logaddexp(0.0, th) - np.logaddexp(0.0, -th)),
+    ])
+    def test_derived_jacobian_is_the_closed_form(self, exponential, binomial5,
+                                                 spec, closed_form):
+        # log|d forward/d theta| comes from the forward expression alone;
+        # each matches its hand-derived form within 2 ulp, as an array and
+        # float by float, logit_to_p up to |theta| = 700.
+        fam = binomial5 if spec == "logit_to_p" else exponential
+        tr = make_transform(spec, fam)
+        grid = (np.concatenate([np.linspace(-700.0, 700.0, 1401), support_grid(fam)])
+                if spec == "logit_to_p" else
+                np.concatenate([np.geomspace(1e-300, 1e300, 601), support_grid(fam)]))
+        want = closed_form(grid)
+        np.testing.assert_array_max_ulp(tr.log_abs_deriv(grid), want, maxulp=2)
+        floats = np.array([tr.log_abs_deriv(float(th)) for th in grid])
+        np.testing.assert_array_max_ulp(floats, want, maxulp=2)
+
+    def test_catalog_maps_are_built_once_per_spec(self, exponential, normal):
+        tr = make_transform("affine(2,-1)", exponential)
+        assert make_transform(" Affine(2, -1) ", normal) is tr
+        assert make_transform("affine(2.0,-1)", exponential).label == tr.label
+
     def test_log_is_neg_log_over_minus_one(self, exponential):
         tr = make_transform("log", exponential)
         grid = np.array([1e-300, 0.5, 1.0, 2.0, 1e300])
@@ -330,6 +359,13 @@ class TestTransformCatalog:
         assert np.array_equal(tr.forward(grid), np.log(grid))
         assert np.array_equal(tr.inverse(np.log(grid)), np.exp(np.log(grid)))
         assert np.array_equal(tr.log_abs_deriv(grid), -np.log(grid))
+        # Its own catalog row, and bit for bit the map neg_log_over_a(-1).
+        same = make_transform("neg_log_over_a(-1)", exponential)
+        for f, g, points in ((tr.forward, same.forward, grid),
+                             (tr.inverse, same.inverse, np.log(grid)),
+                             (tr.log_abs_deriv, same.log_abs_deriv, grid)):
+            assert np.array_equal(f(points), g(points))
+            assert [f(v) for v in points.tolist()] == [g(v) for v in points.tolist()]
 
     def test_transport_refuses_a_value_outside_the_float_range(self, exponential):
         box = prior_box(exponential, 3.0, 4.0, 0.1, 0.2, "jcp")
@@ -520,6 +556,18 @@ class TestTransformedScaleSolve:
         tr = make_transform("reciprocal", exponential)
         rep = eta_scale_prgm(exponential, box, 2.0, tr)
         assert rep.estimate == pytest.approx(8.96095140815369, rel=1e-12)
+
+    @pytest.mark.parametrize("a,rel", [(1e-12, 1e-13), (1e-100, 1e-13), (1e-300, 1e-13),
+                                       (1e-310, 1e-12), (1e-320, 1e-2)])
+    def test_a_tiny_transformed_scale_is_still_solved(self, exponential, a, rel):
+        # The stop and degenerate widths are relative to the extremes alone:
+        # an absolute floor of 1 would call this box degenerate.  Subnormal
+        # extremes keep fewer bits, and the stop width at least one ulp.
+        box = prior_box(exponential, 1.0, 3.0, 1.0, 2.0, "jcp")
+        rep = eta_scale_prgm(exponential, box, 2.0,
+                             make_transform(f"affine({a},0)", exponential))
+        assert rep.diagnostics["degenerate"] is False
+        assert rep.estimate / a == pytest.approx(0.46209812037329684, rel=rel)
 
     def test_non_jcp_class_is_not_invariant(self, exponential):
         """Re-eliciting the plain conjugate class on the reciprocal scale
