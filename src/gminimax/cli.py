@@ -13,14 +13,12 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
 import warnings
 
-from .bayesianity import connected_path_witness, data_independent_alpha
 from .errors import ConvergenceError, GMinimaxError, SpecificationError
 from .estimators import (
     bayes_estimate,
@@ -30,12 +28,9 @@ from .estimators import (
     prgm_from_bounds,
     transport,
 )
-from .expressions import family_from_config
 from .families import FamilySpec, builtin_family, np
 from .losses import intrinsic_loss
-from .oracle import regret_curve
 from .priors import PriorBox, conjugate_prior, prior_box
-from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main", "build_parser", "DEFAULT_SEED"]
 
@@ -107,6 +102,8 @@ def _load_family(args) -> FamilySpec:
     path = args.family_file
     if not path:
         return builtin_family(args.family)
+    from .expressions import family_from_config
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.loads(fh.read())
@@ -180,6 +177,8 @@ def cmd_iprgm(args) -> dict:
 
 
 def cmd_certify(args) -> dict:
+    from .bayesianity import connected_path_witness, data_independent_alpha
+
     fam = _load_family(args)
     box = _box(args, fam, args.flavor)
     if args.kind == "path":
@@ -208,6 +207,10 @@ def cmd_loss(args) -> dict:
 
 
 def cmd_regret_curve(args) -> dict | str:
+    import csv
+
+    from .oracle import regret_curve
+
     fam = _load_family(args)
     deltas, sup, labels = regret_curve(fam, _box(args, fam, args.flavor), args.x,
                                        args.grid_n)
@@ -226,6 +229,8 @@ def cmd_regret_curve(args) -> dict | str:
 
 
 def cmd_verify(args) -> tuple[str, int]:
+    from .verify import SUITE_NAMES, run_suite
+
     suites = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     records = [rec.to_json_dict() for name in suites
                for rec in run_suite(name, args.seed, args.n_instances)]
@@ -324,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify", cmd_verify, "run the seeded self-verification "
                 "suites; exit 1 if any check fails", family=False)
     p.add_argument("suite", nargs="?", default="all",
-                   choices=list(SUITE_NAMES) + ["all"])
+                   help="one suite, or all of them (the default)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help=f"RNG seed (default {DEFAULT_SEED})")
     p.add_argument("--n-instances", type=int, default=None,

@@ -38,7 +38,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 from .errors import ConvergenceError, DomainError, SpecificationError
-from .expressions import Expression, _derivative, _log_abs, parse_expression
 from .families import (
     FamilySpec,
     _itp,
@@ -124,15 +123,20 @@ def prgm_from_bounds(fam: FamilySpec, d_lo: float, d_hi: float) -> EstimateRepor
     ``d_lo`` and ``d_hi`` must lie inside the support with
     ``d_lo <= d_hi``.  The answer is the ratio of two losses given in the
     module docstring; collapsed bounds return the midpoint.  The bounds
-    are checked once, here, and the four losses take the float path
-    unchecked: the estimate lies between the bounds.
+    are checked once, here, and ``_equalize`` takes the four losses on
+    the float path unchecked: the estimate lies between the bounds.
     """
     d_lo, d_hi = float(d_lo), float(d_hi)
     require_in_support(fam, d_lo, what="delta_lo")
     require_in_support(fam, d_hi, what="delta_hi")
     if d_lo > d_hi:
         raise DomainError(f"need delta_lo <= delta_hi, got {d_lo} > {d_hi}")
+    return _equalize(fam, d_lo, d_hi)
 
+
+def _equalize(fam: FamilySpec, d_lo: float, d_hi: float) -> EstimateReport:
+    """``prgm_from_bounds`` on float bounds ``d_lo <= d_hi`` already known
+    to lie inside the support, such as mean inverses; checks nothing."""
     scale = max(1.0, abs(d_lo), abs(d_hi))
     if d_hi - d_lo < DEGENERATE_REL_WIDTH * scale:
         return EstimateReport(0.5 * (d_lo + d_hi), d_lo, d_hi, 0.0, METHOD_CLOSED,
@@ -183,8 +187,8 @@ def prgm_conjugate_box(fam: FamilySpec, box: PriorBox, x: float) -> EstimateRepo
     mean applies the Jeffreys shift, and the report carries method
     ``iprgm`` and the shift it used.
     """
-    ests = _corner_bayes(fam, box, x)
-    report = prgm_from_bounds(fam, min(ests), max(ests))
+    ests = _corner_bayes(fam, box, x)  # each checked by mean_inverse
+    report = _equalize(fam, min(ests), max(ests))
     diagnostics = {**report.diagnostics, "corner_estimates": sorted(ests)}
     if box.flavor == "standard":
         return replace(report, diagnostics=diagnostics)
@@ -260,6 +264,8 @@ def make_transform(spec: str, fam: FamilySpec) -> Reparameterization:
 @functools.lru_cache(maxsize=64)
 def _catalog_transform(s: str, name: str, inner: str | None) -> Reparameterization:
     """Catalog map ``name`` at the arguments ``inner``, built once per spec ``s``."""
+    from .expressions import Expression, _derivative, _log_abs, parse_expression
+
     params, forward, inverse, _ = _CATALOG[name]
     args = inner.split(",") if params else []
     if len(args) != len(params):

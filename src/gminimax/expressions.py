@@ -75,10 +75,16 @@ class Expression:
             self._ast = ("+", self._ast, ("*", _ZERO, ("var", *variables)))
         self.variables = variables
         self._names = sorted(variables)
+        self._one = len(variables) == 1
         self._float = _compiled(self._ast, self._names, "math")
 
     def __call__(self, value=_KEYWORDS, /, **env):
-        if value is _KEYWORDS or env or len(self._names) != 1:
+        if type(value) is float and self._one and not env:  # the hot path
+            try:
+                return self._float(value)
+            except _MATH_REFUSALS:
+                return self._array(np.asarray(value, dtype=float)[()])
+        if value is _KEYWORDS or env or not self._one:
             return self._call_keywords(value, env)
         if isinstance(value, float):
             try:

@@ -510,9 +510,27 @@ class TestPublicSurface:
             for name in module.__all__:
                 assert getattr(gminimax, name) is getattr(module, name)
 
-    def test_import_loads_every_module(self):
-        probe = ("import sys, gminimax; print(' '.join(sorted(m for m in sys.modules "
-                 "if m.startswith('gminimax.'))))")
+    def test_import_loads_no_module_and_one_read_loads_all(self):
+        """``import gminimax`` loads no module of the package; the first
+        read of a public name loads all nine and binds the names, so the
+        next read is a plain global."""
+        probe = ("import sys, gminimax\n"
+                 "def loaded(): return ' '.join(sorted(m for m in sys.modules "
+                 "if m.startswith('gminimax.')))\n"
+                 "print(repr(loaded()))\n"
+                 "gminimax.prgm_from_bounds\n"
+                 "print(repr(loaded()))\n"
+                 "print('prgm_from_bounds' in vars(gminimax), "
+                 "'__all__' in vars(gminimax))")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                              timeout=60, check=True)
-        assert proc.stdout.decode().split() == [f"gminimax.{m}" for m in self.MODULES]
+                              text=True, timeout=60, check=True)
+        before, after, bound = proc.stdout.splitlines()
+        assert before == "''"
+        assert after.strip("'").split() == [f"gminimax.{m}" for m in self.MODULES]
+        assert bound == "True True"
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import gminimax
+
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            gminimax.no_such_name

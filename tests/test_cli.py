@@ -95,8 +95,8 @@ CLI_SURFACE = {
                      "--box": (True, None, None, None),
                      "--grid-n": (False, 2000, None, int),
                      "--format": (False, "csv", ["csv", "json"], None)},
-    "verify": {**_OUT, "suite": (False, "all",
-                                 ["minimax", "invariance", "bayesianity", "all"], None),
+    # The suite names live in verify alone; run_suite refuses an unknown one.
+    "verify": {**_OUT, "suite": (False, "all", None, None),
                "--seed": (False, 1729, None, int),
                "--n-instances": (False, None, None, int)},
 }
@@ -365,14 +365,21 @@ class TestVerifyCommand:
         assert (rc, out) == (2, "")
         assert f"unrecognized arguments: {' '.join(flag)}" in err
 
+    def test_unknown_suite_is_a_configuration_error(self, capsys):
+        rc, out, err = run_cli(capsys, ["verify", "bogus"])
+        assert (rc, out) == (2, "")
+        assert err == ("gminimax: configuration error: unknown suite 'bogus'; "
+                       "choose from ('minimax', 'invariance', 'bayesianity')\n")
+
     def test_failing_check_exits_one(self, capsys, monkeypatch):
+        from gminimax import verify
         from gminimax.verify import CheckRecord
 
         def fake_suite(name, seed, n_instances=None):
             yield CheckRecord(suite=name, check="equalized_regret", index=0,
                               passed=False, value=0.5, bound=1e-10)
 
-        monkeypatch.setattr(cli, "run_suite", fake_suite)
+        monkeypatch.setattr(verify, "run_suite", fake_suite)
         rc, out, _ = run_cli(capsys, ["verify", "minimax", "--seed", "7"])
         assert rc == 1
         summary = json.loads(out.splitlines()[-1])
@@ -638,11 +645,13 @@ class TestExitCodes:
         assert got["estimate"] == 0.5
 
     def test_out_of_memory_maps_to_3(self, capsys, monkeypatch):
+        from gminimax import oracle
+
         # No grid is allocated: the failure is forced.
         def no_memory(*args):
             raise MemoryError("Unable to allocate 745. GiB for an array")
 
-        monkeypatch.setattr(cli, "regret_curve", no_memory)
+        monkeypatch.setattr(oracle, "regret_curve", no_memory)
         rc, out, err = run_cli(capsys, ["regret-curve", "--family", "exponential",
                                         "--x", "2", "--box", "a=1:3,l=1:2",
                                         "--grid-n", "100000000000"])
@@ -1029,6 +1038,39 @@ def test_closed_form_path_imports_no_scipy(tmp_path):
     for name, value in want.items():
         assert got["kl"][name] == pytest.approx(value, rel=1e-12), name
     assert got["pm"] == pytest.approx(2.5 / 3.0, rel=1e-12)
+
+
+_MODULES_SCRIPT = r"""
+import contextlib, io, sys
+from gminimax.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({argv!r})
+print(code, *sorted(m for m in sys.modules if m.startswith("gminimax.")))
+"""
+_BOX = ["--family", "exponential", "--x", "2", "--box", "a=1:3,l=1:2"]
+_CLOSED_FORM_MODULES = ["cli", "errors", "estimators", "families", "losses", "priors"]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["prgm", *_BOX], []),
+    (["prgm", "--family", "normal", "--bounds=-1:2"], []),
+    (["bayes", "--family", "exponential", "--x", "2", "--prior", "a=2,l=1"], []),
+    (["loss", "--family", "poisson", "--theta", "0.3", "--delta", "-0.4"], []),
+    (["iprgm", *_BOX, "--transform", "reciprocal"], ["expressions"]),
+    (["certify", *_BOX], ["bayesianity"]),
+    (["regret-curve", *_BOX, "--grid-n", "50"], ["oracle"]),
+    (["verify", "--n-instances", "1"],
+     ["bayesianity", "expressions", "oracle", "verify"]),
+])
+def test_each_command_loads_only_its_modules(tmp_path, argv, extra):
+    """A fresh process loads the package modules its subcommand runs and
+    no others: the closed-form commands never compile the oracles, the
+    witnesses, the verify suites or the expression language."""
+    proc = _run_with_package(_MODULES_SCRIPT.format(argv=argv), tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    code, *modules = proc.stdout.split()
+    assert code == "0"
+    assert modules == sorted(f"gminimax.{m}" for m in _CLOSED_FORM_MODULES + extra)
 
 
 def test_numpy_is_imported_in_one_place():
