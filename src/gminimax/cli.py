@@ -231,6 +231,9 @@ def cmd_regret_curve(args) -> dict | str:
 def cmd_verify(args) -> tuple[str, int]:
     from .verify import SUITE_NAMES, run_suite
 
+    if args.suite not in ("all", *SUITE_NAMES):
+        raise SpecificationError(
+            f"unknown suite {args.suite!r}; choose from {('all', *SUITE_NAMES)}")
     suites = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     records = [rec.to_json_dict() for name in suites
                for rec in run_suite(name, args.seed, args.n_instances)]
@@ -329,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify", cmd_verify, "run the seeded self-verification "
                 "suites; exit 1 if any check fails", family=False)
     p.add_argument("suite", nargs="?", default="all",
-                   help="one suite, or all of them (the default)")
+                   help="one suite, or all of them (the default); an unknown "
+                   "name is refused with the list of suites")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help=f"RNG seed (default {DEFAULT_SEED})")
     p.add_argument("--n-instances", type=int, default=None,

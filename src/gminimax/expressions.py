@@ -79,18 +79,13 @@ class Expression:
         self._float = _compiled(self._ast, self._names, "math")
 
     def __call__(self, value=_KEYWORDS, /, **env):
-        if type(value) is float and self._one and not env:  # the hot path
-            try:
-                return self._float(value)
-            except _MATH_REFUSALS:
-                return self._array(np.asarray(value, dtype=float)[()])
-        if value is _KEYWORDS or env or not self._one:
-            return self._call_keywords(value, env)
-        if isinstance(value, float):
+        if isinstance(value, float) and self._one and not env:
             try:
                 return self._float(float(value))
             except _MATH_REFUSALS:
                 pass
+        elif value is _KEYWORDS or env or not self._one:
+            return self._call_keywords(value, env)
         return self._array(np.asarray(value, dtype=float)[()])
 
     def _call_keywords(self, value, env):

@@ -369,7 +369,7 @@ class TestVerifyCommand:
         rc, out, err = run_cli(capsys, ["verify", "bogus"])
         assert (rc, out) == (2, "")
         assert err == ("gminimax: configuration error: unknown suite 'bogus'; "
-                       "choose from ('minimax', 'invariance', 'bayesianity')\n")
+                       "choose from ('all', 'minimax', 'invariance', 'bayesianity')\n")
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         from gminimax import verify
