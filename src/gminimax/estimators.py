@@ -139,7 +139,7 @@ def _equalize(fam: FamilySpec, d_lo: float, d_hi: float) -> EstimateReport:
     to lie inside the support, such as mean inverses; checks nothing."""
     scale = max(1.0, abs(d_lo), abs(d_hi))
     if d_hi - d_lo < DEGENERATE_REL_WIDTH * scale:
-        return EstimateReport(0.5 * (d_lo + d_hi), d_lo, d_hi, 0.0, METHOD_CLOSED,
+        return EstimateReport(_midpoint(d_lo, d_hi), d_lo, d_hi, 0.0, METHOD_CLOSED,
                               {"degenerate": True, "residual": 0.0})
 
     down, up = _float_loss(fam, d_hi, d_lo), _float_loss(fam, d_lo, d_hi)
@@ -161,6 +161,13 @@ def _equalize(fam: FamilySpec, d_lo: float, d_hi: float) -> EstimateReport:
         )
     return EstimateReport(est, d_lo, d_hi, 0.5 * (r_lo + r_hi), METHOD_CLOSED,
                           {"degenerate": False, "residual": residual})
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    """``0.5*(lo + hi)``, or the sum of the halves where that sum overflows:
+    finite for finite ends."""
+    mid = 0.5 * (lo + hi)
+    return mid if math.isfinite(mid) else 0.5 * lo + 0.5 * hi
 
 
 def _corner_bayes(fam: FamilySpec, box: PriorBox, x: float) -> list[float]:
@@ -342,7 +349,9 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
     ITP bracketing solver (``families._itp``) starts from the gap at the
     two extremes and stops at a bracket of 1e-15 times the larger |extreme|
     (one ulp of it if more), with no absolute floor; extremes within 1e-10
-    of it give the midpoint.
+    of it give the midpoint.  An extreme that the map sends outside the
+    float range, or cannot pull back into the support, is refused with a
+    DomainError.
     The diagnostics' ``solver`` entry counts every gap evaluation.
 
     For a ``jcp`` box the prior class is the same set of measures on
@@ -358,17 +367,27 @@ def eta_scale_prgm(fam: FamilySpec, box: PriorBox, x: float,
         theta_corners = [mean_inverse(fam, pm) for pm in means]
     else:
         theta_corners = _corner_bayes(fam, box, x)
-    e_lo, e_hi = sorted(float(tr.forward(d)) for d in (min(theta_corners),
-                                                       max(theta_corners)))
-    t_lo, t_hi = float(tr.inverse(e_lo)), float(tr.inverse(e_hi))
+    extremes = sorted((float(tr.forward(d)), d) for d in (min(theta_corners),
+                                                          max(theta_corners)))
+    with np.errstate(all="ignore"):  # an extreme the map cannot pull back is refused
+        pulled = [float(tr.inverse(e)) for e, _ in extremes]
+    lo, hi = fam.support
+    for (e, d), t in zip(extremes, pulled):
+        if not math.isfinite(e):
+            raise DomainError(f"{tr.label} maps the extreme Bayes estimate {d} to "
+                              f"{e}, outside the float range")
+        if not lo < t < hi:
+            raise DomainError(
+                f"{tr.label} maps the extreme Bayes estimate {d} to {e}, which it "
+                f"pulls back to {t}, outside the open support ({lo}, {hi}) of "
+                f"family {fam.name}")
+    (e_lo, _), (e_hi, _) = extremes
+    t_lo, t_hi = pulled
 
     scale = max(abs(e_lo), abs(e_hi))
     if e_hi - e_lo <= DEGENERATE_REL_WIDTH * scale:
-        return EstimateReport(0.5 * (e_lo + e_hi), e_lo, e_hi, 0.0, METHOD_ROOT,
+        return EstimateReport(_midpoint(e_lo, e_hi), e_lo, e_hi, 0.0, METHOD_ROOT,
                               {"transform": tr.label, "degenerate": True})
-
-    for t in (t_lo, t_hi):
-        require_in_support(fam, t, what="pulled-back bound")
 
     def gap(d: float) -> float:  # d is pulled back, and checked, once
         theta = float(tr.inverse(d))

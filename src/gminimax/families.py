@@ -50,7 +50,6 @@ INTERIOR_MARGIN = 1e-12
 INVERT_RTOL = 1e-12
 INVERT_ATOL = 1e-14
 BRACKET_MAX_STEPS = 200
-BISECT_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -196,17 +195,21 @@ def fisher_info(fam: FamilySpec, theta):
         info = -float(fam.mean_deriv(float(theta)))
         if 0.0 < info < math.inf:
             return info
-        raise _not_decreasing(fam, float(theta))
+        raise _bad_information(fam, float(theta), info)
     th = np.asarray(theta, dtype=float)
-    info = -np.asarray(fam.mean_deriv(th), dtype=float)
+    with np.errstate(all="ignore"):  # a value out of range is refused below
+        info = -np.asarray(fam.mean_deriv(th), dtype=float)
     ok = (info > 0.0) & (info < np.inf)
     if not ok.all():
-        raise _not_decreasing(fam, float(th[~ok][0]))
+        raise _bad_information(fam, float(th[~ok][0]), float(info[~ok][0]))
     return float(info) if th.ndim == 0 else info
 
 
-def _not_decreasing(fam: FamilySpec, theta: float) -> SpecificationError:
+def _bad_information(fam: FamilySpec, theta: float, info: float) -> Exception:
     """The refusal of a Fisher information that is not positive and finite."""
+    if info == math.inf:  # an overflow, not the family's fault
+        return DomainError(f"the Fisher information of {fam.name} at theta={theta!r} "
+                           "is infinite: it overflows the float range there")
     return SpecificationError(
         f"family {fam.name} reports non-positive Fisher information at "
         f"theta={theta!r}; its mean function is not strictly decreasing there")
@@ -300,13 +303,14 @@ def _itp(f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
 def mean_inverse(fam: FamilySpec, t: float) -> float:
     """Solve mean(theta) = t for theta.
 
-    Uses the family's analytic inverse when present, otherwise halves a
-    bracket from ``_expand_bracket`` until the mean is within
-    ``INVERT_RTOL * |t| + INVERT_ATOL`` of ``t``, or the bracket is within
-    1e-16 * max(1, |a|, |b|), or after BISECT_MAX_STEPS halvings; then
-    the best point seen is accepted if within 100 times that tolerance.
-    Bisection converges on any strictly monotone continuous mean
-    function; no derivative is trusted.
+    Uses the family's analytic inverse when present.  Otherwise
+    ``_expand_bracket`` walks out from the middle of the support (or one
+    unit inside a lone finite end) to a bracket, and ``_itp`` solves on it:
+    a point whose mean is within ``INVERT_RTOL * |t| + INVERT_ATOL`` of
+    ``t`` is returned at once, and the solver stops at a bracket of
+    1e-16 * max(1, |a|, |b|) of the first one.  Its answer is accepted if
+    its mean is within 100 times that tolerance.  Any strictly monotone
+    continuous mean function converges; no derivative is trusted.
     """
     t = float(t)
     if not math.isfinite(t):
@@ -325,23 +329,18 @@ def mean_inverse(fam: FamilySpec, t: float) -> float:
 
     a, b = _expand_bracket(fam, t)
     tol = INVERT_RTOL * abs(t) + INVERT_ATOL
-    best, best_res = a, abs(float(fam.mean(a)) - t)
-    for _ in range(BISECT_MAX_STEPS):
-        mid = 0.5 * (a + b)
-        val = float(fam.mean(mid))
-        res = abs(val - t)
-        if res <= tol:
-            return mid
-        if res < best_res:
-            best, best_res = mid, res
-        a, b = (mid, b) if val > t else (a, mid)
-        if abs(b - a) <= 1e-16 * max(1.0, abs(a), abs(b)):
-            break
-    if best_res <= 100.0 * tol:
-        return best
+
+    def gap(theta: float) -> float:  # 0 within the tolerance: _itp stops there
+        g = float(fam.mean(theta)) - t
+        return 0.0 if abs(g) <= tol else g
+
+    theta, _ = _itp(gap, a, b, gap(a), gap(b), 1e-16 * max(1.0, abs(a), abs(b)))
+    res = abs(float(fam.mean(theta)) - t)
+    if res <= 100.0 * tol:
+        return theta
     raise ConvergenceError(
         f"bisection stalled inverting the mean function of {fam.name} at "
-        f"target {t}: best residual {best_res:.3e} exceeds tolerance {tol:.3e}"
+        f"target {t}: residual {res:.3e} exceeds 100 times the tolerance {tol:.3e}"
     )
 
 
@@ -412,7 +411,7 @@ def validate_family(fam: FamilySpec) -> list[str]:
         if fam.jeffreys_shift is not None:
             try:
                 sd = jeffreys_shift_residual(fam)
-            except SpecificationError as exc:
+            except (DomainError, SpecificationError) as exc:
                 problems.append(str(exc))
             else:
                 if not sd <= 1e-8:  # nan too

@@ -211,6 +211,30 @@ class TestEstimateCommands:
         assert "theta=1e+200, delta=1.000000000000001e+200" in err
         assert "non-positive" not in err
 
+    def test_loss_where_the_information_overflows(self, capsys):
+        rc, out, err = run_cli(capsys, [
+            "loss", "--family", "exponential", "--theta", "1e-170",
+            "--delta", "1.0000001e-170",
+        ])
+        assert rc == 2 and out == ""
+        assert err == (
+            "gminimax: configuration error: the Fisher information of "
+            "exponential_rate at theta=1.0000000994700468e-170 is infinite: it "
+            "overflows the float range there\n")
+
+    def test_degenerate_box_at_the_largest_float_prints_json(self, capsys):
+        big = "1.7976931348623157e308"
+        rc, out, err = run_cli(capsys, [
+            "prgm", "--family", "normal", "--x", "1", "--box", f"a=0:0,l={big}:{big}",
+        ])
+        assert rc == 0, err
+
+        def refuse(token):
+            raise AssertionError(f"{token} is not a JSON token")
+
+        payload = json.loads(out, parse_constant=refuse)
+        assert payload["estimate"] == -float(big)
+
     def test_output_is_deterministic(self, capsys):
         argv = ["prgm", "--family", "exponential", "--x", "2",
                 "--box", "a=1:3,l=1:2"]

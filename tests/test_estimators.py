@@ -264,6 +264,14 @@ class TestFloatOverflow:
         with pytest.raises(DomainError, match="outside the float range"):
             prgm_from_bounds(builtin_family("poisson"), 750.0, 751.0)
 
+    @pytest.mark.parametrize("name", ["normal", "exponential", "binomial_logit(5)",
+                                      "poisson"])
+    def test_degenerate_midpoint_of_the_largest_float_is_finite(self, name):
+        big = 1.7976931348623157e308
+        rep = prgm_from_bounds(builtin_family(name), big, big)
+        assert rep.estimate == big
+        assert rep.diagnostics["degenerate"] is True
+
     def test_narrow_bounds_do_not_blame_the_family(self, normal):
         # Regrets of ~5e-13 are round-off for the closed form at
         # theta=1e4; the integrated loss resolves them, and I is
@@ -303,11 +311,11 @@ class TestTransformCatalog:
     ])
     def test_monotone_and_invertible_on_positive_support(self, exponential, spec):
         tr = make_transform(spec, exponential)
-        validate_transform(tr, exponential)
+        assert validate_transform(tr, exponential) == []
 
     def test_logit_to_p(self, binomial5):
         tr = make_transform("logit_to_p", binomial5)
-        validate_transform(tr, binomial5)
+        assert validate_transform(tr, binomial5) == []
         assert float(tr.forward(0.0)) == pytest.approx(0.5, rel=1e-15)
 
     def test_positive_support_required(self, normal):
@@ -568,6 +576,38 @@ class TestTransformedScaleSolve:
                              make_transform(f"affine({a},0)", exponential))
         assert rep.diagnostics["degenerate"] is False
         assert rep.estimate / a == pytest.approx(0.46209812037329684, rel=rel)
+
+    def test_degenerate_midpoint_near_the_largest_float_is_finite(self, exponential):
+        # a point jcp box whose Bayes action is theta = 1, mapped to 1.5e308:
+        # the sum of the two extremes overflows, their midpoint does not
+        box = prior_box(exponential, 2.0, 2.0, 1.0, 1.0, "jcp")
+        tr = make_transform("affine(1.5e308,0)", exponential)
+        rep = eta_scale_prgm(exponential, box, 1.0, tr)
+        assert rep.diagnostics["degenerate"] is True
+        assert rep.estimate == 1.5e308
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflowed_transformed_extreme_is_refused(self, exponential):
+        box = prior_box(exponential, 1.0, 1e8, 0.3, 0.5, "jcp")
+        tr = make_transform("affine(1e300,0)", exponential)
+        with pytest.raises(DomainError) as info:
+            eta_scale_prgm(exponential, box, 0.0, tr)
+        assert str(info.value) == (
+            "affine(1e+300,0) maps the extreme Bayes estimate 333333333.3333333 "
+            "to inf, outside the float range")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_transformed_extreme_that_cannot_come_back_is_refused(self, normal):
+        # p = 1/(1 + e^theta) rounds to 1 at theta = -332.7, and log(0) pulls
+        # it back to -inf: the refusal names the extreme, not the pull-back.
+        box = prior_box(normal, 2.0, 10.0, 2.0, 1000.0)
+        tr = make_transform("logit_to_p", normal)
+        with pytest.raises(DomainError) as info:
+            eta_scale_prgm(normal, box, 1.0, tr)
+        assert str(info.value) == (
+            "logit_to_p maps the extreme Bayes estimate -332.66666666666663 to 1.0, "
+            "which it pulls back to -inf, outside the open support (-inf, inf) "
+            "of family normal_mean_unitvar")
 
     def test_non_jcp_class_is_not_invariant(self, exponential):
         """Re-eliciting the plain conjugate class on the reciprocal scale

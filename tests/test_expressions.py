@@ -17,16 +17,20 @@ from gminimax import (
     PriorBox,
     SpecificationError,
     bayes_estimate,
+    builtin_family,
     family_from_config,
     fisher_info,
     intrinsic_loss,
     kl_quadrature,
+    mean_inverse,
+    posterior_predictive_mean,
     prgm_conjugate_box,
     prgm_from_bounds,
 )
+from gminimax import families
 from gminimax.cli import main
 from gminimax.expressions import Expression, _derivative, _fold, parse_expression
-from gminimax.families import support_grid
+from gminimax.families import INVERT_ATOL, INVERT_RTOL, support_grid
 
 
 def ev(source, **env):
@@ -379,6 +383,16 @@ class TestFamilyFromConfig:
         with pytest.raises(SpecificationError, match="failed validation"):
             family_from_config(cfg)
 
+    def test_an_infinite_information_on_the_grid_fails_validation(self):
+        # 1e300/theta^2 overflows at the grid's first point: the shift
+        # check reports it as a problem, not as a raised DomainError.
+        cfg = dict(name="big", support=[0, None], log_norm="1e300*log(theta)",
+                   mean_range=[0, None], jeffreys_shift=[-1, 0])
+        with pytest.raises(SpecificationError, match="failed validation: the "
+                           "Fisher information of big at theta=1.2000000000000002e-08 "
+                           "is infinite"):
+            family_from_config(cfg)
+
 
 # Expression twins of the built-ins, with hand-written derivatives.
 TWINS = {
@@ -483,6 +497,75 @@ class TestDerivatives:
                 return
         if np.isfinite(got) and np.isfinite(want):
             assert abs(got - want) <= 1e-12 * max(abs(got), abs(want))
+
+
+# A twin counts one unit of alpha per observation, the binomial n = 5.
+TWIN_ALPHA_UNITS = {"binomial_logit(5)": 5.0}
+TWIN_X = {"normal": (-3.0, 0.0, 2.0), "exponential": (0.2, 1.0, 5.0),
+          "binomial_logit(5)": (0.0, 2.0, 5.0), "poisson": (0.0, 3.0, 12.0)}
+
+
+def twin_priors(key):
+    """The built-in, its twin, and (built-in prior, twin prior, x) over a
+    grid of (alpha, lambda, x) in built-in units, all proper."""
+    fam, twin = builtin_family(key), family_from_config(dict(TWINS[key]))
+    units = TWIN_ALPHA_UNITS.get(key, 1.0)
+    grid = [(ConjugatePrior(fam, a, l), ConjugatePrior(twin, a / units, l), x)
+            for a in (1.0, 2.5, 4.0) for l in (0.2, 0.5, 0.9) for x in TWIN_X[key]]
+    return fam, twin, grid
+
+
+class TestTwinInversion:
+    @pytest.mark.parametrize("key", sorted(TWINS))
+    def test_bayes_action_matches_the_builtin(self, key):
+        fam, twin, grid = twin_priors(key)
+        for prior, twin_prior, x in grid:
+            want = bayes_estimate(fam, prior, x)
+            got = bayes_estimate(twin, twin_prior, x)
+            t = want.diagnostics["posterior_mean"]
+            assert got.diagnostics["posterior_mean"] == pytest.approx(t, rel=1e-15)
+            # the inversion tolerance on the mean, read on theta through its slope
+            tol = INVERT_RTOL * abs(t) + INVERT_ATOL
+            assert abs(got.estimate - want.estimate) <= (
+                1.01 * tol / fisher_info(fam, want.estimate) + 2 * math.ulp(want.estimate))
+
+    @pytest.mark.parametrize("key", sorted(TWINS))
+    def test_inversions_stay_within_the_itp_bound(self, key, monkeypatch):
+        _, twin, grid = twin_priors(key)
+        calls = []
+        counted = dataclasses.replace(
+            twin, mean=lambda theta: calls.append(theta) or twin.mean(theta))
+        walk, itp = families._expand_bracket, families._itp
+        walked, solves = [], []
+
+        def spy_walk(fam, t):
+            bracket = walk(fam, t)
+            walked.append(len(calls))
+            return bracket
+
+        def spy_itp(f, a, b, fa, fb, width):
+            before = len(calls)
+            root, n = itp(f, a, b, fa, fb, width)
+            assert n == len(calls) - before
+            span = abs(b - a)  # 0 when the walk's start is the root
+            bound = max(0, math.ceil(math.log2(span / width))) + 1 if span else 0
+            solves.append((n, bound))
+            return root, n
+
+        monkeypatch.setattr(families, "_expand_bracket", spy_walk)
+        monkeypatch.setattr(families, "_itp", spy_itp)
+        per_inversion = []
+        for _, twin_prior, x in grid:
+            calls.clear()
+            mean_inverse(counted, posterior_predictive_mean(twin, twin_prior, x))
+            per_inversion.append(len(calls))
+            n, bound = solves[-1]
+            assert n <= bound
+            # after the walk: the two end values, the solve, one acceptance read
+            assert len(calls) - walked[-1] == n + 3
+        assert len(solves) == len(grid)
+        # the halving loop made 41-43 mean calls per inversion on this grid
+        assert sum(per_inversion) / len(per_inversion) < 18.0
 
 
 _REFERENCE = {"+": operator.add, "-": operator.sub, "*": operator.mul,
