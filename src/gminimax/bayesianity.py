@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 
 from .errors import DomainError, SpecificationError
 from .estimators import _corner_bayes, bayes_estimate, prgm_conjugate_box
-from .families import FamilySpec, mean_inverse, np, require_in_support
+from .families import FamilySpec, _observed_stat, mean_inverse, np, require_in_support
 from .priors import (
     ConjugatePrior,
     MixturePath,
@@ -142,7 +142,7 @@ def connected_path_witness(fam: FamilySpec, box: PriorBox, x: float,
             f"[{e_min}, {e_max}] of the box"
         )
 
-    u, r = fam.obs_units, float(fam.stat(x))
+    u, r = fam.obs_units, _observed_stat(fam, x)
     target_mean = float(fam.mean(target_estimate))
     std = box.to_standard().corners()
     f0, f1 = (u * (l + r) - target_mean * (a + u)

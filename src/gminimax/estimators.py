@@ -50,6 +50,7 @@ from .losses import _float_loss
 from .priors import (
     ConjugatePrior,
     PriorBox,
+    _jeffreys_shift,
     _predictive_means,
     posterior_predictive_mean,
     predictive_mean_quadrature,
@@ -200,7 +201,7 @@ def prgm_conjugate_box(fam: FamilySpec, box: PriorBox, x: float) -> EstimateRepo
     if box.flavor == "standard":
         return replace(report, diagnostics=diagnostics)
     return replace(report, method=METHOD_IPRGM, diagnostics={
-        **diagnostics, "jeffreys_shift": list(fam.jeffreys_shift)})
+        **diagnostics, "jeffreys_shift": list(_jeffreys_shift(fam))})
 
 
 def iprgm_jcp_box(fam: FamilySpec, box: PriorBox, x: float) -> EstimateReport:
@@ -287,9 +288,10 @@ def _catalog_transform(s: str, name: str, inner: str | None) -> Reparameterizati
     if args and args[0] == 0.0:
         raise SpecificationError(f"{name} needs a != 0")
     literals = dict(zip(params, args))
-    fwd, inv = parse_expression(forward, literals), parse_expression(inverse, literals)
+    fwd = parse_expression(forward, "theta", literals)
+    inv = parse_expression(inverse, "eta", literals)
     jacobian = Expression(f"log|d/dtheta({forward})|",
-                          _log_abs(_derivative(fwd._ast, "theta")), fwd.variables)
+                          _log_abs(_derivative(fwd._ast, "theta")), "theta")
     label = f"{name}({','.join(f'{v:g}' for v in args)})" if args else name
     return Reparameterization(label, fwd, inv, jacobian)
 

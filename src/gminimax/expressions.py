@@ -8,13 +8,13 @@ Grammar (whitespace-insensitive)::
     power  := atom ('^' unary)?          # right-associative
     atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
-``exp`` and ``log`` are the only functions; any other name is a free
-variable (``theta`` for parameter mappings, ``x`` for the statistic).
-Parsing either succeeds completely or raises a
+``exp`` and ``log`` are the only functions.  An expression is a function
+of one variable named when it is parsed (``theta`` for parameter mappings,
+``x`` for the statistic); any other name, unless a given literal, is
+refused.  Parsing either succeeds completely or raises a
 :class:`~gminimax.errors.SpecificationError` pointing at the offending
-position.  A parsed expression is compiled to two Python functions: a
-float body over ``math`` at once, and an array body over numpy at its
-first call, so an expression only ever called on floats loads no numpy.
+position.  A parsed expression is compiled at once to a float body over
+``math`` and an array body over numpy, which loads numpy when it first runs.
 """
 
 from __future__ import annotations
@@ -35,83 +35,53 @@ _BINARY_AST = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow:
 
 _FUNCTIONS = ("exp", "log")
 _OPERATORS = {symbol: op for op, symbol in _BINARY_AST.items() if symbol != "^"}
-# What each compiled body calls, under names that no variable can take;
-# numpy's three join at the first array body, whose read of ``np`` loads numpy.
+# What each compiled body reads, under names that no variable can take.  The
+# array body reads np.exp, np.log and np.power off the lazy handle when it
+# runs, so its first run loads numpy.
 _GLOBALS = {"__builtins__": {}, "math.exp": math.exp, "math.log": math.log,
-            "math.pow": math.pow}
-_POWER = {"np": "np.power", "math": "math.pow"}
+            "math.pow": math.pow, "families.np": np}
+_POWER = {"np": "power", "math": "pow"}
 # What the float body raises where the array body returns inf or nan.
 _MATH_REFUSALS = (OverflowError, ValueError, ZeroDivisionError)
-_KEYWORDS = object()  # no positional value: the variables come as keywords
 
 
 class Expression:
-    """Parsed expression: callable with keyword variables, or with its one
-    variable positionally.
+    """Parsed expression: a function of its one variable, called with it
+    positionally.
 
     The tree, with literal-only subtrees folded to their values, is
-    compiled to two functions of the variables: the float body at once,
-    the array body at the first call that needs it.  The float body calls
-    ``math.exp``, ``math.log`` and ``math.pow``; the array body calls
-    ``np.exp``, ``np.log`` and ``np.power``.  Both run ``+ - * /`` as
-    Python's operators, which round alike on Python and numpy floats.
-    A constant of one variable is ``c + 0*var``, c in its argument's shape.
-    A call whose variables are all floats (``np.float64`` included) runs
-    the float body on Python floats and returns a Python float.  Where
+    compiled to two functions of the variable when the expression is
+    built.  The float body calls ``math.exp``, ``math.log`` and
+    ``math.pow``; the array body calls ``np.exp``, ``np.log`` and
+    ``np.power``.  Both run ``+ - * /`` as Python's operators, which round
+    alike on Python and numpy floats.  A constant is ``c + 0*var``, c in
+    its argument's shape.  A float (``np.float64`` included) runs the
+    float body on a Python float and returns a Python float.  Where
     ``math`` refuses (an overflow, a log of 0, a division by 0), the array
     body answers the same call instead, with numpy's ``inf`` or ``nan``
-    and its warning.  Any other call runs the array body on numpy floats
+    and its warning.  Anything else runs the array body on numpy floats
     or float arrays.
     """
 
-    def __init__(self, source: str, tree, variables: frozenset[str]):
+    def __init__(self, source: str, tree, var: str):
         self.source = source
         try:
             self._ast = _fold(tree)
         except ZeroDivisionError:
             raise SpecificationError(
                 f"expression {source!r} divides by zero in a literal term") from None
-        if self._ast[0] == "num" and len(variables) == 1:
-            self._ast = ("+", self._ast, ("*", _ZERO, ("var", *variables)))
-        self.variables = variables
-        self._names = sorted(variables)
-        self._one = len(variables) == 1
-        self._float = _compiled(self._ast, self._names, "math")
+        if self._ast[0] == "num":
+            self._ast = ("+", self._ast, ("*", _ZERO, ("var", var)))
+        self._float = _compiled(self._ast, var, "math")
+        self._array = _compiled(self._ast, var, "np")
 
-    def __call__(self, value=_KEYWORDS, /, **env):
-        if isinstance(value, float) and self._one and not env:
+    def __call__(self, value, /):
+        if isinstance(value, float):
             try:
                 return self._float(float(value))
             except _MATH_REFUSALS:
                 pass
-        elif value is _KEYWORDS or env or not self._one:
-            return self._call_keywords(value, env)
         return self._array(np.asarray(value, dtype=float)[()])
-
-    def _call_keywords(self, value, env):
-        """``__call__`` with the variables as keywords, by the same rule.
-        A positional value comes here only with keywords or with other
-        than one variable, and is refused."""
-        if value is not _KEYWORDS:
-            raise SpecificationError(
-                f"expression {self.source!r} takes one positional value only "
-                f"with one variable; its variables are {self._names}")
-        try:
-            values = [env[name] for name in self._names]
-        except KeyError:
-            raise SpecificationError(
-                f"expression {self.source!r} needs variable(s) "
-                f"{sorted(self.variables - env.keys())}; got {sorted(env)}") from None
-        if all(isinstance(v, float) for v in values):
-            try:
-                return self._float(*[float(v) for v in values])
-            except _MATH_REFUSALS:
-                pass
-        return self._array(*[np.asarray(v, dtype=float)[()] for v in values])
-
-    def _array(self, *values):  # compiled at the first call, then shadowed by it
-        self._array = _compiled(self._ast, self._names, "np")
-        return self._array(*values)
 
     def __repr__(self):
         return f"Expression({self.source!r})"
@@ -127,17 +97,17 @@ def _python(node, lib: str) -> ast.expr:
         return ast.UnaryOp(ast.USub(), _python(*args, lib))
     if kind in _OPERATORS:
         return ast.BinOp(_python(args[0], lib), _OPERATORS[kind](), _python(args[1], lib))
-    fn = _POWER[lib] if kind == "^" else f"{lib}.{args.pop(0)}"
-    return ast.Call(ast.Name(fn, ast.Load()), [_python(a, lib) for a in args], [])
+    fn = _POWER[lib] if kind == "^" else args.pop(0)
+    func = (ast.Name(f"math.{fn}", ast.Load()) if lib == "math" else
+            ast.Attribute(ast.Name("families.np", ast.Load()), fn, ast.Load()))
+    return ast.Call(func, [_python(a, lib) for a in args], [])
 
 
-def _compiled(tree, names, lib: str):
-    """The tree compiled to a Python function of ``names``, in that order,
-    over ``lib``'s functions (see ``_python``)."""
-    if lib == "np" and "np.exp" not in _GLOBALS:
-        _GLOBALS.update({"np.exp": np.exp, "np.log": np.log, "np.power": np.power})
-    params = ast.arguments(posonlyargs=[], args=[ast.arg(n) for n in names],
-                           kwonlyargs=[], kw_defaults=[], defaults=[])
+def _compiled(tree, var: str, lib: str):
+    """The tree compiled to a Python function of ``var`` over ``lib``'s
+    functions (see ``_python``)."""
+    params = ast.arguments(posonlyargs=[], args=[ast.arg(var)], kwonlyargs=[],
+                           kw_defaults=[], defaults=[])
     body = ast.Lambda(params, _python(tree, lib))
     code = ast.fix_missing_locations(ast.Expression(body))
     return eval(compile(code, "<expression>", "eval"), _GLOBALS)
@@ -153,11 +123,12 @@ def _fold(node):
         return node
     # As a float call evaluates: math, and where it refuses, numpy on Python
     # floats; a literal division by zero raises ZeroDivisionError in both.
+    # The subtree has no variable, so the one it is compiled in is unused.
     try:
-        return ("num", _compiled(node, [], "math")())
+        return ("num", _compiled(node, "_", "math")(0.0))
     except _MATH_REFUSALS:
         with np.errstate(all="ignore"):
-            return ("num", float(_compiled(node, [], "np")()))
+            return ("num", float(_compiled(node, "_", "np")(0.0)))
 
 
 # Tree builders for derivatives.  They fold the literals 0 and 1, and
@@ -244,9 +215,11 @@ def _fail(source: str, pos: int, message: str):
                              f"    {source}\n    {' ' * pos}^")
 
 
-def parse_expression(source: str, literals: dict[str, float] | None = None) -> Expression:
-    """Parse to a vectorized callable, or fail with a position marker.
-    Each name in ``literals`` is a number leaf of its value, not a variable.
+def parse_expression(source: str, var: str,
+                     literals: dict[str, float] | None = None) -> Expression:
+    """Parse to a vectorized function of ``var``, or fail with a position
+    marker.  Each name in ``literals`` is a number leaf of its value; any
+    other name but ``var`` is refused where it stands.
 
     CPython's parser reads the grammar once ``^`` is spelled ``**``: the
     two agree on precedence, on right-associative powers and on
@@ -259,7 +232,6 @@ def parse_expression(source: str, literals: dict[str, float] | None = None) -> E
         _fail(source, bad.start(), f"unexpected character {bad.group()!r}")
     text = re.sub(r"\s", " ", source).lstrip()
     python = text.replace("^", "**")
-    variables: set[str] = set()
 
     def fail(k: int, message: str):  # k indexes python; origin maps it to text
         origin = [j for j, ch in enumerate(text) for _ in range(1 + (ch == "^"))]
@@ -272,11 +244,12 @@ def parse_expression(source: str, literals: dict[str, float] | None = None) -> E
                 return (_BINARY_AST[type(op)], walk(a), walk(b))
             case ast.UnaryOp(op=ast.USub(), operand=a):
                 return ("neg", walk(a))
+            case ast.Name(id=name) if name == var:
+                return ("var", name)
             case ast.Name(id=name) if name in (literals or {}):
                 return ("num", literals[name])
-            case ast.Name(id=name) if name != "__debug__":  # Python's constant
-                variables.add(name)
-                return ("var", name)
+            case ast.Name(id=name):
+                fail(node.col_offset, f"unknown name {name!r}; the variable is {var!r}")
             case ast.Constant() if _NUMBER.fullmatch(
                     literal := python[node.col_offset:node.end_col_offset]):
                 return ("num", float(literal))
@@ -292,7 +265,7 @@ def parse_expression(source: str, literals: dict[str, float] | None = None) -> E
         body = ast.parse(python, mode="eval").body
     except SyntaxError as exc:  # offset 0 or a later line: the end of the text
         fail(exc.offset - 1 if exc.offset and exc.lineno == 1 else len(python), exc.msg)
-    return Expression(source, walk(body), frozenset(variables))
+    return Expression(source, walk(body), var)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +309,8 @@ def _interval(value, key: str) -> tuple[float, float]:
 
 def _mapping(source, label: str, var: str = "theta",
              antiderivative=None) -> Expression:
-    """Parse a mapping of ``var``; with no source, differentiate the antiderivative.
+    """Parse a mapping of ``var``; with no source, differentiate the
+    antiderivative.  A refusal names the mapping's ``label``.
 
     Parsing, differentiation, folding and compiling recurse once per level
     of the tree, so a tree that builds here also evaluates.
@@ -344,18 +318,12 @@ def _mapping(source, label: str, var: str = "theta",
     try:
         if source is None and antiderivative is not None:
             tree = _derivative(antiderivative._ast, var)
-            expr = Expression(f"d/d{var}({antiderivative.source})", tree,
-                              antiderivative.variables)
-        else:
-            expr = parse_expression(source)
+            return Expression(f"d/d{var}({antiderivative.source})", tree, var)
+        return parse_expression(source, var)
     except (RecursionError, MemoryError):  # MemoryError: CPython's parser stack
         raise SpecificationError(f"{label} expression nests too deeply") from None
-    if extra := expr.variables - {var}:
-        raise SpecificationError(
-            f"{label} may only use the variable {var!r}; found {sorted(extra)}")
-    if not expr.variables:  # a constant, of var (see Expression)
-        expr = Expression(expr.source, expr._ast, frozenset({var}))
-    return expr
+    except SpecificationError as exc:
+        raise SpecificationError(f"{label}: {exc}") from None
 
 
 def family_from_config(cfg: dict) -> FamilySpec:
@@ -366,9 +334,10 @@ def family_from_config(cfg: dict) -> FamilySpec:
     ``mean`` and ``mean_deriv`` (the exact derivatives of ``log_norm``
     and ``mean`` when omitted), ``stat`` (expression in ``x``; ``"x"``
     when omitted or ``null``), ``mean_range``, ``jeffreys_shift``.  The
-    name is a nonempty string.  The family's mappings are the parsed
-    expressions themselves.  The constructed family is spot-checked;
-    violations are reported as configuration errors.
+    name is a nonempty string of printable characters.  The family's
+    mappings are the parsed expressions themselves, and a refusal of one
+    names its key.  The constructed family is spot-checked; violations
+    are reported as configuration errors.
     """
     if not isinstance(cfg, dict):
         raise SpecificationError("family config must be a mapping")
@@ -382,6 +351,8 @@ def family_from_config(cfg: dict) -> FamilySpec:
     name = cfg["name"]
     if not isinstance(name, str) or not name:
         raise SpecificationError(f"bad name entry {name!r}; expected a nonempty string")
+    if not name.isprintable():  # a line break would split a one-line message
+        raise SpecificationError(f"bad name entry {name!r}; expected printable characters")
     support = _interval(cfg["support"], "support")
     log_norm = _mapping(cfg["log_norm"], "log_norm")
     mean = _mapping(cfg.get("mean"), "mean", antiderivative=log_norm)

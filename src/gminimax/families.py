@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import re
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -226,8 +225,8 @@ def _initial_point(fam: FamilySpec) -> float:
     return 0.0
 
 
-def _expand_bracket(fam: FamilySpec, target: float) -> tuple[float, float]:
-    """Find a <= b with mean(a) >= target >= mean(b).
+def _expand_bracket(fam: FamilySpec, target: float):
+    """``(a, mean(a)), (b, mean(b))`` with a <= b and mean(a) >= target >= mean(b).
 
     The mean function decreases, so one walk runs left to raise it and
     the same walk runs right to lower it, each doubling its step (or
@@ -239,8 +238,9 @@ def _expand_bracket(fam: FamilySpec, target: float) -> tuple[float, float]:
                              (fam.support[1], 1.0, "right")):
         p, step = start, max(1.0, 0.5 * abs(start))
         for _ in range(BRACKET_MAX_STEPS):
+            m = float(fam.mean(p))
             # left stops at mean(p) >= target, right at mean(p) <= target
-            if sign * (float(fam.mean(p)) - target) <= 0.0:
+            if sign * (m - target) <= 0.0:
                 break
             p = 0.5 * (p + edge) if math.isfinite(edge) else p + sign * step
             step *= 2.0
@@ -250,7 +250,7 @@ def _expand_bracket(fam: FamilySpec, target: float) -> tuple[float, float]:
                 f"could not bracket mean value {target} from the {side} in "
                 f"{BRACKET_MAX_STEPS} expansions for family {fam.name}"
             )
-        ends.append(p)
+        ends.append((p, m))
     return ends[0], ends[1]
 
 
@@ -327,14 +327,16 @@ def mean_inverse(fam: FamilySpec, t: float) -> float:
         require_in_support(fam, theta, what="inverted theta")
         return theta
 
-    a, b = _expand_bracket(fam, t)
+    (a, mean_a), (b, mean_b) = _expand_bracket(fam, t)
     tol = INVERT_RTOL * abs(t) + INVERT_ATOL
 
     def gap(theta: float) -> float:  # 0 within the tolerance: _itp stops there
         g = float(fam.mean(theta)) - t
         return 0.0 if abs(g) <= tol else g
 
-    theta, _ = _itp(gap, a, b, gap(a), gap(b), 1e-16 * max(1.0, abs(a), abs(b)))
+    ga, gb = mean_a - t, mean_b - t  # gap at the ends, from the means the walk read
+    theta, _ = _itp(gap, a, b, 0.0 if abs(ga) <= tol else ga, 0.0 if abs(gb) <= tol else gb,
+                    1e-16 * max(1.0, abs(a), abs(b)))
     res = abs(float(fam.mean(theta)) - t)
     if res <= 100.0 * tol:
         return theta
@@ -726,6 +728,22 @@ def check_observation(fam: FamilySpec, x: float) -> None:
             f"observation x={x} is outside the sample space ({kind}[{lo}, {hi}]) "
             f"of {fam.name}"
         )
+
+
+def _observed_stat(fam: FamilySpec, x: float) -> float:
+    """``stat(x)`` as a Python float; DomainError where it is not finite.  A
+    family with no sample space (a config family) may leave its statistic's
+    domain at x, so numpy is silenced there: the refusal names the cause."""
+    if fam.sample_space is None:
+        with np.errstate(all="ignore"):
+            r = float(fam.stat(x))
+    else:
+        r = float(fam.stat(x))
+    if not math.isfinite(r):
+        check_observation(fam, x)
+        raise DomainError(f"the statistic of {fam.name} at observation x={x} is {r}, "
+                          "not a finite number")
+    return r
 
 
 def check_posterior_ok(fam: FamilySpec, alpha: float, lam: float, x: float,

@@ -37,6 +37,7 @@ from .families import (
     FamilySpec,
     _broken,
     _log,
+    _observed_stat,
     _prior_text,
     check_observation,
     check_posterior_ok,
@@ -107,13 +108,14 @@ def to_standard(prior: ConjugatePrior) -> ConjugatePrior:
 
     Standard priors pass through unchanged.  Requires the family to
     declare its Jeffreys shift.  ``_jeffreys_shift`` is the one place the
-    shift is read: mixtures shift through this function, and boxes and
-    the closed-form predictive means through ``_jeffreys_shift`` itself.
+    shift is read, and ``_shifted`` the one place it is added: mixtures
+    shift through this function, and boxes and the closed-form predictive
+    means through ``_shifted`` itself.
     """
     if prior.flavor == "standard":
         return prior
-    da, dl = _jeffreys_shift(prior.fam)
-    return ConjugatePrior(prior.fam, prior.alpha + da, prior.lam + dl, "standard")
+    [(alpha, lam)] = _shifted(prior.fam, [(prior.alpha, prior.lam)])
+    return ConjugatePrior(prior.fam, alpha, lam, "standard")
 
 
 def _jeffreys_shift(fam: FamilySpec) -> tuple[float, float]:
@@ -125,6 +127,12 @@ def _jeffreys_shift(fam: FamilySpec) -> tuple[float, float]:
             "prior has no standard-flavor equivalent"
         )
     return fam.jeffreys_shift
+
+
+def _shifted(fam: FamilySpec, points) -> list[tuple[float, float]]:
+    """Jcp ``(alpha, lambda)`` points as standard ones: each plus the Jeffreys shift."""
+    da, dl = _jeffreys_shift(fam)
+    return [(a + da, l + dl) for a, l in points]
 
 
 def require_same_family(fam: FamilySpec, other: FamilySpec, what: str) -> None:
@@ -163,12 +171,13 @@ def _predictive_means(fam: FamilySpec, flavor: str, corners, points,
     box.  Where a corner breaks one, each point is checked in turn, so
     the refusal names the first point that breaks it.
     """
+    standard = points
     if flavor != "standard":
-        da, dl = _jeffreys_shift(fam)
-        corners = [(a + da, l + dl) for a, l in corners]
+        standard = _shifted(fam, points)  # corners are often the points themselves
+        corners = standard if corners is points else _shifted(fam, corners)
         # A shifted corner stays finite, as a standard prior must.
         _check_hypers("standard", [v for c in corners for v in c], "hyper-parameters")
-    r = float(fam.stat(x))
+    r = _observed_stat(fam, x)
     try:
         for a, l in corners:
             check_posterior_ok(fam, a, l, x, r)
@@ -178,9 +187,8 @@ def _predictive_means(fam: FamilySpec, flavor: str, corners, points,
     u = fam.obs_units
     lo, hi = fam.mean_range or (-math.inf, math.inf)
     means = []
-    for a, l in points:
-        jcp = None if flavor == "standard" else (a, l)
-        sa, sl = (a, l) if jcp is None else (a + da, l + dl)
+    for i, (sa, sl) in enumerate(standard):
+        jcp = None if flavor == "standard" else points[i]
         if each:
             check_posterior_ok(fam, sa, sl, x, r, jcp)
         pm = u * (sl + r) / (sa + u)
@@ -240,9 +248,9 @@ class PriorBox:
         """
         if self.flavor == "standard":
             return self
-        da, dl = _jeffreys_shift(self.fam)
-        return PriorBox(self.fam, self.alpha_lo + da, self.alpha_hi + da,
-                        self.lam_lo + dl, self.lam_hi + dl, "standard")
+        (a_lo, l_lo), (a_hi, l_hi) = _shifted(
+            self.fam, [(self.alpha_lo, self.lam_lo), (self.alpha_hi, self.lam_hi)])
+        return PriorBox(self.fam, a_lo, a_hi, l_lo, l_hi, "standard")
 
 
 def prior_box(fam: FamilySpec, alpha_lo: float, alpha_hi: float,
@@ -421,7 +429,7 @@ def _log_weight(fam: FamilySpec, prior: ConjugatePrior):
 def _log_posterior_integrand(fam: FamilySpec, prior: ConjugatePrior, x: float):
     """Log of (likelihood shape) * (unnormalized prior), vectorized."""
     check_observation(fam, x)
-    r = float(fam.stat(x))
+    r = _observed_stat(fam, x)
     logw = _log_weight(fam, prior)
 
     def logf(th):

@@ -768,6 +768,40 @@ class TestFamilyFile:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.splitlines() == [f"gminimax: configuration error: {message}"]
 
+    @pytest.mark.parametrize("stat,x,value", [("x^0.5", "-1", "nan"), ("exp(x)", "1000", "inf")],
+                             ids=["root_of_negative", "overflow"])
+    @pytest.mark.parametrize("warnings_filter", ["", "error::RuntimeWarning"],
+                             ids=["printed", "raised"])
+    def test_a_statistic_that_is_not_finite_is_named(self, tmp_path, stat, x, value,
+                                                      warnings_filter):
+        # numpy's warning for stat(x) neither prints nor blames the hyper-parameters.
+        import os
+
+        cfg = dict(name="sq", support=[0, None], log_norm="log(theta)", stat=stat,
+                   mean_range=[0, None], jeffreys_shift=[-1, 0])
+        path = tmp_path / "sq.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gminimax", "bayes", "--family-file", str(path),
+             "--x", x, "--prior", "a=1,l=1"], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONWARNINGS": warnings_filter})
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines() == [
+            "gminimax: warning: family sq has no propriety predicate; accepting "
+            "(alpha=1.0, lambda=1.0) unchecked",
+            f"gminimax: configuration error: the statistic of sq at observation "
+            f"x={float(x)} is {value}, not a finite number"]
+
+    def test_a_name_with_a_line_break_fails_in_one_stderr_line(self, capsys, tmp_path):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(dict(name="my\nexp", support=[0, None],
+                                        log_norm="log(theta)")), encoding="utf-8")
+        rc, out, err = run_cli(capsys, ["prgm", "--family-file", str(path),
+                                        "--bounds", "0.5:1.5"])
+        assert (rc, out) == (2, "")
+        assert err == ("gminimax: configuration error: bad name entry 'my\\nexp'; "
+                       "expected printable characters\n")
+
     @pytest.mark.parametrize("argv", [
         ["iprgm", "--x", "2", "--box", "a=1:3,l=1:2"],
         ["bayes", "--x", "2", "--prior", "a=1,l=1", "--flavor", "jcp"],
@@ -869,7 +903,7 @@ class TestFamilyFile:
             "prgm", "--family-file", str(path), "--bounds", "0.5:1.5",
         ])
         assert (rc, out) == (2, "")
-        assert err == ("gminimax: configuration error: expression "
+        assert err == ("gminimax: configuration error: log_norm: expression "
                        "'log(theta) + 1/(1-1)' divides by zero in a literal term\n")
 
     @pytest.mark.parametrize("log_norm,error", [
