@@ -13,8 +13,8 @@ of one variable named when it is parsed (``theta`` for parameter mappings,
 ``x`` for the statistic); any other name, unless a given literal, is
 refused.  Parsing either succeeds completely or raises a
 :class:`~gminimax.errors.SpecificationError` pointing at the offending
-position.  A parsed expression is compiled at once to a float body over
-``math`` and an array body over numpy, which loads numpy when it first runs.
+position.  A parsed expression is compiled at once to one function over
+the primitives the built-in families are written with: one rule for both.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 import re
 
 from .errors import SpecificationError
-from .families import FamilySpec, np, validate_family
+from .families import FamilySpec, _div, _exp, _log, _pow, np, validate_family
 
 __all__ = ["Expression", "family_from_config"]
 
@@ -34,15 +34,10 @@ _OUTSIDE = re.compile(r"[^A-Za-z0-9_.+\-*/^()\s]|(?<=\*)\*")
 _BINARY_AST = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 _FUNCTIONS = ("exp", "log")
-_OPERATORS = {symbol: op for op, symbol in _BINARY_AST.items() if symbol != "^"}
-# What each compiled body reads, under names that no variable can take.  The
-# array body reads np.exp, np.log and np.power off the lazy handle when it
-# runs, so its first run loads numpy.
-_GLOBALS = {"__builtins__": {}, "math.exp": math.exp, "math.log": math.log,
-            "math.pow": math.pow, "families.np": np}
-_POWER = {"np": "power", "math": "pow"}
-# What the float body raises where the array body returns inf or nan.
-_MATH_REFUSALS = (OverflowError, ValueError, ZeroDivisionError)
+_OPERATORS = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
+# The primitive each other node calls, under a name no variable can take.
+_CALLS = {"/": _div, "^": _pow, "exp": _exp, "log": _log}
+_GLOBALS = {"__builtins__": {}, **{f"families.{f.__name__}": f for f in _CALLS.values()}}
 
 
 class Expression:
@@ -50,17 +45,14 @@ class Expression:
     positionally.
 
     The tree, with literal-only subtrees folded to their values, is
-    compiled to two functions of the variable when the expression is
-    built.  The float body calls ``math.exp``, ``math.log`` and
-    ``math.pow``; the array body calls ``np.exp``, ``np.log`` and
-    ``np.power``.  Both run ``+ - * /`` as Python's operators, which round
-    alike on Python and numpy floats.  A constant is ``c + 0*var``, c in
-    its argument's shape.  A float (``np.float64`` included) runs the
-    float body on a Python float and returns a Python float.  Where
-    ``math`` refuses (an overflow, a log of 0, a division by 0), the array
-    body answers the same call instead, with numpy's ``inf`` or ``nan``
-    and its warning.  Anything else runs the array body on numpy floats
-    or float arrays.
+    compiled to one function of the variable, ``_fn``, which runs ``+ - *``
+    as Python's operators and ``/ ^ exp log`` as the family primitives
+    ``_div``, ``_pow``, ``_exp`` and ``_log``: ``math`` on Python floats,
+    with numpy's ``inf`` or ``nan`` and no warning where it would raise,
+    numpy on arrays.  A constant is ``c + 0*var``, c in its argument's
+    shape.  A call runs ``_fn`` on a Python float for a float
+    (``np.float64`` included), on a float ndarray otherwise.  A config
+    family binds ``_fn`` itself as its mapping.
     """
 
     def __init__(self, source: str, tree, var: str):
@@ -72,43 +64,35 @@ class Expression:
                 f"expression {source!r} divides by zero in a literal term") from None
         if self._ast[0] == "num":
             self._ast = ("+", self._ast, ("*", _ZERO, ("var", var)))
-        self._float = _compiled(self._ast, var, "math")
-        self._array = _compiled(self._ast, var, "np")
+        self._fn = _compiled(self._ast, var)
 
     def __call__(self, value, /):
-        if isinstance(value, float):
-            try:
-                return self._float(float(value))
-            except _MATH_REFUSALS:
-                pass
-        return self._array(np.asarray(value, dtype=float)[()])
+        return self._fn(float(value) if isinstance(value, float)
+                        else np.asarray(value, dtype=float))
 
     def __repr__(self):
         return f"Expression({self.source!r})"
 
 
-def _python(node, lib: str) -> ast.expr:
-    """The tree as a Python expression node over ``lib``, ``"np"`` or
-    ``"math"``: its ``exp`` and ``log``, and its power function for ``^``."""
+def _python(node) -> ast.expr:
+    """The tree as a Python expression node: ``+ - *`` and negation as
+    Python's operators, anything else a call of its primitive in ``_CALLS``."""
     kind, *args = node
     if kind in ("num", "var"):
         return ast.Constant(*args) if kind == "num" else ast.Name(*args, ast.Load())
     if kind == "neg":
-        return ast.UnaryOp(ast.USub(), _python(*args, lib))
+        return ast.UnaryOp(ast.USub(), _python(*args))
     if kind in _OPERATORS:
-        return ast.BinOp(_python(args[0], lib), _OPERATORS[kind](), _python(args[1], lib))
-    fn = _POWER[lib] if kind == "^" else args.pop(0)
-    func = (ast.Name(f"math.{fn}", ast.Load()) if lib == "math" else
-            ast.Attribute(ast.Name("families.np", ast.Load()), fn, ast.Load()))
-    return ast.Call(func, [_python(a, lib) for a in args], [])
+        return ast.BinOp(_python(args[0]), _OPERATORS[kind](), _python(args[1]))
+    name = _CALLS[args.pop(0) if kind == "call" else kind].__name__
+    return ast.Call(ast.Name(f"families.{name}", ast.Load()), [*map(_python, args)], [])
 
 
-def _compiled(tree, var: str, lib: str):
-    """The tree compiled to a Python function of ``var`` over ``lib``'s
-    functions (see ``_python``)."""
+def _compiled(tree, var: str):
+    """The tree compiled to a Python function of ``var`` (see ``_python``)."""
     params = ast.arguments(posonlyargs=[], args=[ast.arg(var)], kwonlyargs=[],
                            kw_defaults=[], defaults=[])
-    body = ast.Lambda(params, _python(tree, lib))
+    body = ast.Lambda(params, _python(tree))
     code = ast.fix_missing_locations(ast.Expression(body))
     return eval(compile(code, "<expression>", "eval"), _GLOBALS)
 
@@ -121,14 +105,10 @@ def _fold(node):
     node = node[:head] + tuple(_fold(a) for a in node[head:])
     if any(a[0] != "num" for a in node[head:]):
         return node
-    # As a float call evaluates: math, and where it refuses, numpy on Python
-    # floats; a literal division by zero raises ZeroDivisionError in both.
-    # The subtree has no variable, so the one it is compiled in is unused.
-    try:
-        return ("num", _compiled(node, "_", "math")(0.0))
-    except _MATH_REFUSALS:
-        with np.errstate(all="ignore"):
-            return ("num", float(_compiled(node, "_", "np")(0.0)))
+    if node[0] == "/" and node[2][1] == 0.0:
+        raise ZeroDivisionError("a literal division by zero")
+    # As a float call evaluates it; the variable it is compiled in is unused.
+    return ("num", _compiled(node, "_")(0.0))
 
 
 # Tree builders for derivatives.  They fold the literals 0 and 1, and
@@ -335,8 +315,8 @@ def family_from_config(cfg: dict) -> FamilySpec:
     and ``mean`` when omitted), ``stat`` (expression in ``x``; ``"x"``
     when omitted or ``null``), ``mean_range``, ``jeffreys_shift``.  The
     name is a nonempty string of printable characters.  The family's
-    mappings are the parsed expressions themselves, and a refusal of one
-    names its key.  The constructed family is spot-checked; violations
+    mappings are the expressions' compiled functions, bound directly, and a
+    refusal of one names its key.  The constructed family is spot-checked; violations
     are reported as configuration errors.
     """
     if not isinstance(cfg, dict):
@@ -365,16 +345,9 @@ def family_from_config(cfg: dict) -> FamilySpec:
     shift = None if js is None else tuple(_number(v, "jeffreys_shift")
                                           for v in _pair(js, "jeffreys_shift"))
 
-    fam = FamilySpec(
-        name=name,
-        support=support,
-        log_norm=log_norm,
-        mean=mean,
-        mean_deriv=mean_deriv,
-        stat=stat,
-        mean_range=mean_range,
-        jeffreys_shift=shift,
-    )
+    fam = FamilySpec(name=name, support=support, log_norm=log_norm._fn, mean=mean._fn,
+                     mean_deriv=mean_deriv._fn, stat=stat._fn, mean_range=mean_range,
+                     jeffreys_shift=shift)
     problems = validate_family(fam)
     if problems:
         raise SpecificationError(

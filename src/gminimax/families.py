@@ -85,12 +85,12 @@ class FamilySpec:
     holding anything else convert it first.  Each returns its argument's
     shape, constant or not (a config ``mean_deriv`` of ``"-1"`` works as
     written): a scalar for a float, an array of that shape for an array.
-    A built-in mapping computes a Python float (an ``np.float64`` too)
-    with ``math`` and returns a Python float, so the closed-form path
-    never loads numpy; an array goes through numpy, read from the ``np``
-    handle, which loads numpy at its first attribute read.  ``math`` and
-    numpy may round ``exp`` and ``log`` differently in the last place, so
-    a mapping's float value may differ from its array value there.
+    Built-in and config mappings are written over the primitives below
+    (``_exp``, ``_log``, ``_div``, ``_pow``, ...), which compute a Python
+    float (an ``np.float64`` too) with ``math``, so the closed-form path
+    never loads numpy, and an array with the lazy ``np`` handle.  ``math``
+    and numpy may round ``exp``, ``log`` and ``^`` differently in the last
+    place, so a mapping's float value may differ from its array value there.
     """
 
     name: str
@@ -452,7 +452,7 @@ def _exponential_family() -> FamilySpec:
         support=(0.0, math.inf),
         log_norm=lambda th: _log(th),
         mean=lambda th: 1.0 / th,
-        mean_deriv=lambda th: -_recip(th * th),
+        mean_deriv=lambda th: -_div(1.0, th * th),
         stat=lambda x: x,
         mean_inv=lambda t: 1.0 / t,
         mean_range=(0.0, math.inf),
@@ -483,10 +483,10 @@ class _Numpy:
 
 np = _Numpy()
 
-# The functions the built-in mappings are written over.  A Python float (an
-# np.float64 too) is computed with math, giving numpy's inf or nan and no
-# warning where math would raise; anything else with numpy (``np``, loaded at
-# its first read), whose exp and log may round otherwise in the last place.
+# The functions the built-in mappings and compiled expressions are written
+# over.  A Python float (an np.float64 too) is computed with math, giving
+# numpy's inf or nan and no warning where math would raise; anything else with
+# numpy (``np``, loaded at its first read).
 
 _LOG2 = math.log(2.0)
 
@@ -522,11 +522,24 @@ def _log1p_exp(t):
     return np.logaddexp(0.0, t)
 
 
-def _recip(t):
-    """``1/t``: 1/0 is inf, where Python's float division would raise."""
-    if isinstance(t, float) and t == 0.0:
-        return math.copysign(math.inf, t)
-    return 1.0 / t
+def _div(a, b):
+    """``a/b``: a float over 0 is signed inf, or nan for 0/0 and nan/0."""
+    if isinstance(b, float) and b == 0.0 and isinstance(a, float):
+        return float(a) * math.copysign(math.inf, b) if a == a != 0.0 else math.nan
+    return a / b
+
+
+def _pow(a, b):
+    """``a^b``: a negative base to a non-integer power is nan; an overflow,
+    or 0 to a negative power, inf, with the base's sign for an odd power."""
+    if not (isinstance(a, float) and isinstance(b, float)):
+        return np.power(a, b)
+    try:
+        return math.pow(a, b)
+    except (OverflowError, ValueError):
+        if a < 0.0 and b % 1.0:
+            return math.nan
+        return math.copysign(math.inf, a if b % 2.0 == 1.0 else 1.0)
 
 
 def _full(t, value: float):
@@ -731,16 +744,12 @@ def check_observation(fam: FamilySpec, x: float) -> None:
 
 
 def _observed_stat(fam: FamilySpec, x: float) -> float:
-    """``stat(x)`` as a Python float; DomainError where it is not finite.  A
-    family with no sample space (a config family) may leave its statistic's
-    domain at x, so numpy is silenced there: the refusal names the cause."""
-    if fam.sample_space is None:
-        with np.errstate(all="ignore"):
-            r = float(fam.stat(x))
-    else:
-        r = float(fam.stat(x))
+    """``stat(x)`` as a Python float, the one gate of an observation: a
+    DomainError for an x that ``check_observation`` refuses, or where the
+    statistic is not finite."""
+    check_observation(fam, x)
+    r = float(fam.stat(float(x)))
     if not math.isfinite(r):
-        check_observation(fam, x)
         raise DomainError(f"the statistic of {fam.name} at observation x={x} is {r}, "
                           "not a finite number")
     return r
@@ -748,12 +757,11 @@ def _observed_stat(fam: FamilySpec, x: float) -> float:
 
 def check_posterior_ok(fam: FamilySpec, alpha: float, lam: float, x: float,
                        r: float, jcp: tuple[float, float] | None = None) -> None:
-    """Raise DomainError for an impossible observation, ProprietyError if
-    the posterior at x (``r = stat(x)``) would be improper: every family
+    """Raise ProprietyError if the posterior at x (``r = stat(x)``, from
+    ``_observed_stat``, which checks x) would be improper: every family
     needs ``alpha + obs_units > 0``, since the closed-form posterior mean
     divides by it, and every row must hold at ``(alpha + obs_units, lam + r)``.
     A refusal names ``jcp``, the jcp prior that ``(alpha, lam)`` stand for, too."""
-    check_observation(fam, x)
     u = fam.obs_units
     row = _broken(((1.0, 0.0, 0.0, True),) + (fam.propriety or ()), alpha, lam, u, r)
     if row is not None:

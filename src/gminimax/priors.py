@@ -39,7 +39,6 @@ from .families import (
     _log,
     _observed_stat,
     _prior_text,
-    check_observation,
     check_posterior_ok,
     check_prior_ok,
     interval_grid,
@@ -428,7 +427,6 @@ def _log_weight(fam: FamilySpec, prior: ConjugatePrior):
 
 def _log_posterior_integrand(fam: FamilySpec, prior: ConjugatePrior, x: float):
     """Log of (likelihood shape) * (unnormalized prior), vectorized."""
-    check_observation(fam, x)
     r = _observed_stat(fam, x)
     logw = _log_weight(fam, prior)
 

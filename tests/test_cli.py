@@ -750,11 +750,7 @@ class TestFamilyFile:
          ["bayes", "--x", "2", "--prior", "a=1,l=1"],
          "family my_exp has no propriety predicate; accepting (alpha=1.0, "
          "lambda=1.0) unchecked"),
-        # math refuses exp(800) in the float body; numpy's body warns.
-        (dict(name="pois", support=[None, None], log_norm="-exp(-theta)"),
-         ["loss", "--theta", "-800", "--delta", "1"],
-         "overflow encountered in exp"),
-    ], ids=["unchecked_prior", "float_body_fallback"])
+    ], ids=["unchecked_prior"])
     def test_a_warning_raised_as_an_error_exits_2_in_one_stderr_line(
             self, tmp_path, cfg, argv, message):
         import os
@@ -767,6 +763,34 @@ class TestFamilyFile:
             env={**os.environ, "PYTHONWARNINGS": "error"})
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.splitlines() == [f"gminimax: configuration error: {message}"]
+
+    @pytest.mark.parametrize("warnings_filter", ["", "error"], ids=["default", "error"])
+    @pytest.mark.parametrize("cfg,builtin,argv", [
+        (dict(name="pois", support=[None, None], log_norm="-exp(-theta)"),
+         "poisson", ["loss", "--theta", "-800", "--delta", "1"]),
+        (dict(name="n", support=[None, None], log_norm="-theta^2/2"),
+         "normal", ["prgm", "--bounds", "1e200:2e200"]),
+    ], ids=["exp_overflow", "power_overflow"])
+    def test_a_config_overflow_is_refused_as_its_builtin_twin(
+            self, capsys, tmp_path, cfg, builtin, argv, warnings_filter):
+        # A config mapping runs the built-ins' primitives, so exp(800) and
+        # 1e200^2 are inf on floats with no numpy warning, printed or raised:
+        # the one line is the built-in's refusal, the family name aside.
+        import os
+
+        from gminimax import builtin_family
+
+        rc, out, err = run_cli(capsys, [argv[0], "--family", builtin, *argv[1:]])
+        assert (rc, out) == (2, "") and "overflows the float range" in err
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gminimax", argv[0], "--family-file", str(path),
+             *argv[1:]], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONWARNINGS": warnings_filter})
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines() == [
+            err.strip().replace(builtin_family(builtin).name, cfg["name"])]
 
     @pytest.mark.parametrize("stat,x,value", [("x^0.5", "-1", "nan"), ("exp(x)", "1000", "inf")],
                              ids=["root_of_negative", "overflow"])

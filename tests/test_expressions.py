@@ -156,7 +156,7 @@ class TestParser:
         ("math*log(math)", "math", 1.0, 0.0),
     ])
     def test_a_variable_shadows_nothing(self, source, var, value, want):
-        # The float body and the array body alike.
+        # On a float and on an array alike.
         expr = parse_expression(source, var)
         assert expr(value) == want
         assert expr(np.array([value])).tolist() == [pytest.approx(want, rel=1e-15)]
@@ -349,7 +349,8 @@ class TestFamilyFromConfig:
 
     def test_null_stat_is_the_observation(self):
         fam = family_from_config(dict(EXP_CLONE, stat=None))
-        assert fam.stat.source == "x" and fam.stat(1.5) == 1.5
+        x = np.array([-2.0, 1.5])
+        assert fam.stat(1.5) == 1.5 and fam.stat(x) is x
 
     @pytest.mark.parametrize("name", [None, ["a"], "", 5, False],
                              ids=["null", "list", "empty", "number", "false"])
@@ -366,38 +367,40 @@ class TestFamilyFromConfig:
         assert str(info.value) == f"bad name entry {name!r}; expected printable characters"
         assert len(str(info.value).splitlines()) == 1
 
-    def test_mappings_are_the_expressions(self):
+    def test_mappings_are_the_compiled_functions(self):
         fam = family_from_config(dict(EXP_CLONE, stat="2*x"))
-        assert [getattr(fam, key).source for key in
-                ("log_norm", "mean", "mean_deriv", "stat")] == [
-            "log(theta)", "1/theta", "-1/theta^2", "2*x"]
+        for key, source, var in (("log_norm", "log(theta)", "theta"),
+                                 ("mean", "1/theta", "theta"),
+                                 ("mean_deriv", "-1/theta^2", "theta"),
+                                 ("stat", "2*x", "x")):
+            mapping, fn = getattr(fam, key), parse_expression(source, var)._fn
+            assert not isinstance(mapping, Expression)
+            assert ((mapping.__code__.co_code, mapping.__code__.co_consts)
+                    == (fn.__code__.co_code, fn.__code__.co_consts))
 
-    def test_every_mapping_call_passes_through_call(self, monkeypatch):
-        # What a tracer patched onto Expression.__call__ counts is every call
-        # a config family's mappings take, on floats and on arrays.
-        fam = family_from_config(dict(EXP_CLONE, stat="2*x"))
-        keys = ("log_norm", "mean", "mean_deriv", "stat")
-        taken, counted = Counter(), Counter()
-
-        def spy(key):
-            mapping = getattr(fam, key)
-            return lambda value: taken.update([mapping.source]) or mapping(value)
-
+    def test_no_mapping_call_passes_through_call(self, monkeypatch):
+        # A config family binds each expression's compiled function, not the
+        # Expression: a mapping call is then one call of a plain function, as
+        # a built-in's is, where Expression.__call__ adds a type test and a
+        # second call to each.  So a tracer patched onto Expression.__call__
+        # counts catalog transforms only.
+        counted = Counter()
         call = Expression.__call__
 
-        def counting(self, *args, **env):
+        def counting(self, value, /):
             counted[self.source] += 1
-            return call(self, *args, **env)
+            return call(self, value)
 
-        traced = dataclasses.replace(fam, **{key: spy(key) for key in keys})
         monkeypatch.setattr(Expression, "__call__", counting)
-        bayes_estimate(traced, ConjugatePrior(traced, 2.0, 1.0), 3.0)
-        prgm_from_bounds(traced, 1.0, 2.0)
+        fam = family_from_config(dict(EXP_CLONE, stat="2*x"))
+        bayes_estimate(fam, ConjugatePrior(fam, 2.0, 1.0), 3.0)
+        prgm_from_bounds(fam, 1.0, 2.0)
         for theta in (0.5, np.array([0.5, 2.0])):
-            for key in keys:
-                getattr(traced, key)(theta)
-        assert counted == taken
-        assert all(taken[getattr(fam, key).source] > 0 for key in keys)
+            for key in ("log_norm", "mean", "mean_deriv", "stat"):
+                getattr(fam, key)(theta)
+        assert counted == Counter()
+        parse_expression("1/theta", "theta")(0.5)
+        assert counted == Counter({"1/theta": 1})
 
     def test_inconsistent_mean_is_rejected(self):
         cfg = dict(EXP_CLONE, name="bad", mean="1/theta + 0.05")
@@ -592,43 +595,50 @@ class TestTwinInversion:
         assert sum(per_inversion) / len(per_inversion) < 18.0
 
 
+def _primitive(math_op, numpy_op):
+    """One operation as the family primitives take it: on floats (numpy
+    floats too), ``math_op``, and where that refuses on Python floats,
+    numpy's value as a Python float with an unsigned nan (numpy's may carry
+    a sign bit); on anything else, numpy."""
+    def op(*args):
+        if not all(isinstance(a, float) for a in args):
+            return numpy_op(*args)
+        try:
+            math_op(*map(float, args))
+        except (OverflowError, ValueError, ZeroDivisionError):
+            with np.errstate(all="ignore"):
+                value = float(numpy_op(*map(np.float64, args)))
+            return math.nan if math.isnan(value) else value
+        return math_op(*args)
+    return op
+
+
 _REFERENCE = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-              "/": operator.truediv, "^": np.power, "neg": operator.neg,
-              "exp": np.exp, "log": np.log}
-_MATH_REFERENCE = dict(_REFERENCE, **{"^": math.pow, "exp": math.exp, "log": math.log})
+              "neg": operator.neg, "/": _primitive(operator.truediv, np.divide),
+              "^": _primitive(math.pow, np.power), "exp": _primitive(math.exp, np.exp),
+              "log": _primitive(math.log, np.log)}
 
 
-def reference(node, env, functions=_REFERENCE, number=np.float64):
-    """Value of a parsed tree by a plain walk, numbers as ``number``."""
+def reference(node, env):
+    """Value of a parsed tree by a plain walk, with numbers as Python floats."""
     kind = node[0]
     if kind == "num":
-        return number(node[1])
+        return node[1]
     if kind == "var":
         return env[node[1]]
-    args = [reference(a, env, functions, number) for a in node[2 if kind == "call" else 1:]]
-    return functions[node[1] if kind == "call" else kind](*args)
-
-
-def float_reference(node, env):
-    """The walk on Python floats over ``math``; where ``math`` refuses, the
-    walk over numpy on numpy floats."""
-    try:
-        return reference(node, {k: float(v) for k, v in env.items()}, _MATH_REFERENCE,
-                         float)
-    except (OverflowError, ValueError, ZeroDivisionError):
-        return reference(node, {k: np.float64(v) for k, v in env.items()})
+    args = [reference(a, env) for a in node[2 if kind == "call" else 1:]]
+    return _REFERENCE[node[1] if kind == "call" else kind](*args)
 
 
 def folded_reference(node):
-    """The tree with each literal-only subtree replaced by its value as a
-    float call gives it: the walk over math, or over numpy where math refuses."""
+    """The tree with each literal-only subtree replaced by its value on floats."""
     if node[0] in ("num", "var"):
         return node
     head = 2 if node[0] == "call" else 1
     node = node[:head] + tuple(folded_reference(a) for a in node[head:])
     if any(a[0] != "num" for a in node[head:]):
         return node
-    return ("num", float(float_reference(node, {})))
+    return ("num", reference(node, {}))
 
 
 _values = st.floats(allow_nan=True, allow_infinity=True)
@@ -637,28 +647,36 @@ _values = st.floats(allow_nan=True, allow_infinity=True)
 @settings(max_examples=500, deadline=None)
 @given(tree=_trees(), theta=st.lists(_values, min_size=3, max_size=3))
 def test_compiled_expression_matches_a_reference_walk(tree, theta):
-    # Bit for bit, nan payloads and signed zeros included: numpy floats and
-    # Python floats against the walk over math, 0-d and 3-element arrays
-    # against the walk over numpy.  Literal-only subtrees fold as a float
-    # call evaluates them, for both bodies, so each walk takes the tree
-    # folded that way: math's exp and log may round otherwise than numpy's.
-    # A tree that folds to a number c runs as c + 0*theta.
+    # Bit for bit and type for type, nan payloads and signed zeros included:
+    # the call runs on a Python float for a float (an np.float64 too), on a
+    # float ndarray otherwise, and each exp, log, ^ and / takes math on
+    # floats, numpy's value where math refuses, and numpy on anything else.
+    # Literal-only subtrees fold as a float call evaluates them.  A tree
+    # that folds to a number c runs as c + 0*theta.
     try:
         expr = Expression("tree", tree, "theta")
     except SpecificationError:  # a literal-only subtree divides by zero
         return
     scalar = np.float64(theta[0])
-    with np.errstate(all="ignore"):
-        folded = folded_reference(tree)
+    folded = folded_reference(tree)
     if folded[0] == "num":
         folded = ("+", folded, ("*", ("num", 0.0), ("var", "theta")))
     assert repr(expr._ast) == repr(folded)
-    for value, walk in ((scalar, float_reference), (float(scalar), float_reference),
-                        (np.array(scalar), reference), (np.array(theta), reference)):
+    for value in (scalar, float(scalar), np.array(scalar), np.array(theta)):
+        var = float(value) if isinstance(value, float) else np.asarray(value, dtype=float)
         with np.errstate(all="ignore"):
-            got, want = expr(value), walk(folded, {"theta": value})
-        assert np.shape(got) == np.shape(want)
+            got, want = expr(value), reference(folded, {"theta": var})
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
         assert np.asarray(got, float).tobytes() == np.asarray(want, float).tobytes()
+
+
+# Points where math refuses an operation, with numpy's value for it.
+MATH_REFUSALS = [
+    ("exp(-theta)", -800.0, lambda t: np.exp(-t)), ("log(theta)", 0.0, np.log),
+    ("log(theta)", -1.0, np.log), ("1/theta", 0.0, lambda t: 1.0 / t),
+    ("theta^-1", 0.0, lambda t: np.power(t, -1.0)),
+    ("theta^(1/3)", -8.0, lambda t: np.power(t, 1.0 / 3.0)),
+]
 
 
 class TestFloatBody:
@@ -668,24 +686,40 @@ class TestFloatBody:
             assert type(expr(theta)) is float
         for theta in (np.array([0.7, 1.0]), np.ones((2, 2))):
             assert type(expr(theta)) is np.ndarray and expr(theta).shape == theta.shape
-        # 0-d arrays and ints take the array body, as numpy floats
-        assert type(expr(np.array(0.7))) is np.float64 and type(expr(1)) is np.float64
+        # A 0-d array or an int runs as a 0-d float array, as a built-in
+        # mapping takes one: here the negation makes it a numpy float, which
+        # each primitive then takes on math, so the value is the float call's.
+        for theta, value in ((np.array(0.7), 0.7), (1, 1.0)):
+            assert np.shape(expr(theta)) == () and expr(theta) == expr(value)
 
-    @pytest.mark.parametrize("source,theta", [
-        ("exp(-theta)", -800.0), ("log(theta)", 0.0), ("log(theta)", -1.0),
-        ("1/theta", 0.0), ("theta^-1", 0.0), ("theta^(1/3)", -8.0),
-    ])
-    def test_where_math_refuses_the_array_body_answers(self, source, theta):
+    @pytest.mark.parametrize("source,theta,numpy", MATH_REFUSALS)
+    def test_where_math_refuses_numpy_s_value_answers_quietly(self, source, theta, numpy):
         expr = parse_expression(source, "theta")
-        with pytest.raises((OverflowError, ValueError, ZeroDivisionError)):
-            expr._float(theta)
-        with pytest.warns(RuntimeWarning) as got_warnings:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             got = expr(theta)
-        with pytest.warns(RuntimeWarning) as want_warnings:
-            want = expr(np.array(theta))
-        assert repr(got) == repr(want) and not math.isfinite(got)
-        assert ([str(w.message) for w in got_warnings]
-                == [str(w.message) for w in want_warnings])
+            # A config family's mapping is the bare function, which may be
+            # handed a numpy float: the primitives take it as a float.
+            bound = expr._fn(np.float64(theta))
+        with np.errstate(all="ignore"):
+            want = float(numpy(np.float64(theta)))
+        assert type(got) is float and repr(got) == repr(want) and not math.isfinite(got)
+        assert repr(float(bound)) == repr(want)
+
+    @pytest.mark.parametrize("key", sorted(TWINS))
+    def test_twins_answer_quietly_where_math_refuses(self, key):
+        # At each refusal point above, each mapping of a twin gives its
+        # array value on a float, with no warning.
+        fam = family_from_config(dict(TWINS[key]))
+        for theta in sorted({theta for _, theta, _ in MATH_REFUSALS}):
+            for mapping in (fam.log_norm, fam.mean, fam.mean_deriv, fam.stat):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = mapping(theta)
+                with np.errstate(all="ignore"):
+                    want = float(mapping(np.array([theta]))[0])
+                assert type(got) is float
+                assert got == pytest.approx(want, rel=1e-15, nan_ok=True)
 
     @pytest.mark.parametrize("key", sorted(TWINS))
     def test_twin_means_agree_with_the_array_body(self, key):

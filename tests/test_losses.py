@@ -237,7 +237,7 @@ def test_overflow_is_a_domain_error(name, theta, delta):
 
 
 # The float branch of intrinsic_loss against the array path on 0-d arrays.
-# A built-in's float mappings, like a config family's float body, run
+# A built-in's mappings on floats, like a config family's, run
 # math's exp and log, which may round otherwise than numpy's: where the
 # float branch answers, the loss keeps the 38 bits the branch promises, and
 # where it falls through to the array path, the bits.  The normal family's
